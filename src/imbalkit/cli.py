@@ -16,7 +16,7 @@ from .data import (
     smote,
     stratified_split,
 )
-from .learners.base import LearnerError, ModelSpec, fit_model, predict_proba
+from .learners.base import fit_model, predict_proba
 from .learners.forest import RandomForestModel
 from .learners.gbt import GbtModel
 from .learners.search import tune_random_search

@@ -12,7 +12,7 @@ import numpy as np
 from .learners.base import TrainedModel, child_rng, predict_proba
 from .learners.forest import RandomForestModel
 from .learners.gbt import GbtModel
-from .metrics import evaluate, roc_auc
+from .metrics import roc_auc
 
 __all__ = [
     "Attribution",

@@ -3,6 +3,15 @@
 One implementation covers the boosted-tree family: L2 leaf regularization,
 optional histogram-binned split candidates, and optional ordered target
 statistics for integer-coded categorical columns.
+
+Splits come from a pre-sorted exact greedy search (Chen & Guestrin, KDD 2016):
+each column is sorted once per fit, and every node hands its children their
+rows in each column's sorted order, so no node sorts. A column's split
+candidates are the midpoints between its consecutive distinct training
+values; `bins > 0` subsamples them to at most `bins` evenly spaced ones, and
+the same search runs over that subset. Fitted trees are kept as nested dicts,
+their serialized form, and as parallel node arrays over all trees, which
+predict walks one level at a time for every row and tree at once.
 """
 
 from __future__ import annotations
@@ -53,97 +62,135 @@ class SplitRecord:
     gain: float
 
 
-@dataclass
-class _RegNode:
-    feature: int = -1           # -1 marks a leaf
-    threshold: float = 0.0
-    value: float = 0.0
-    left: "_RegNode | None" = None
-    right: "_RegNode | None" = None
+class _Grower:
+    """Grows the regression trees of one fit from columns sorted once.
 
-    def to_dict(self) -> dict:
-        if self.feature < 0:
-            return {"value": self.value}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
+    Split candidates of a column are the midpoints of its consecutive distinct
+    training values; `bins > 0` keeps an evenly spaced subset of them. A row's
+    rank in a column is the index of the first candidate at or above its
+    value, so a row goes left of candidate c exactly when its rank is <= c.
+    """
 
-    @classmethod
-    def from_dict(cls, d) -> "_RegNode":
-        if "value" in d and "feature" not in d:
-            return cls(value=d["value"])
-        return cls(feature=d["feature"], threshold=d["threshold"],
-                   left=cls.from_dict(d["left"]), right=cls.from_dict(d["right"]))
+    def __init__(self, X, bins, lam, max_depth, min_samples_split):
+        n, d = X.shape
+        self.lam = lam
+        self.max_depth = max_depth
+        self.min_split = max(2, min_samples_split)
+        self.order = np.empty((d, n), dtype=np.int32)  # rows in stable column order
+        self.rank = np.empty((d, n), dtype=np.int32)
+        self.mids = []
+        self.first_kept = []  # per column: rank -> first kept candidate at or above it
+        for j in range(d):
+            col = X[:, j]
+            uniq = np.unique(col)
+            mids = 0.5 * (uniq[:-1] + uniq[1:])
+            keep = np.arange(mids.size)
+            if bins and mids.size > bins:
+                keep = np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))
+            self.order[j] = np.argsort(col, kind="stable")
+            self.rank[j] = np.searchsorted(mids, col)
+            self.mids.append(mids)
+            self.first_kept.append(np.append(keep, mids.size)[
+                np.searchsorted(keep, np.arange(mids.size + 1))])
+        self.goes_left = np.empty(n, dtype=bool)
+
+    def grow(self, g, h, tree_idx, records):
+        """One tree fitted to gradients g and hessians h. Returns the tree as
+        nested dicts and each training row's leaf value."""
+        self.g, self.h = g, h
+        self.tree_idx, self.records = tree_idx, records
+        self.leaf = np.empty(g.size)
+        rows = np.arange(g.size, dtype=np.int32)
+        return self._grow(rows, self.order, 0), self.leaf
+
+    def _grow(self, rows, order, depth):
+        """`rows` ascending; `order[j]` the same rows in column j's sorted order,
+        a subsequence of the whole column's stable sort, so its prefix sums of
+        g and h equal those of sorting this node alone."""
+        G, H = self.g.take(rows).sum(), self.h.take(rows).sum()
+        split = None
+        if depth < self.max_depth and rows.size >= self.min_split:
+            split = self._best_split(order, G, H)
+        if split is None:
+            value = float(-G / (H + self.lam))
+            self.leaf[rows] = value
+            return {"value": value}
+        j, c, gain = split
+        self.records.append(SplitRecord(tree=self.tree_idx, feature=j, gain=gain))
+        # the buffer is shared with the children's splits: read it before them
+        mask = self.rank[j].take(rows) <= c
+        self.goes_left[rows] = mask
+        left = self.goes_left[order]
+        d = order.shape[0]
+        return {"feature": j, "threshold": float(self.mids[j][c]),
+                "left": self._grow(rows[mask], order[left].reshape(d, -1), depth + 1),
+                "right": self._grow(rows[~mask], order[~left].reshape(d, -1), depth + 1)}
+
+    def _best_split(self, order, G, H):
+        """(feature, candidate, gain) of the best split, or None.
+
+        Only the positions where a column's sorted ranks pass a kept candidate
+        are scored, each at the lowest such candidate: the one a scan over
+        every candidate in order would pick, since all candidates between two
+        adjacent rows give the same gain.
+        """
+        lam = self.lam
+        parent_score = G * G / (H + lam)
+        best_gain = 0.0
+        best = None
+        g, h = self.g, self.h
+        for j in range(order.shape[0]):
+            o = order[j]
+            rank = self.rank[j].take(o)
+            end = (rank[:-1] != rank[1:]).nonzero()[0]
+            cand = self.first_kept[j].take(rank.take(end))
+            ok = cand < rank.take(end + 1)
+            end = end[ok]
+            if not end.size:
+                continue
+            GL = g.take(o).cumsum().take(end)
+            HL = h.take(o).cumsum().take(end)
+            GR = G - GL
+            HR = H - HL
+            gains = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score)
+            k = gains.argmax()
+            gain = float(gains[k])
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best = (j, int(cand[ok][k]))
+        if best is None or best_gain <= 1e-12:
+            return None
+        return (*best, best_gain)
 
 
-def _candidate_thresholds(col: np.ndarray, bins: int) -> np.ndarray:
-    """Split candidates are midpoints of consecutive distinct values; histogram
-    mode (bins > 0) keeps an evenly spaced subset, so a bin budget covering all
-    distinct values reproduces the exact candidate set."""
-    uniq = np.unique(col)
-    if uniq.size < 2:
-        return np.empty(0)
-    mids = 0.5 * (uniq[:-1] + uniq[1:])
-    if bins and mids.size > bins:
-        keep = np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))
-        mids = mids[keep]
-    return mids
+def _add_nodes(tree, nodes, depth) -> int:
+    """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
+    i = len(nodes)
+    if "feature" not in tree:
+        nodes.append((0, 0.0, i, i, tree["value"]))
+        return depth
+    nodes.append(None)
+    left_depth = _add_nodes(tree["left"], nodes, depth + 1)
+    right = len(nodes)
+    right_depth = _add_nodes(tree["right"], nodes, depth + 1)
+    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0)
+    return max(left_depth, right_depth)
 
 
-def _build_reg_tree(X, g, h, candidates, lam, max_depth, min_samples_split,
-                    records, tree_idx, depth=0):
-    G, H = g.sum(), h.sum()
-    node = _RegNode(value=-G / (H + lam))
-    n = g.size
-    if depth >= max_depth or n < max(2, min_samples_split):
-        return node
-    parent_score = G * G / (H + lam)
-    best_gain = 0.0
-    best = None
-    for j in range(X.shape[1]):
-        cands = candidates[j]
-        if cands.size == 0:
-            continue
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        gp = np.cumsum(g[order])
-        hp = np.cumsum(h[order])
-        pos = np.searchsorted(xs, cands, side="right")
-        valid = (pos > 0) & (pos < n)
-        if not np.any(valid):
-            continue
-        pv = pos[valid] - 1
-        GL = gp[pv]
-        HL = hp[pv]
-        GR = G - GL
-        HR = H - HL
-        gains = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score)
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
-        if gain > best_gain + 1e-15:
-            best_gain = gain
-            best = (j, float(cands[valid][k]))
-    if best is None or best_gain <= 1e-12:
-        return node
-    j, thr = best
-    records.append(SplitRecord(tree=tree_idx, feature=j, gain=best_gain))
-    mask = X[:, j] <= thr
-    node.feature = j
-    node.threshold = thr
-    node.left = _build_reg_tree(X[mask], g[mask], h[mask], candidates, lam,
-                                max_depth, min_samples_split, records, tree_idx, depth + 1)
-    node.right = _build_reg_tree(X[~mask], g[~mask], h[~mask], candidates, lam,
-                                 max_depth, min_samples_split, records, tree_idx, depth + 1)
-    return node
-
-
-def _reg_predict(root: _RegNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        node = root
-        while node.feature >= 0:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        out[i] = node.value
-    return out
+def _flatten(trees):
+    """Parallel node arrays (feature, threshold, left, right, value) of all
+    trees, the index of each root, and the depth of the deepest leaf. A leaf
+    points to itself, so walking that many levels from the roots ends on
+    every row's leaf in every tree."""
+    nodes: list = []
+    roots = []
+    depth = 0
+    for tree in trees:
+        roots.append(len(nodes))
+        depth = max(depth, _add_nodes(tree, nodes, 0))
+    table = np.array(nodes, dtype=float).reshape(-1, 5)
+    feature, left, right = table[:, [0, 2, 3]].astype(np.intp).T
+    return (feature, table[:, 1], left, right, table[:, 4]), np.array(roots, dtype=np.intp), depth
 
 
 class GbtModel(TrainedModel):
@@ -153,7 +200,8 @@ class GbtModel(TrainedModel):
                  split_records, n_train, feature_names,
                  cat_encoders=None):
         super().__init__(feature_names)
-        self.trees = trees
+        self.trees = trees  # nested dicts, as params_dict writes them
+        self._nodes, self._roots, self._depth = _flatten(trees)
         self.base_log_odds = base_log_odds
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
@@ -192,7 +240,7 @@ class GbtModel(TrainedModel):
 
         prevalence = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
         base = float(np.log(prevalence / (1.0 - prevalence)))
-        candidates = [_candidate_thresholds(X[:, j], int(h["bins"])) for j in range(X.shape[1])]
+        grower = _Grower(X, int(h["bins"]), lam, h["max_depth"], h["min_samples_split"])
 
         raw = np.full(n, base)
         trees = []
@@ -202,10 +250,9 @@ class GbtModel(TrainedModel):
             p = sigmoid(raw)
             g = p - y
             hess = p * (1.0 - p)
-            root = _build_reg_tree(X, g, hess, candidates, lam, h["max_depth"],
-                                   h["min_samples_split"], records, t)
-            trees.append(root)
-            raw = raw + lr * _reg_predict(root, X)
+            tree, leaf = grower.grow(g, hess, t, records)
+            trees.append(tree)
+            raw = raw + lr * leaf
         return cls(trees, base, lr, lam, records, n, feature_names, cat_encoders)
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
@@ -220,11 +267,22 @@ class GbtModel(TrainedModel):
             values[:, j] = out
         return values
 
+    def _leaf_values(self, values: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows) leaf values, walked one level at a time for every
+        row and tree at once."""
+        feature, threshold, left, right, value = self._nodes
+        node = np.repeat(self._roots[:, None], values.shape[0], axis=1)
+        rows = np.arange(values.shape[0])
+        for _ in range(self._depth):
+            go_left = values[rows, feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        return value[node]
+
     def raw_score(self, values: np.ndarray) -> np.ndarray:
-        values = self._transform(values)
+        values = np.asarray(self._transform(values), dtype=float)
         acc = np.full(values.shape[0], self.base_log_odds)
-        for root in self.trees:
-            acc += self.learning_rate * _reg_predict(root, values)
+        for leaf in self._leaf_values(values):
+            acc += self.learning_rate * leaf
         return acc
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
@@ -232,7 +290,7 @@ class GbtModel(TrainedModel):
 
     def params_dict(self) -> dict:
         return {
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees,
             "base_log_odds": self.base_log_odds,
             "learning_rate": self.learning_rate,
             "l2_leaf_reg": self.l2_leaf_reg,
@@ -253,7 +311,7 @@ class GbtModel(TrainedModel):
             for j, e in d.get("cat_encoders", {}).items()
         }
         return cls(
-            [_RegNode.from_dict(t) for t in d["trees"]],
+            d["trees"],
             d["base_log_odds"], d["learning_rate"], d["l2_leaf_reg"],
             [SplitRecord(*r) for r in d["split_records"]],
             d["n_train"], feature_names, encs,

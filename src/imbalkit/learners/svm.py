@@ -33,7 +33,6 @@ def _smo(K, t, C, tol, max_passes, rng):
     epochs = 0
     while passes < max_passes and epochs < 100 * max_passes:
         changed = 0
-        f = (alpha * t) @ K + b
         for i in range(n):
             Ei = float((alpha * t) @ K[:, i] + b - t[i])
             if (t[i] * Ei < -tol and alpha[i] < C) or (t[i] * Ei > tol and alpha[i] > 0):

@@ -7,7 +7,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import load_dataset, load_schema
@@ -210,9 +210,13 @@ class ArtifactWriter:
 
 
 def _package_version() -> str:
-    try:
-        from importlib.metadata import version
+    """Installed distribution version, else the package's own __version__
+    (a source checkout run with PYTHONPATH=src has no distribution metadata)."""
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         return version("imbalkit")
-    except Exception:
-        return "unknown"
+    except PackageNotFoundError:
+        from . import __version__  # not at the top: the package sets it after importing us
+
+        return __version__

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import imbalkit
 from imbalkit.cli import main
 
 
@@ -127,6 +128,11 @@ class TestBenchmark:
         for rel, digest in manifest["artifacts"].items():
             actual = hashlib.sha256((out / rel).read_bytes()).hexdigest()
             assert actual == digest, f"hash mismatch for {rel}"
+
+    def test_manifest_reports_package_version(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        assert read_manifest(out)["version"] == imbalkit.__version__
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         cfg, out = write_config(tmp_path)

@@ -1,8 +1,11 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalkit.data import EncodedMatrix
 from imbalkit.learners import fit_model, predict_proba, tune_random_search
@@ -16,7 +19,7 @@ from imbalkit.learners.base import (
     save_model,
     serialize_model,
 )
-from imbalkit.learners.gbt import GbtModel, _reg_predict, ordered_target_statistics
+from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
 from imbalkit.learners.linear import LinearParams, fit_logistic, logistic_response, sigmoid
 from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
 from imbalkit.learners.tree import (
@@ -96,6 +99,19 @@ class TestFitDispatch:
         p1 = predict_proba(fit_model(fast_spec(algorithm, seed=5), m), m)
         p2 = predict_proba(fit_model(fast_spec(algorithm, seed=5), m), m)
         assert np.array_equal(p1, p2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fit_and_predict_leave_no_reference_cycle(self, algorithm):
+        # a cycle pins the fit's buffers until the cyclic collector runs
+        m = two_class_matrix(30, 20, seed=27)
+        predict_proba(fit_model(fast_spec(algorithm), m), m)  # warm lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            predict_proba(fit_model(fast_spec(algorithm), m), m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLogistic:
@@ -222,7 +238,92 @@ class TestRandomForest:
         assert not np.array_equal(p1, p2)
 
 
+def _walk(tree, X):
+    """Per-row walk of one nested-dict regression tree."""
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        node = tree
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        out[i] = node["value"]
+    return out
+
+
+def _reference_tree(X, g, h, candidates, lam, max_depth, records, t, depth=0):
+    """Brute-force split search: sort the node's rows per feature and scan
+    every candidate midpoint, keeping each feature's first best."""
+    G, H = g.sum(), h.sum()
+    if depth >= max_depth or g.size < 2:
+        return {"value": float(-G / (H + lam))}
+    best_gain, best = 0.0, None
+    for j, mids in enumerate(candidates):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, gl, hl = X[order, j], np.cumsum(g[order]), np.cumsum(h[order])
+        feature_best = None
+        for c in mids:
+            k = int(np.sum(xs <= c))
+            if not 0 < k < g.size:
+                continue
+            GL, HL = gl[k - 1], hl[k - 1]
+            GR, HR = G - GL, H - HL
+            gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam))
+            if feature_best is None or gain > feature_best[0]:
+                feature_best = (float(gain), float(c))
+        if feature_best is not None and feature_best[0] > best_gain + 1e-15:
+            best_gain, best = feature_best[0], (j, feature_best[1])
+    if best is None or best_gain <= 1e-12:
+        return {"value": float(-G / (H + lam))}
+    j, thr = best
+    records.append([t, j, best_gain])
+    mask = X[:, j] <= thr
+    return {"feature": j, "threshold": thr,
+            "left": _reference_tree(X[mask], g[mask], h[mask], candidates, lam,
+                                    max_depth, records, t, depth + 1),
+            "right": _reference_tree(X[~mask], g[~mask], h[~mask], candidates, lam,
+                                     max_depth, records, t, depth + 1)}
+
+
+def _reference_gbt(X, y, n_estimators, max_depth, bins, lr=0.01, lam=1.0):
+    """(trees, split records, raw scores on X) of a brute-force boosted fit."""
+    candidates = []
+    for col in X.T:
+        uniq = np.unique(col)
+        mids = 0.5 * (uniq[:-1] + uniq[1:])
+        if bins and mids.size > bins:
+            mids = mids[np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))]
+        candidates.append(mids)
+    prevalence = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
+    raw = np.full(y.size, float(np.log(prevalence / (1.0 - prevalence))))
+    trees, records = [], []
+    for t in range(n_estimators):
+        p = sigmoid(raw)
+        tree = _reference_tree(X, p - y, p * (1.0 - p), candidates, lam, max_depth, records, t)
+        trees.append(tree)
+        raw = raw + lr * _walk(tree, X)
+    return trees, records, raw
+
+
+@st.composite
+def _tied_problems(draw):
+    n, d = draw(st.integers(4, 40)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 7), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(cells, dtype=float).reshape(n, d), np.array(labels, dtype=float)
+
+
 class TestGbt:
+    @given(_tied_problems(), st.sampled_from([0, 3, 64]), st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_split_search_matches_brute_force(self, problem, bins, max_depth, n_estimators):
+        X, y = problem
+        spec = ModelSpec("gbt", {"n_estimators": n_estimators, "max_depth": max_depth,
+                                 "bins": bins})
+        model = GbtModel.fit(X, y, spec, tuple(f"f{j}" for j in range(X.shape[1])))
+        trees, records, raw = _reference_gbt(X, y, n_estimators, max_depth, bins)
+        assert model.trees == trees
+        assert [[r.tree, r.feature, r.gain] for r in model.split_records] == records
+        assert np.array_equal(model.raw_score(X), raw)
+
     def test_zero_trees_predicts_prevalence(self):
         m = two_class_matrix(30, 10, seed=10)
         model = fit_model(ModelSpec("gbt", {"n_estimators": 0}), m)
@@ -233,8 +334,8 @@ class TestGbt:
         m = two_class_matrix(50, 30, seed=11)
         model = fit_model(fast_spec("gbt"), m)
         manual = np.full(m.n_rows, model.base_log_odds)
-        for root in model.trees:
-            manual = manual + model.learning_rate * _reg_predict(root, m.values)
+        for tree in model.trees:
+            manual = manual + model.learning_rate * _walk(tree, m.values)
         np.testing.assert_allclose(model.raw_score(m.values), manual, atol=1e-12)
 
     def test_histogram_covering_all_values_matches_exact(self):
