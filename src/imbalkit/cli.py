@@ -23,7 +23,14 @@ from .learners.search import tune_random_search
 from .metrics import evaluate, roc_curve
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
 from .stacking import StackingSpec, stack_fit, stack_predict_proba
-from .stats import bonferroni_adjust, chi_square_association, cramers_v, paired_t_test, StatsError
+from .stats import (
+    StatsError,
+    bonferroni_adjust,
+    chi_square_association,
+    contingency_table,
+    cramers_v,
+    paired_t_test,
+)
 from .svg import bar_chart_svg, heatmap_svg, roc_svg
 from .validation import cross_validate
 
@@ -100,36 +107,36 @@ def eda(config_path, seed, resample_test, out_dir):
     dataset, matrix, _ = _materialize(config)
     writer = ArtifactWriter(config.output_dir, config)
 
-    names = [c.name for c in dataset.schema]
-    tidx = names.index(config.target)
-    target_col = [row[tidx] for row in dataset.rows]
+    # every column once as (sorted observed labels, integer code per row);
+    # continuous columns are tabulated by their equal-width bin, whose single
+    # digit makes numeric and label order agree
+    columns = dict(zip((c.name for c in dataset.schema), zip(*dataset.rows)))
+    coded = {}
+    for col in dataset.schema:
+        if col.kind == "continuous":
+            bins, codes = np.unique(_equal_width_bins(np.array(columns[col.name], dtype=float)),
+                                    return_inverse=True)
+            labels = [f"bin_{b}" for b in bins.tolist()]
+        else:
+            labels, codes = np.unique(np.asarray(columns[col.name]), return_inverse=True)
+            labels = labels.tolist()
+        coded[col.name] = (labels, codes)
+    target_labels, target_codes = coded[config.target]
 
     feature_cols = [c for c in dataset.schema if c.name != config.target]
     for col in feature_cols:
-        j = names.index(col.name)
-        cells = [row[j] for row in dataset.rows]
-        rows = []
-        if col.kind == "continuous":
-            binned = _equal_width_bins(np.array(cells, dtype=float))
-            values = [f"bin_{b}" for b in binned]
-        else:
-            values = cells
-        seen = sorted(set(values))
-        for v in seen:
-            for t in sorted(set(target_col)):
-                n = sum(1 for a, b in zip(values, target_col) if a == v and b == t)
-                rows.append([col.name, v, t, n])
+        labels, codes = coded[col.name]
+        table = contingency_table(codes, target_codes)
         writer.write_csv(f"frequencies/{col.name}.csv",
-                         ["feature", "value", "target", "count"], rows)
+                         ["feature", "value", "target", "count"],
+                         [[col.name, v, t, int(n)]
+                          for v, counts in zip(labels, table.counts)
+                          for t, n in zip(target_labels, counts)])
 
     # associations against the target at the EDA significance level
     assoc_rows = []
     for col in feature_cols:
-        j = names.index(col.name)
-        cells = [row[j] for row in dataset.rows]
-        if col.kind == "continuous":
-            cells = _equal_width_bins(np.array(cells, dtype=float))
-        res = chi_square_association(np.asarray(cells), np.asarray(target_col), alpha=0.10)
+        res = chi_square_association(coded[col.name][1], target_codes, alpha=0.10)
         assoc_rows.append([col.name, f"{res.chi2:.6f}", f"{res.p_value:.6g}",
                            "significant" if res.significant else "not-significant"])
     writer.write_csv("associations.csv", ["feature", "chi2", "p_value", "decision"],
@@ -138,11 +145,9 @@ def eda(config_path, seed, resample_test, out_dir):
     cat_cols = [c for c in feature_cols if c.kind != "continuous"]
     k = len(cat_cols)
     V = np.eye(k)
-    columns = {c.name: [row[names.index(c.name)] for row in dataset.rows] for c in cat_cols}
     for i in range(k):
         for j in range(i + 1, k):
-            v = cramers_v(np.asarray(columns[cat_cols[i].name]),
-                          np.asarray(columns[cat_cols[j].name]))
+            v = cramers_v(coded[cat_cols[i].name][1], coded[cat_cols[j].name][1])
             V[i, j] = V[j, i] = v
     labels = [c.name for c in cat_cols]
     writer.write_csv("cramers_v.csv", ["feature"] + labels,

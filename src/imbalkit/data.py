@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "stratified_split",
     "smote",
     "class_distribution",
+    "ROUNDING_MODES",
 ]
 
 
@@ -40,6 +42,7 @@ CATEGORICAL = "categorical"
 BINARY = "binary"
 CONTINUOUS = "continuous"
 _KINDS = (CATEGORICAL, BINARY, CONTINUOUS)
+ROUNDING_MODES = ("continuous", "nearest-code")  # how smote treats categorical codes
 
 
 @dataclass(frozen=True)
@@ -171,11 +174,15 @@ def load_schema(path) -> list[ColumnSchema]:
 def _validate_cell(col: ColumnSchema, value: str, row_idx: int):
     if col.kind == CONTINUOUS:
         try:
-            float(value)
+            number = float(value)
         except ValueError:
             raise DataError(
                 f"row {row_idx}: non-numeric value {value!r} in continuous column {col.name!r}"
             ) from None
+        if not math.isfinite(number):
+            raise DataError(
+                f"row {row_idx}: non-finite value {value!r} in continuous column {col.name!r}"
+            )
     else:
         if value not in col.categories:
             raise DataError(
@@ -314,6 +321,50 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     return matrix.take(train_idx), matrix.take(test_idx)
 
 
+# Rows of the minority distance matrix handled at once: memory beyond the
+# Gram matrix stays at a few (_NN_BLOCK, n_min) float arrays.
+_NN_BLOCK = 256
+
+
+def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k Euclidean nearest other rows, 0 < k < len(X).
+
+    Equal to np.argsort(d2, axis=1, kind="stable")[:, :k] on the full squared
+    distance matrix d2 (diagonal +inf): by distance, ties to the lower index.
+    The Gram matrix is one X @ X.T: numpy computes it with syrk and a product
+    of row slices with gemm, which need not agree to the last bit. d2 is then
+    formed and searched block by block.
+    """
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    gram = X @ X.T
+    nn = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, _NN_BLOCK):
+        stop = min(start + _NN_BLOCK, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram[start:stop]
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        if np.isnan(d2).any():
+            raise DataError("squared distances overflow; rescale the features")
+        nn[start:stop] = _k_smallest(d2, k)
+    return nn
+
+
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the columns of the k smallest entries, ordered by value and
+    then by column: np.argsort(d2, axis=1, kind="stable")[:, :k]."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    take = d2 <= kth
+    crowded = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
+    if crowded.size:  # more ties at the k-th value than places: lowest columns win
+        sub, cut = d2[crowded], kth[crowded]
+        below, tied = sub < cut, sub == cut
+        places = k - np.count_nonzero(below, axis=1)
+        take[crowded] = below | (tied & (np.cumsum(tied, axis=1) <= places[:, None]))
+    cols = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
           rounding: str = "continuous",
           categorical_columns: tuple[int, ...] | None = None,
@@ -326,10 +377,13 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
 
     rounding="nearest-code" snaps the listed categorical columns back to the
     nearest valid integer code (clipped to [0, n_categories) when sizes are
-    given); the default leaves fractional codes in place.
+    given); the default leaves fractional codes in place. A non-finite
+    feature value raises DataError.
     """
-    if rounding not in ("continuous", "nearest-code"):
+    if rounding not in ROUNDING_MODES:
         raise DataError(f"unknown rounding mode {rounding!r}")
+    if not np.isfinite(train.values).all():
+        raise DataError("SMOTE needs finite feature values")
     counts = np.bincount(train.target, minlength=2)
     minority = int(counts.argmin()) if counts[0] != counts[1] else 1
     majority = 1 - minority
@@ -353,11 +407,7 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
     min_idx = np.flatnonzero(train.target == minority)
     X = train.values[min_idx]
 
-    # pairwise Euclidean distances within the minority class
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nn = _nearest_neighbors(X, k)
 
     n_new = n_maj - n_min
     base = np.arange(n_new) % n_min

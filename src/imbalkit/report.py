@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import load_dataset, load_schema
+from .data import ROUNDING_MODES, load_dataset, load_schema
 from .learners.base import LearnerError, ModelSpec
 from .stacking import StackingSpec
 from .validation import SmoteSettings
@@ -57,6 +57,21 @@ class RunConfig:
         return load_dataset(self.dataset, schema, self.target)
 
 
+def _number(cast, value, what: str):
+    """cast(value) for cast in (int, float); a value it rejects is a config fault."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object")
+    return value
+
+
 def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
     if not isinstance(raw_models, list) or not raw_models:
         raise ConfigError("config must list at least one model")
@@ -64,6 +79,8 @@ def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
     order: list[str] = []
     deferred = []
     for entry in raw_models:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"model entry {entry!r} is not a JSON object")
         name = entry.get("name")
         algo = entry.get("algorithm")
         if not name or not algo:
@@ -75,8 +92,8 @@ def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
             deferred.append((name, entry))
             continue
         try:
-            specs[name] = ModelSpec(algo, dict(entry.get("hyperparameters", {})),
-                                    int(entry.get("seed", seed)))
+            specs[name] = ModelSpec(algo, dict(_section(entry, "hyperparameters")),
+                                    _number(int, entry.get("seed", seed), f"{name}.seed"))
         except LearnerError as exc:
             raise ConfigError(str(exc)) from exc
     for name, entry in deferred:
@@ -84,14 +101,14 @@ def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
         missing = [b for b in base_names if b not in specs]
         if missing:
             raise ConfigError(f"stacking model {name!r} references unknown bases {missing}")
-        meta_entry = entry.get("meta", {})
-        meta = ModelSpec("logistic", dict(meta_entry.get("hyperparameters", {})),
-                         int(meta_entry.get("seed", seed)))
+        meta_entry = _section(entry, "meta")
+        meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
+                         _number(int, meta_entry.get("seed", seed), f"{name}.meta.seed"))
         specs[name] = StackingSpec(
             base_specs=tuple(specs[b] for b in base_names),
             meta_spec=meta,
-            oof_folds=int(entry.get("oof_folds", 5)),
-            seed=int(entry.get("seed", seed)),
+            oof_folds=_number(int, entry.get("oof_folds", 5), f"{name}.oof_folds"),
+            seed=_number(int, entry.get("seed", seed), f"{name}.seed"),
             resampler=smote_settings if smote_enabled else None,
         )
     return specs, order
@@ -110,23 +127,30 @@ def load_config(path, seed_override: int | None = None,
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    smote_raw = raw.get("smote", {})
+    seed = _number(int, seed_override if seed_override is not None else raw.get("seed", 0),
+                   "seed")
+    test_fraction = _number(float, raw.get("test_fraction", 0.2), "test_fraction")
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction}")
+    smote_raw = _section(raw, "smote")
     smote_enabled = bool(smote_raw.get("enabled", True))
     smote_settings = SmoteSettings(
-        k_neighbors=int(smote_raw.get("k_neighbors", 5)),
+        k_neighbors=_number(int, smote_raw.get("k_neighbors", 5), "smote.k_neighbors"),
         rounding=smote_raw.get("rounding", "continuous"),
     )
+    if smote_settings.rounding not in ROUNDING_MODES:
+        raise ConfigError(f"unknown smote rounding {smote_settings.rounding!r}; "
+                          f"choose from {', '.join(ROUNDING_MODES)}")
     models, order = _parse_models(raw.get("models", []), seed, smote_settings,
                                   smote_enabled)
-    tuning = raw.get("tuning", {})
+    tuning = _section(raw, "tuning")
     reference = raw.get("reference_model")
     if reference is not None and reference not in models:
         raise ConfigError(f"reference model {reference!r} not in the roster")
-    for name in tuning.get("spaces", {}):
+    for name in _section(tuning, "spaces"):
         if name not in models:
             raise ConfigError(f"tuning space for unknown model {name!r}")
-    synthetic = raw.get("synthetic", {})
+    synthetic = _section(raw, "synthetic")
     resample_test = bool(raw.get("resample_test", False))
     if resample_test_override is not None:
         resample_test = resample_test_override
@@ -135,21 +159,22 @@ def load_config(path, seed_override: int | None = None,
         schema_path=raw.get("schema"),
         target=raw.get("target", synth.TARGET),
         seed=seed,
-        test_fraction=float(raw.get("test_fraction", 0.2)),
+        test_fraction=test_fraction,
         smote_enabled=smote_enabled,
         smote=smote_settings,
         resample_test=resample_test,
         models=models,
         model_order=order,
         tuning_spaces=tuning.get("spaces", {}),
-        tuning_n_iter=int(tuning.get("n_iter", 10)),
-        tuning_folds=int(tuning.get("folds", 5)),
-        cv_folds=int(raw.get("cv_folds", 10)),
+        tuning_n_iter=_number(int, tuning.get("n_iter", 10), "tuning.n_iter"),
+        tuning_folds=_number(int, tuning.get("folds", 5), "tuning.folds"),
+        cv_folds=_number(int, raw.get("cv_folds", 10), "cv_folds"),
         reference_model=reference,
         output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
-        synthetic_n=int(synthetic.get("n", 2000)),
-        synthetic_imbalance=float(synthetic.get("imbalance", 5.0)),
-        explain_options=raw.get("explain", {}),
+        synthetic_n=_number(int, synthetic.get("n", 2000), "synthetic.n"),
+        synthetic_imbalance=_number(float, synthetic.get("imbalance", 5.0),
+                                    "synthetic.imbalance"),
+        explain_options=_section(raw, "explain"),
         raw=raw,
     )
 

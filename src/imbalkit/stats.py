@@ -60,19 +60,21 @@ class PairedTestResult:
 
 
 def contingency_table(a, b) -> ContingencyTable:
-    """Cross-tabulate two equal-length categorical columns."""
+    """Cross-tabulate two equal-length categorical columns.
+
+    Rows and columns cover the observed values of each column, in sorted order.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.size == 0 or a.shape != b.shape:
         raise StatsError("columns must be nonempty and of equal length")
-    rows = sorted(set(a.tolist()))
-    cols = sorted(set(b.tolist()))
-    ridx = {v: i for i, v in enumerate(rows)}
-    cidx = {v: i for i, v in enumerate(cols)}
-    counts = np.zeros((len(rows), len(cols)))
-    for x, y in zip(a, b):
-        counts[ridx[x], cidx[y]] += 1
-    return ContingencyTable(counts, tuple(rows), tuple(cols))
+    if any(col.dtype.kind in "fc" and np.isnan(col).any() for col in (a, b)):
+        raise StatsError("NaN is not a category label")
+    rows, ri = np.unique(a.ravel(), return_inverse=True)
+    cols, ci = np.unique(b.ravel(), return_inverse=True)
+    cells = np.bincount(ri * cols.size + ci, minlength=rows.size * cols.size)
+    return ContingencyTable(cells.reshape(rows.size, cols.size),
+                            tuple(rows.tolist()), tuple(cols.tolist()))
 
 
 def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, int, float]:
@@ -98,17 +100,20 @@ def chi_square_association(feature, target, alpha: float = 0.10,
     """Chi-square independence test of a categorical feature against the binary target."""
     table = contingency_table(feature, target)
     stat, df, p = chi_square(table, yates=yates)
-    v = cramers_v(feature, target) if with_cramers_v else None
+    v = _cramers_v(table) if with_cramers_v else None
     return AssociationResult(chi2=stat, df=df, p_value=p, alpha=alpha,
                              significant=p < alpha, cramers_v=v)
 
 
 def cramers_v(a, b) -> float:
     """Cramer's V association strength in [0, 1] between two categorical columns."""
-    table = contingency_table(a, b)
+    return _cramers_v(contingency_table(a, b))
+
+
+def _cramers_v(table: ContingencyTable) -> float:
     r, c = table.counts.shape
     if min(r, c) < 2:
-        warnings.warn("a column has a single category; Cramer's V defined as 0", stacklevel=2)
+        warnings.warn("a column has a single category; Cramer's V defined as 0", stacklevel=3)
         return 0.0
     stat, _, _ = chi_square(table)
     n = table.counts.sum()

@@ -304,6 +304,7 @@ def test_criterion_10_leakage_guards(capsys):
                        f"CV accuracy {mean_acc:.3f} <= 0.57")
 
 
+@pytest.mark.slow
 def test_criterion_11_ensemble_sanity(capsys):
     ds = synthetic_dataset(2000, seed=7, imbalance=5.0)
     matrix, _ = label_encode(ds)

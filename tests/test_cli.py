@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 import imbalkit
 from imbalkit.cli import main
+from imbalkit.special import chi2_sf
 
 
 def base_config(out_dir, n=240, seed=5, **overrides):
@@ -78,6 +80,115 @@ class TestEda:
         bal = json.loads((out / "class_balance.json").read_text())
         assert bal["class0"] + bal["class1"] == 240
         assert bal["class0"] > bal["class1"]
+
+    def test_byte_identical_across_reruns(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        first = {rel: (out / rel).read_bytes() for rel in read_manifest(out)["artifacts"]}
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        assert set(read_manifest(out)["artifacts"]) == set(first)
+        for rel, data in first.items():
+            assert (out / rel).read_bytes() == data, f"{rel} differs between runs"
+
+
+SURVEY_SCHEMA = [
+    {"name": "color", "kind": "categorical", "categories": ["red", "green", "blue", "violet"]},
+    {"name": "region", "kind": "categorical", "categories": ["north", "south", "east"]},
+    {"name": "employed", "kind": "binary", "categories": ["no", "yes"]},
+    {"name": "age", "kind": "continuous"},
+    {"name": "abuse", "kind": "binary", "categories": ["not abused", "abused"]},
+]
+
+
+def write_survey(tmp_path, n=60, seed=0, age=None):
+    """A small survey CSV: 'violet' is declared but never observed, and the
+    integer ages 20..69 sit away from the equal-width bin edges."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        target = "abused" if i % 4 == 0 else "not abused"
+        color = "red" if target == "abused" else ["red", "green", "blue"][rng.integers(0, 3)]
+        rows.append([color, ["north", "south", "east"][rng.integers(0, 3)],
+                     ["no", "yes"][rng.integers(0, 2)],
+                     str(20 + i % 50) if age is None or i != 7 else age, target])
+    data = tmp_path / "survey.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([[c["name"] for c in SURVEY_SCHEMA]] + rows)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(SURVEY_SCHEMA), encoding="utf-8")
+    cfg, out = write_config(tmp_path, dataset=str(data), schema=str(schema),
+                            target="abuse", reference_model="nb",
+                            models=[{"name": "nb", "algorithm": "naive-bayes"}])
+    return cfg, out, rows
+
+
+def brute_chi2(a, b):
+    """Pearson chi-square, df and Cramer's V from per-row counts over observed values."""
+    ra, rb = sorted(set(a)), sorted(set(b))
+    obs = [[sum(1 for x, y in zip(a, b) if x == u and y == v) for v in rb] for u in ra]
+    n = len(a)
+    stat = 0.0
+    for i in range(len(ra)):
+        for j in range(len(rb)):
+            e = sum(obs[i]) * sum(row[j] for row in obs) / n
+            stat += (obs[i][j] - e) ** 2 / e
+    m = min(len(ra), len(rb))
+    v = 0.0 if m < 2 else min(math.sqrt(stat / (n * (m - 1))), 1.0)
+    return stat, (len(ra) - 1) * (len(rb) - 1), v
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestEdaGolden:
+    def test_tables_match_brute_force(self, tmp_path):
+        cfg, out, rows = write_survey(tmp_path)
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        names = [c["name"] for c in SURVEY_SCHEMA][:-1]
+        cols = {name: [r[j] for r in rows] for j, name in enumerate(names)}
+        target = [r[-1] for r in rows]
+        ages = [float(a) for a in cols["age"]]
+        lo, hi = min(ages), max(ages)
+        cols["age"] = [f"bin_{sum(x >= lo + (hi - lo) * i / 5 for i in range(1, 5))}"
+                       for x in ages]
+        assert sorted(set(cols["age"])) == [f"bin_{b}" for b in range(5)]
+
+        for name in names:
+            expected = [["feature", "value", "target", "count"]] + [
+                [name, v, t, str(sum(1 for x, y in zip(cols[name], target)
+                                     if x == v and y == t))]
+                for v in sorted(set(cols[name])) for t in sorted(set(target))]
+            assert read_csv(out / "frequencies" / f"{name}.csv") == expected
+        assert "violet" not in {r[1] for r in read_csv(out / "frequencies" / "color.csv")}
+
+        assoc = read_csv(out / "associations.csv")
+        assert assoc[0] == ["feature", "chi2", "p_value", "decision"]
+        assert [r[0] for r in assoc[1:]] == names
+        for name, chi2, p, decision in assoc[1:]:
+            stat, df, _ = brute_chi2(cols[name], target)
+            assert float(chi2) == pytest.approx(stat, abs=1e-6)
+            assert float(p) == pytest.approx(chi2_sf(stat, df), rel=1e-5)
+            assert decision == ("significant" if chi2_sf(stat, df) < 0.10
+                                else "not-significant")
+
+        cat = ["color", "region", "employed"]
+        V = read_csv(out / "cramers_v.csv")
+        assert V[0] == ["feature"] + cat
+        for i, row in enumerate(V[1:]):
+            assert row[0] == cat[i]
+            for j, cell in enumerate(row[1:]):
+                want = 1.0 if i == j else brute_chi2(cols[cat[i]], cols[cat[j]])[2]
+                assert float(cell) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "Infinity"])
+    @pytest.mark.parametrize("command", ["eda", "benchmark"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, command, cell):
+        cfg, _, _ = write_survey(tmp_path, age=cell)
+        result = run_cli(command, "--config", cfg)
+        assert result.exit_code == 3
+        assert "row 7: non-finite" in result.output and "'age'" in result.output
 
 
 class TestBenchmark:
@@ -239,6 +350,23 @@ class TestExplain:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("overrides", [
+        {"seed": "abc"},
+        {"models": ["nb"]},
+        {"test_fraction": 1.5},
+        {"smote": {"rounding": "bogus"}},
+        {"cv_folds": float("inf")},
+        {"synthetic": [500]},
+    ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
+            "unknown-smote-rounding", "infinite-count", "section-not-an-object"])
+    def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
+        cfg, _ = write_config(tmp_path, **overrides)
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_config_file(self, tmp_path):
         result = run_cli("benchmark", "--config", tmp_path / "absent.json")
         assert result.exit_code == 2

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalkit.data import (
     ColumnSchema,
@@ -16,6 +18,7 @@ from imbalkit.data import (
     smote,
     stratified_split,
 )
+from imbalkit.data import _NN_BLOCK, _nearest_neighbors
 from imbalkit.synth import synthetic_dataset, write_dataset_csv, write_schema_json
 from imbalkit import load_schema
 
@@ -73,6 +76,13 @@ class TestLoading:
         rows = tiny_rows()
         rows[0] = ("red", "yes", "old", "abused")
         with pytest.raises(DataError, match="non-numeric"):
+            dataset_from_rows(tiny_schema(), rows, "abuse")
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_continuous(self, cell):
+        rows = tiny_rows()
+        rows[3] = ("red", "no", cell, "abused")
+        with pytest.raises(DataError, match=r"row 3: non-finite .*'age'"):
             dataset_from_rows(tiny_schema(), rows, "abuse")
 
     def test_header_order_insensitive(self, tmp_path):
@@ -284,3 +294,79 @@ class TestSmote:
     def test_unknown_rounding_mode(self):
         with pytest.raises(DataError):
             smote(imbalanced_matrix(), rounding="floor")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        m = imbalanced_matrix()
+        m.values[30, 1] = value  # a majority row
+        with pytest.raises(DataError, match="finite"):
+            smote(m, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_distance_overflow_rejected(self):
+        m = imbalanced_matrix()
+        m.values[:2, 0] = 1e200  # finite, but the squared distances are inf - inf
+        with pytest.raises(DataError, match="overflow"):
+            smote(m, seed=0)
+
+
+def _reference_neighbors(X, k):
+    """The full-matrix neighbour search: all n x n squared distances, one stable argsort."""
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _reference_smote(train, k_neighbors, seed):
+    """smote at its defaults, written with _reference_neighbors."""
+    counts = np.bincount(train.target, minlength=2)
+    minority = int(counts.argmin())
+    n_min, n_maj = int(counts[minority]), int(counts[1 - minority])
+    k = min(k_neighbors, n_min - 1)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    X = train.values[train.target == minority]
+    nn = _reference_neighbors(X, k)
+    n_new = n_maj - n_min
+    base = np.arange(n_new) % n_min
+    pick = rng.integers(0, k, size=n_new)
+    u = rng.uniform(0.0, 1.0, size=n_new)
+    return X[base] + u[:, None] * (X[nn[base, pick]] - X[base])
+
+
+@st.composite
+def _tied_minorities(draw, max_rows):
+    """Small-integer matrices: many equal distances, and duplicate rows."""
+    n = draw(st.integers(2, max_rows))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    if draw(st.booleans()):  # a few real-valued columns too
+        X = np.hstack([X, rng.normal(size=(n, 1))])
+    return X
+
+
+class TestNeighbourSearch:
+    @given(_tied_minorities(max_rows=_NN_BLOCK + 40), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stable_argsort(self, X, k):
+        k = min(k, X.shape[0] - 1)
+        assert np.array_equal(_nearest_neighbors(X, k), _reference_neighbors(X, k))
+
+    def test_spans_several_blocks(self):
+        X = np.random.default_rng(0).integers(0, 3, size=(2 * _NN_BLOCK + 7, 2)).astype(float)
+        assert np.array_equal(_nearest_neighbors(X, 5), _reference_neighbors(X, 5))
+
+    @given(_tied_minorities(max_rows=30), st.integers(1, 8), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_smote_matches_reference(self, X, k_neighbors, seed):
+        n_min = X.shape[0]
+        majority = np.zeros((n_min + 3, X.shape[1]))
+        values = np.vstack([X, majority])
+        target = np.r_[np.ones(n_min, int), np.zeros(n_min + 3, int)]
+        m = EncodedMatrix(values, target, tuple(f"f{j}" for j in range(X.shape[1])),
+                          np.arange(target.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the k clamp warns when k_neighbors >= n_min
+            out = smote(m, k_neighbors=k_neighbors, seed=seed)
+        assert np.array_equal(out.values[m.n_rows:], _reference_smote(m, k_neighbors, seed))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalkit.stats import (
     StatsError,
@@ -27,6 +29,39 @@ class TestContingency:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             contingency_table([], [])
+
+    @pytest.mark.parametrize("a, b", [([1.0, float("nan")], [0, 1]),
+                                      (["x", "y"], np.array([0.5, np.nan]))])
+    def test_nan_label_rejected(self, a, b):
+        with pytest.raises(StatsError, match="NaN"):
+            contingency_table(a, b)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_by_row_count(self, data):
+        labels = st.sampled_from([
+            st.text("abcXY_-", max_size=3),
+            st.integers(-3, 3),
+            st.booleans(),
+            st.just("only"),  # a single category
+        ])
+        n = data.draw(st.integers(1, 60))
+        a = data.draw(st.lists(data.draw(labels), min_size=n, max_size=n))
+        b = data.draw(st.lists(data.draw(labels), min_size=n, max_size=n))
+        t = contingency_table(a, b)
+        rows, cols, counts = _reference_table(a, b)
+        assert (t.row_labels, t.col_labels) == (rows, cols)
+        assert np.array_equal(t.counts, counts) and t.counts.dtype == np.float64
+
+
+def _reference_table(a, b):
+    """Per-row cross-tabulation over the sorted observed values of each column."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    rows, cols = sorted(set(a)), sorted(set(b))
+    counts = np.zeros((len(rows), len(cols)))
+    for x, y in zip(a, b):
+        counts[rows.index(x), cols.index(y)] += 1
+    return tuple(rows), tuple(cols), counts
 
 
 class TestChiSquare:
@@ -75,6 +110,13 @@ class TestChiSquare:
         noise = rng.integers(0, 2, size=400)
         res2 = chi_square_association(np.where(noise == 1, "hi", "lo"), dependent)
         assert res2.alpha == 0.10
+
+    @pytest.mark.parametrize("yates", [False, True])
+    def test_association_v_equals_cramers_v(self, yates):
+        rng = np.random.default_rng(1)
+        a, b = rng.integers(0, 3, size=200), rng.integers(0, 2, size=200)
+        res = chi_square_association(a, b, yates=yates, with_cramers_v=True)
+        assert res.cramers_v == cramers_v(a, b)
 
     def test_association_with_cramers(self):
         a = ["x"] * 10 + ["y"] * 10
