@@ -22,7 +22,7 @@ from .learners.gbt import GbtModel
 from .learners.search import tune_random_search
 from .metrics import evaluate, roc_curve
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
-from .stacking import StackingSpec, stack_fit, stack_predict_proba
+from .stacking import StackingSpec
 from .stats import (
     StatsError,
     bonferroni_adjust,
@@ -77,26 +77,24 @@ def _materialize(config: RunConfig):
 
 
 def _split_and_resample(config: RunConfig, matrix):
-    train, test = stratified_split(matrix, config.test_fraction, config.seed)
-    if config.smote_enabled:
-        train = smote(train, k_neighbors=config.smote.k_neighbors,
-                      seed=config.seed, rounding=config.smote.rounding)
+    """(raw training split, training split after SMOTE, test split)."""
+    raw_train, test = stratified_split(matrix, config.test_fraction, config.seed)
+    train = raw_train
+    smote_cfg = config.resampler
+    if smote_cfg is not None:
+        train = smote(raw_train, k_neighbors=smote_cfg.k_neighbors,
+                      seed=config.seed, rounding=smote_cfg.rounding)
         if config.resample_test:
-            test = smote(test, k_neighbors=config.smote.k_neighbors,
-                         seed=config.seed + 1, rounding=config.smote.rounding)
-    return train, test
+            test = smote(test, k_neighbors=smote_cfg.k_neighbors,
+                         seed=config.seed + 1, rounding=smote_cfg.rounding)
+    return raw_train, train, test
 
 
-def _fit(spec, train):
-    if isinstance(spec, StackingSpec):
-        return stack_fit(spec, train)
-    return fit_model(spec, train)
-
-
-def _predict(spec, model, X):
-    if isinstance(spec, StackingSpec):
-        return stack_predict_proba(model, X)
-    return predict_proba(model, X)
+def _training_split(spec, raw_train, train):
+    """A stack resamples inside its own out-of-fold partitions, so it trains
+    on the raw split: SMOTE rows made beforehand would reach its held-out
+    folds as near-copies of rows the fold models trained on."""
+    return raw_train if isinstance(spec, StackingSpec) else train
 
 
 @main.command()
@@ -169,16 +167,15 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
     return np.clip(np.digitize(x, edges[1:-1]), 0, bins - 1)
 
 
-def _tuned_specs(config: RunConfig, train, writer: ArtifactWriter):
+def _tuned_specs(config: RunConfig, raw_train, writer: ArtifactWriter):
+    """Random search per tuning space; its CV resamples inside each fold, so
+    it scores candidates on the raw training split."""
     specs = dict(config.models)
     for name, space in config.tuning_spaces.items():
         spec = specs[name]
-        if isinstance(spec, StackingSpec):
-            continue
         best, scores = tune_random_search(
-            spec.algorithm, space, train, n_iter=config.tuning_n_iter,
-            folds=config.tuning_folds, seed=spec.seed,
-            resampler=config.smote if config.smote_enabled else None)
+            spec.algorithm, space, raw_train, n_iter=config.tuning_n_iter,
+            folds=config.tuning_folds, seed=spec.seed, resampler=config.resampler)
         specs[name] = best
         writer.write_csv(
             f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
@@ -195,20 +192,20 @@ def benchmark(config_path, seed, resample_test, out_dir):
     _, matrix, _ = _materialize(config)
     writer = ArtifactWriter(config.output_dir, config)
     try:
-        train, test = _split_and_resample(config, matrix)
+        raw_train, train, test = _split_and_resample(config, matrix)
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_DATA)
 
-    specs = _tuned_specs(config, train, writer)
+    specs = _tuned_specs(config, raw_train, writer)
     metrics = {}
     curves = {}
     failures = 0
     for name in config.model_order:
         spec = specs[name]
         try:
-            model = _fit(spec, train)
-            probs = _predict(spec, model, test)
+            model = fit_model(spec, _training_split(spec, raw_train, train))
+            probs = predict_proba(model, test)
             report = evaluate(probs, test.target)
             metrics[name] = report.to_dict()
             rc = roc_curve(probs, test.target)
@@ -242,13 +239,12 @@ def compare(config_path, seed, resample_test, out_dir):
     _, matrix, _ = _materialize(config)
     writer = ArtifactWriter(config.output_dir, config)
 
-    resampler = config.smote if config.smote_enabled else None
     runs = {}
     failures = 0
     for name in config.model_order:
         try:
             runs[name] = cross_validate(config.models[name], matrix,
-                                        folds=config.cv_folds, resampler=resampler,
+                                        folds=config.cv_folds, resampler=config.resampler,
                                         seed=config.seed)
             writer.model_status[name] = "ok"
         except Exception as exc:
@@ -305,7 +301,7 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances
     _, matrix, _ = _materialize(config)
     writer = ArtifactWriter(config.output_dir, config)
     try:
-        train, test = _split_and_resample(config, matrix)
+        raw_train, train, test = _split_and_resample(config, matrix)
         instance_ids = _parse_instances(instances)
         if any(i < 0 or i >= test.n_rows for i in instance_ids):
             raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
@@ -314,16 +310,16 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances
         sys.exit(EXIT_DATA)
 
     spec = config.models[model_name]
-    model = _fit(spec, train)
-    predict = (lambda X: stack_predict_proba(model, _wrap(X, train))) \
-        if isinstance(spec, StackingSpec) else (lambda X: predict_proba(model, X))
+    model = fit_model(spec, _training_split(spec, raw_train, train))
+    predict = lambda X: predict_proba(model, X)
 
     opts = config.explain_options
-    n_perm = int(opts.get("n_permutations", 30))
-    bg_rows = int(opts.get("background_rows", 25))
-    global_rows = min(int(opts.get("global_rows", 50)), 200, test.n_rows)
-    lime_samples = int(opts.get("lime_samples", 500))
+    n_perm = opts["n_permutations"]
+    bg_rows = opts["background_rows"]
+    global_rows = min(opts["global_rows"], 200, test.n_rows)
+    lime_samples = opts["lime_samples"]
 
+    # background rows and the LIME sampler come from the SMOTEd split
     rng = np.random.default_rng(config.seed)
     bg_idx = rng.choice(train.n_rows, size=min(bg_rows, train.n_rows), replace=False)
     background = train.values[bg_idx]
@@ -371,14 +367,6 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances
     writer.model_status[model_name] = "ok"
     writer.finalize()
     sys.exit(EXIT_OK)
-
-
-def _wrap(values, like):
-    from .data import EncodedMatrix
-
-    values = np.asarray(values, dtype=float)
-    return EncodedMatrix(values, np.zeros(values.shape[0], dtype=np.int64),
-                         like.column_names, np.arange(values.shape[0], dtype=np.int64))
 
 
 def _native_importances(model, model_name, names, writer):

@@ -110,6 +110,7 @@ def child_rng(seed: int, *stream: int) -> np.random.Generator:
 
 def _registry() -> dict:
     from . import linear, tree, forest, gbt, svm, naive_bayes, knn, mlp
+    from .. import stacking
 
     return {
         "logistic": linear.LogisticModel,
@@ -120,6 +121,7 @@ def _registry() -> dict:
         "naive-bayes": naive_bayes.NaiveBayesModel,
         "knn": knn.KnnModel,
         "mlp": mlp.MlpModel,
+        "stacking": stacking.StackedModel,
     }
 
 
@@ -129,20 +131,28 @@ def _as_values(X) -> np.ndarray:
     return np.asarray(X, dtype=np.float64)
 
 
-def fit_model(spec: ModelSpec, train: EncodedMatrix) -> TrainedModel:
-    """Train one base learner; reproducible given (spec, data, seed)."""
+def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
+    """Train one base learner (ModelSpec) or out-of-fold stack (StackingSpec);
+    reproducible given (spec, data, seed)."""
     values = train.values
     y = train.target
     if not np.all(np.isfinite(values)):
         raise LearnerError("non-finite feature values")
     if len(np.unique(y)) < 2:
         raise LearnerError("training data must contain both classes")
-    cls = _registry()[spec.algorithm]
-    return cls.fit(values, y, spec, tuple(train.column_names))
+    if isinstance(spec, ModelSpec):
+        cls = _registry()[spec.algorithm]
+        return cls.fit(values, y, spec, tuple(train.column_names))
+    from ..stacking import StackingSpec, stack_fit
+
+    if isinstance(spec, StackingSpec):
+        return stack_fit(spec, train)
+    raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    """Class-1 probabilities for an EncodedMatrix or raw value matrix."""
+    """Class-1 probabilities of any fitted model, a stack included, for an
+    EncodedMatrix or raw value matrix."""
     values = _as_values(X)
     if values.ndim != 2 or values.shape[1] != len(model.feature_names):
         raise LearnerError(

@@ -5,32 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .base import LearnerError, ModelSpec, TrainedModel, child_rng
-from .tree import TreeNode, best_entropy_split, entropy_impurity, tree_predict
+from .tree import TreeNode, build_tree, tree_predict
 
 __all__ = ["RandomForestModel"]
-
-
-def _build_rf_tree(X, y, max_depth, min_samples_split, max_features, rng, depth=0):
-    n = y.size
-    pos = int(y.sum())
-    node = TreeNode(n_samples=n, impurity=entropy_impurity((n - pos, pos)), value=pos / n)
-    if depth >= max_depth or n < min_samples_split or node.impurity == 0.0:
-        return node
-    d = X.shape[1]
-    feats = np.sort(rng.choice(d, size=min(max_features, d), replace=False))
-    split = best_entropy_split(X[:, feats], y)
-    if split is None:
-        return node
-    j_local, thr, _ = split
-    j = int(feats[j_local])
-    mask = X[:, j] <= thr
-    node.feature = j
-    node.threshold = thr
-    node.left = _build_rf_tree(X[mask], y[mask], max_depth, min_samples_split,
-                               max_features, rng, depth + 1)
-    node.right = _build_rf_tree(X[~mask], y[~mask], max_depth, min_samples_split,
-                                max_features, rng, depth + 1)
-    return node
 
 
 class RandomForestModel(TrainedModel):
@@ -61,8 +38,8 @@ class RandomForestModel(TrainedModel):
         for t in range(n_estimators):
             rng = child_rng(spec.seed, 1, t)
             sample = rng.integers(0, n, size=n)  # bootstrap with replacement
-            trees.append(_build_rf_tree(X[sample], y[sample], h["max_depth"], 2,
-                                        max_features, rng))
+            trees.append(build_tree(X[sample], y[sample], h["max_depth"], 2,
+                                    max_features=max_features, rng=rng))
         return cls(trees, feature_names)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:

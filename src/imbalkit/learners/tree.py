@@ -102,22 +102,35 @@ def best_entropy_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float]
     return best
 
 
-def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int,
-               min_samples_split: int, depth: int = 0) -> TreeNode:
+def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: int,
+               depth: int = 0, max_features: int | None = None,
+               rng: np.random.Generator | None = None) -> TreeNode:
+    """Grow an entropy tree depth-first. Without rng every node searches all
+    columns; with rng (a random-forest member) each node that may split first
+    draws max_features columns, in left-before-right node order."""
     n = y.size
     pos = int(y.sum())
     node = TreeNode(n_samples=n, impurity=entropy_impurity((n - pos, pos)), value=pos / n)
     if depth >= max_depth or n < min_samples_split or node.impurity == 0.0:
         return node
-    split = best_entropy_split(X, y)
+    if rng is None:
+        split = best_entropy_split(X, y)
+    else:
+        d = X.shape[1]
+        feats = np.sort(rng.choice(d, size=min(max_features, d), replace=False))
+        split = best_entropy_split(X[:, feats], y)
+        if split is not None:
+            split = (int(feats[split[0]]),) + split[1:]
     if split is None:
         return node
     j, thr, _ = split
     mask = X[:, j] <= thr
     node.feature = j
     node.threshold = thr
-    node.left = build_tree(X[mask], y[mask], max_depth, min_samples_split, depth + 1)
-    node.right = build_tree(X[~mask], y[~mask], max_depth, min_samples_split, depth + 1)
+    node.left = build_tree(X[mask], y[mask], max_depth, min_samples_split, depth + 1,
+                           max_features, rng)
+    node.right = build_tree(X[~mask], y[~mask], max_depth, min_samples_split, depth + 1,
+                            max_features, rng)
     return node
 
 

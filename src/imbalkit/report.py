@@ -30,8 +30,7 @@ class RunConfig:
     target: str
     seed: int
     test_fraction: float
-    smote_enabled: bool
-    smote: SmoteSettings
+    resampler: SmoteSettings | None  # None when SMOTE is disabled
     resample_test: bool
     models: dict                     # name -> ModelSpec | StackingSpec
     model_order: list[str]
@@ -43,7 +42,7 @@ class RunConfig:
     output_dir: str
     synthetic_n: int
     synthetic_imbalance: float
-    explain_options: dict
+    explain_options: dict            # the four explain options, as counts >= 1
     raw: dict
 
     def load(self):
@@ -72,7 +71,11 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
-def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
+_EXPLAIN_DEFAULTS = {"n_permutations": 30, "background_rows": 25, "global_rows": 50,
+                     "lime_samples": 500}
+
+
+def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
     if not isinstance(raw_models, list) or not raw_models:
         raise ConfigError("config must list at least one model")
     specs: dict = {}
@@ -98,19 +101,24 @@ def _parse_models(raw_models, seed: int, smote_settings, smote_enabled: bool):
             raise ConfigError(str(exc)) from exc
     for name, entry in deferred:
         base_names = entry.get("bases", [])
+        if not isinstance(base_names, list) or not all(isinstance(b, str) for b in base_names):
+            raise ConfigError(f"stacking model {name!r}: 'bases' must be a list of model names")
         missing = [b for b in base_names if b not in specs]
         if missing:
             raise ConfigError(f"stacking model {name!r} references unknown bases {missing}")
         meta_entry = _section(entry, "meta")
-        meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
-                         _number(int, meta_entry.get("seed", seed), f"{name}.meta.seed"))
-        specs[name] = StackingSpec(
-            base_specs=tuple(specs[b] for b in base_names),
-            meta_spec=meta,
-            oof_folds=_number(int, entry.get("oof_folds", 5), f"{name}.oof_folds"),
-            seed=_number(int, entry.get("seed", seed), f"{name}.seed"),
-            resampler=smote_settings if smote_enabled else None,
-        )
+        try:
+            meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
+                             _number(int, meta_entry.get("seed", seed), f"{name}.meta.seed"))
+            specs[name] = StackingSpec(
+                base_specs=tuple(specs[b] for b in base_names),
+                meta_spec=meta,
+                oof_folds=_number(int, entry.get("oof_folds", 5), f"{name}.oof_folds"),
+                seed=_number(int, entry.get("seed", seed), f"{name}.seed"),
+                resampler=resampler,
+            )
+        except LearnerError as exc:
+            raise ConfigError(f"stacking model {name!r}: {exc}") from exc
     return specs, order
 
 
@@ -133,16 +141,17 @@ def load_config(path, seed_override: int | None = None,
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction}")
     smote_raw = _section(raw, "smote")
-    smote_enabled = bool(smote_raw.get("enabled", True))
-    smote_settings = SmoteSettings(
+    # the settings are checked even when SMOTE is disabled
+    resampler = SmoteSettings(
         k_neighbors=_number(int, smote_raw.get("k_neighbors", 5), "smote.k_neighbors"),
         rounding=smote_raw.get("rounding", "continuous"),
     )
-    if smote_settings.rounding not in ROUNDING_MODES:
-        raise ConfigError(f"unknown smote rounding {smote_settings.rounding!r}; "
+    if resampler.rounding not in ROUNDING_MODES:
+        raise ConfigError(f"unknown smote rounding {resampler.rounding!r}; "
                           f"choose from {', '.join(ROUNDING_MODES)}")
-    models, order = _parse_models(raw.get("models", []), seed, smote_settings,
-                                  smote_enabled)
+    if not smote_raw.get("enabled", True):
+        resampler = None
+    models, order = _parse_models(raw.get("models", []), seed, resampler)
     tuning = _section(raw, "tuning")
     reference = raw.get("reference_model")
     if reference is not None and reference not in models:
@@ -150,6 +159,14 @@ def load_config(path, seed_override: int | None = None,
     for name in _section(tuning, "spaces"):
         if name not in models:
             raise ConfigError(f"tuning space for unknown model {name!r}")
+        if isinstance(models[name], StackingSpec):
+            raise ConfigError(f"stacking model {name!r} cannot be tuned")
+    explain = _section(raw, "explain")
+    explain_options = {key: _number(int, explain.get(key, default), f"explain.{key}")
+                       for key, default in _EXPLAIN_DEFAULTS.items()}
+    for key, value in explain_options.items():
+        if value < 1:
+            raise ConfigError(f"explain.{key} must be >= 1, got {value}")
     synthetic = _section(raw, "synthetic")
     resample_test = bool(raw.get("resample_test", False))
     if resample_test_override is not None:
@@ -160,8 +177,7 @@ def load_config(path, seed_override: int | None = None,
         target=raw.get("target", synth.TARGET),
         seed=seed,
         test_fraction=test_fraction,
-        smote_enabled=smote_enabled,
-        smote=smote_settings,
+        resampler=resampler,
         resample_test=resample_test,
         models=models,
         model_order=order,
@@ -174,7 +190,7 @@ def load_config(path, seed_override: int | None = None,
         synthetic_n=_number(int, synthetic.get("n", 2000), "synthetic.n"),
         synthetic_imbalance=_number(float, synthetic.get("imbalance", 5.0),
                                     "synthetic.imbalance"),
-        explain_options=_section(raw, "explain"),
+        explain_options=explain_options,
         raw=raw,
     )
 

@@ -11,6 +11,7 @@ from .data import EncodedMatrix, smote
 from .learners.base import (
     LearnerError,
     ModelSpec,
+    TrainedModel,
     child_rng,
     deserialize_model,
     fit_model,
@@ -19,11 +20,7 @@ from .learners.base import (
 )
 from .validation import SmoteSettings, stratified_folds
 
-__all__ = ["StackingSpec", "StackedModel", "stack_fit", "stack_predict_proba",
-           "serialize_stacked", "deserialize_stacked"]
-
-STACK_FORMAT = "imbalkit-stacked-model"
-STACK_VERSION = 1
+__all__ = ["StackingSpec", "StackedModel", "stack_fit", "stack_predict_proba"]
 
 
 @dataclass(frozen=True)
@@ -44,18 +41,47 @@ class StackingSpec:
             raise LearnerError("oof_folds must be >= 2")
 
 
-@dataclass
-class StackedModel:
-    base_models: list
-    meta_model: object
-    oof_matrix: np.ndarray            # (n_train, n_bases) held-out base probabilities
-    oof_fold_assignment: np.ndarray   # fold index per training row (diagnostic)
-    base_algorithms: tuple[str, ...]
+class StackedModel(TrainedModel):
+    """Meta-learner over the class-1 probabilities of the base models; its
+    features are the bases' features."""
+
+    algorithm = "stacking"
+
+    def __init__(self, base_models: list, meta_model: TrainedModel,
+                 oof_matrix: np.ndarray, oof_fold_assignment: np.ndarray,
+                 base_algorithms: tuple[str, ...]):
+        super().__init__(base_models[0].feature_names)
+        self.base_models = base_models
+        self.meta_model = meta_model
+        self.oof_matrix = oof_matrix      # (n_train, n_bases) held-out base probabilities
+        self.oof_fold_assignment = oof_fold_assignment  # fold per training row (diagnostic)
+        self.base_algorithms = tuple(base_algorithms)
+
+    def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
+        base_probs = np.column_stack([predict_proba(m, values) for m in self.base_models])
+        return self.meta_model.predict_proba_values(base_probs)
+
+    def params_dict(self) -> dict:
+        return {
+            "bases": [serialize_model(m) for m in self.base_models],
+            "meta": serialize_model(self.meta_model),
+            "oof_matrix": self.oof_matrix.tolist(),
+            "oof_fold_assignment": self.oof_fold_assignment.tolist(),
+        }
+
+    @classmethod
+    def from_params_dict(cls, d, feature_names) -> "StackedModel":
+        bases = [deserialize_model(b) for b in d["bases"]]
+        return cls(bases, deserialize_model(d["meta"]),
+                   np.array(d["oof_matrix"], dtype=float),
+                   np.array(d["oof_fold_assignment"], dtype=np.int64),
+                   tuple(m.algorithm for m in bases))
 
 
 def stack_fit(spec: StackingSpec, train: EncodedMatrix,
               base_fit=None) -> StackedModel:
-    """Fit bases and meta-learner with out-of-fold meta features.
+    """Fit bases and meta-learner with out-of-fold meta features; this is
+    what fit_model(spec, train) runs for a StackingSpec.
 
     Every row's meta feature comes from a fold model that never saw that row;
     resampling, when configured, is applied inside each fold-training
@@ -106,28 +132,4 @@ def stack_fit(spec: StackingSpec, train: EncodedMatrix,
 
 def stack_predict_proba(model: StackedModel, X) -> np.ndarray:
     """Meta-learner applied to the vector of base class-1 probabilities."""
-    base_probs = np.column_stack([predict_proba(m, X) for m in model.base_models])
-    return np.clip(model.meta_model.predict_proba_values(base_probs), 0.0, 1.0)
-
-
-def serialize_stacked(model: StackedModel) -> dict:
-    return {
-        "format": STACK_FORMAT,
-        "version": STACK_VERSION,
-        "bases": [serialize_model(m) for m in model.base_models],
-        "meta": serialize_model(model.meta_model),
-        "oof_matrix": model.oof_matrix.tolist(),
-        "oof_fold_assignment": model.oof_fold_assignment.tolist(),
-    }
-
-
-def deserialize_stacked(doc: dict) -> StackedModel:
-    if doc.get("format") != STACK_FORMAT:
-        raise LearnerError("not a stacked-model document")
-    if doc.get("version") != STACK_VERSION:
-        raise LearnerError(f"unsupported stacked-model version {doc.get('version')!r}")
-    bases = [deserialize_model(d) for d in doc["bases"]]
-    return StackedModel(bases, deserialize_model(doc["meta"]),
-                        np.array(doc["oof_matrix"], dtype=float),
-                        np.array(doc["oof_fold_assignment"], dtype=np.int64),
-                        tuple(m.algorithm for m in bases))
+    return predict_proba(model, X)

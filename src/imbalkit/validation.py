@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, EncodedMatrix, smote
-from .learners.base import ModelSpec, child_rng, fit_model, predict_proba
+from .learners.base import child_rng, fit_model, predict_proba
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "stratified_folds", "cross_validate"]
@@ -54,8 +54,9 @@ def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 def cross_validate(spec, data: EncodedMatrix, folds: int = 10,
                    resampler: SmoteSettings | None = None, seed: int = 0) -> CvRun:
-    """Stratified k-fold evaluation; SMOTE (when enabled) touches only the
-    training partition of each fold, so every validation row is original."""
+    """Stratified k-fold evaluation of a ModelSpec or StackingSpec; SMOTE (when
+    enabled) touches only the training partition of each fold, so every
+    validation row is original."""
     assignment = stratified_folds(data.target, folds, seed)
     reports = []
     val_ids = []
@@ -67,27 +68,9 @@ def cross_validate(spec, data: EncodedMatrix, folds: int = 10,
             fold_seed = int(child_rng(seed, 11, f).integers(0, 2**31))
             train_part = smote(train_part, k_neighbors=resampler.k_neighbors,
                                seed=fold_seed, rounding=resampler.rounding)
-        model = _fit_any(spec, train_part)
-        probs = _predict_any(spec, model, val_part)
+        model = fit_model(spec, train_part)
+        probs = predict_proba(model, val_part)
         reports.append(evaluate(probs, val_part.target))
         val_ids.append(val_part.row_ids.copy())
     return CvRun(tuple(reports), assignment, tuple(val_ids),
                  resampled=resampler is not None)
-
-
-def _fit_any(spec, train: EncodedMatrix):
-    if isinstance(spec, ModelSpec):
-        return fit_model(spec, train)
-    from .stacking import StackingSpec, stack_fit
-
-    if isinstance(spec, StackingSpec):
-        return stack_fit(spec, train)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
-def _predict_any(spec, model, X: EncodedMatrix):
-    if isinstance(spec, ModelSpec):
-        return predict_proba(model, X)
-    from .stacking import stack_predict_proba
-
-    return stack_predict_proba(model, X)

@@ -349,6 +349,48 @@ class TestExplain:
             assert (out / "importances" / f"boost_{tag}.csv").exists()
 
 
+def with_stack(**entry):
+    """The base_config roster with extra keys on its stacking entry."""
+    models = base_config("out")["models"]
+    models[-1] = dict(models[-1], **entry)
+    return {"models": models}
+
+
+class TestResamplingLeakage:
+    @pytest.mark.parametrize("command, spied", [
+        (("benchmark",), {"stack_fit", "cross_validate"}),
+        (("explain", "--model", "stack"), {"stack_fit"}),
+    ], ids=["benchmark", "explain"])
+    def test_no_synthetic_row_reaches_in_fold_resamplers(self, tmp_path, monkeypatch,
+                                                         command, spied):
+        """A stack and the tuning CV SMOTE inside their own folds; a SMOTE row
+        made before them would sit in a held-out fold as a near-copy of rows
+        the fold models trained on. SMOTE rows carry negative row ids."""
+        import imbalkit.stacking
+        import imbalkit.validation
+
+        seen = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(spec, data, *args, **kwargs):
+                seen.setdefault(name, []).append(data.row_ids.copy())
+                return real(spec, data, *args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(imbalkit.stacking, "stack_fit")
+        spy(imbalkit.validation, "cross_validate")
+        cfg, out = write_config(tmp_path, tuning={"spaces": {"tree": {"max_depth": [2, 6]}},
+                                                  "n_iter": 2, "folds": 3})
+        result = run_cli(*command, "--config", cfg)
+        assert result.exit_code == 0, result.output
+        assert set(seen) == spied
+        for name, calls in seen.items():
+            for ids in calls:
+                assert ids.size == 180 and np.all(ids >= 0), f"SMOTE rows reached {name}"
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("overrides", [
         {"seed": "abc"},
@@ -357,8 +399,19 @@ class TestErrorPaths:
         {"smote": {"rounding": "bogus"}},
         {"cv_folds": float("inf")},
         {"synthetic": [500]},
+        with_stack(oof_folds=1),
+        with_stack(bases=[]),
+        with_stack(meta={"hyperparameters": {"bogus": 1}}),
+        with_stack(bases=5),
+        with_stack(bases=[["nb"]]),
+        {"explain": {"n_permutations": "x"}},
+        {"explain": {"background_rows": 0}},
+        {"tuning": {"spaces": {"stack": {"oof_folds": [2, 3]}}}},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
-            "unknown-smote-rounding", "infinite-count", "section-not-an-object"])
+            "unknown-smote-rounding", "infinite-count", "section-not-an-object",
+            "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
+            "stack-bases-not-a-list", "stack-base-not-a-name",
+            "explain-option-not-a-number", "explain-option-below-1", "tuning-space-for-stack"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         result = run_cli("benchmark", "--config", cfg)

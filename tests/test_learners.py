@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 
@@ -236,6 +237,39 @@ class TestRandomForest:
         p1 = predict_proba(fit_model(fast_spec("random-forest", seed=1), m), m)
         p2 = predict_proba(fit_model(fast_spec("random-forest", seed=2), m), m)
         assert not np.array_equal(p1, p2)
+
+
+def _tie_heavy_matrix():
+    """Small-integer columns (many ties) plus one two-decimal column."""
+    rng = np.random.default_rng(2024)
+    X = rng.integers(0, 6, size=(160, 6)).astype(float)
+    X[:, 5] = np.round(rng.normal(size=160), 2)
+    y = ((X[:, 0] + X[:, 2] + rng.normal(0.0, 1.5, size=160)) > 5.0).astype(np.int64)
+    return EncodedMatrix(X, y, tuple(f"f{j}" for j in range(6)), np.arange(160))
+
+
+# sha256 of the sorted-key JSON model documents, recorded when random-forest
+# trees still had their own builder: decision trees and forest members now
+# share build_tree, and every tree must keep its exact structure
+TREE_DIGESTS = {
+    "rf-sqrt": (ModelSpec("random-forest", {"n_estimators": 4, "max_depth": 6}, seed=3),
+                "b02e40094f11004c6709dc9764d2f33caad69134c1abccc00a3ac68bc230ebdf"),
+    "rf-all": (ModelSpec("random-forest", {"n_estimators": 3, "max_depth": 5,
+                                           "max_features": "all"}, seed=4),
+               "5302452bbbcf4eef4308c0bb02de437188a507932d1d33c60775db4ff6de52ee"),
+    "rf-2": (ModelSpec("random-forest", {"n_estimators": 3, "max_depth": 5,
+                                         "max_features": 2}, seed=5),
+             "92d6bb522faf044763e87ea34c2b46a7022e252c01052d076bc2ec77744e9456"),
+    "decision-tree": (ModelSpec("decision-tree", {"max_depth": 8, "min_samples_split": 4}),
+                      "da44f35af4e9951042c6ba3a4696f490cc4b676451e1b00143fd2cd5f1bc88d1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_DIGESTS))
+def test_entropy_trees_are_pinned(case):
+    spec, digest = TREE_DIGESTS[case]
+    doc = serialize_model(fit_model(spec, _tie_heavy_matrix()))
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 def _walk(tree, X):

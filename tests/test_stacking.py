@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from imbalkit.data import EncodedMatrix
-from imbalkit.learners.base import LearnerError, ModelSpec, TrainedModel, fit_model
-from imbalkit.learners.linear import LinearParams, LogisticModel
-from imbalkit.stacking import (
-    StackedModel,
-    StackingSpec,
-    deserialize_stacked,
-    serialize_stacked,
-    stack_fit,
-    stack_predict_proba,
+from imbalkit.data import EncodedMatrix, smote
+from imbalkit.learners.base import (
+    LearnerError,
+    ModelSpec,
+    TrainedModel,
+    child_rng,
+    deserialize_model,
+    fit_model,
+    load_model,
+    predict_proba,
+    save_model,
+    serialize_model,
 )
-from imbalkit.validation import SmoteSettings, stratified_folds
+from imbalkit.learners.linear import LinearParams, LogisticModel
+from imbalkit.metrics import evaluate
+from imbalkit.stacking import StackedModel, StackingSpec, stack_fit, stack_predict_proba
+from imbalkit.validation import SmoteSettings, cross_validate, stratified_folds
 
 from conftest import two_class_matrix
 
@@ -199,24 +204,71 @@ class TestPoison:
         assert float(np.mean(accs)) <= 0.57
 
 
+class TestEstimatorContract:
+    def test_fit_model_matches_stack_fit(self):
+        m = two_class_matrix(30, 60, seed=11)
+        spec = simple_spec("naive-bayes", "decision-tree", seed=4, resampler=SmoteSettings())
+        via_contract = fit_model(spec, m)
+        direct = stack_fit(spec, m)
+        assert isinstance(via_contract, TrainedModel)
+        assert via_contract.algorithm == "stacking"
+        assert via_contract.feature_names == m.column_names
+        np.testing.assert_array_equal(via_contract.oof_matrix, direct.oof_matrix)
+        np.testing.assert_array_equal(predict_proba(via_contract, m),
+                                      stack_predict_proba(direct, m))
+        # raw value matrices are accepted too
+        np.testing.assert_array_equal(predict_proba(via_contract, m.values),
+                                      stack_predict_proba(direct, m))
+
+    def test_feature_dimension_checked(self):
+        m = two_class_matrix(20, 30, seed=12)
+        model = fit_model(simple_spec("naive-bayes"), m)
+        with pytest.raises(LearnerError, match="dimension"):
+            predict_proba(model, m.values[:, :2])
+
+    def test_cross_validate_equals_per_fold_stack_fit(self):
+        m = two_class_matrix(24, 60, seed=13)
+        spec = simple_spec("naive-bayes", "decision-tree", seed=2, resampler=SmoteSettings())
+        settings = SmoteSettings()
+        run = cross_validate(spec, m, folds=4, resampler=settings, seed=9)
+
+        assignment = stratified_folds(m.target, 4, 9)
+        for f in range(4):
+            fold_train = m.take(np.flatnonzero(assignment != f))
+            fold_val = m.take(np.flatnonzero(assignment == f))
+            fold_train = smote(fold_train, k_neighbors=settings.k_neighbors,
+                               seed=int(child_rng(9, 11, f).integers(0, 2**31)),
+                               rounding=settings.rounding)
+            probs = stack_predict_proba(stack_fit(spec, fold_train), fold_val)
+            assert run.reports[f] == evaluate(probs, fold_val.target)
+
+
 class TestStackedSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         m = two_class_matrix(30, 45, seed=9)
         model = stack_fit(simple_spec("naive-bayes", "decision-tree"), m)
-        doc = serialize_stacked(model)
-        loaded = deserialize_stacked(doc)
-        np.testing.assert_array_equal(stack_predict_proba(loaded, m),
-                                      stack_predict_proba(model, m))
-        assert loaded.base_algorithms == model.base_algorithms
-        np.testing.assert_array_equal(loaded.oof_matrix, model.oof_matrix)
+        save_model(model, tmp_path / "stack.json")
+        for loaded in (deserialize_model(serialize_model(model)),
+                       load_model(tmp_path / "stack.json")):
+            assert isinstance(loaded, StackedModel)
+            np.testing.assert_array_equal(predict_proba(loaded, m),
+                                          predict_proba(model, m))
+            assert loaded.base_algorithms == model.base_algorithms
+            np.testing.assert_array_equal(loaded.oof_matrix, model.oof_matrix)
+            np.testing.assert_array_equal(loaded.oof_fold_assignment,
+                                          model.oof_fold_assignment)
 
     def test_version_rejected(self):
         m = two_class_matrix(20, 30, seed=10)
-        doc = serialize_stacked(stack_fit(simple_spec("naive-bayes"), m))
+        doc = serialize_model(stack_fit(simple_spec("naive-bayes"), m))
         doc["version"] = 2
         with pytest.raises(LearnerError, match="version"):
-            deserialize_stacked(doc)
+            deserialize_model(doc)
+        doc["version"] = 1
+        doc["params"]["bases"][0]["version"] = 2
+        with pytest.raises(LearnerError, match="version"):
+            deserialize_model(doc)
 
     def test_format_rejected(self):
         with pytest.raises(LearnerError):
-            deserialize_stacked({"format": "nope", "version": 1})
+            deserialize_model({"format": "nope", "version": 1})
