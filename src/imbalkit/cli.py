@@ -310,7 +310,13 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances
         sys.exit(EXIT_DATA)
 
     spec = config.models[model_name]
-    model = fit_model(spec, _training_split(spec, raw_train, train))
+    try:
+        model = fit_model(spec, _training_split(spec, raw_train, train))
+    except Exception as exc:  # reported as in benchmark: a model failure, exit 4
+        writer.model_status[model_name] = f"failed: {exc}"
+        click.echo(f"model {model_name} failed: {exc}", err=True)
+        writer.finalize()
+        sys.exit(EXIT_PARTIAL)
     predict = lambda X: predict_proba(model, X)
 
     opts = config.explain_options

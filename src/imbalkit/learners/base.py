@@ -85,12 +85,17 @@ class ModelSpec:
 
 
 class TrainedModel:
-    """A fitted probabilistic classifier exposing class-1 probability."""
+    """A fitted probabilistic classifier exposing class-1 probability.
+
+    fit_info describes how the fit went (for an iterative solver: its
+    iterations and whether it converged); it is not part of params_dict, so
+    it never reaches a serialized model."""
 
     algorithm: str = ""
 
     def __init__(self, feature_names: tuple[str, ...]):
         self.feature_names = tuple(feature_names)
+        self.fit_info: dict = {}
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -1,13 +1,16 @@
-"""RBF-kernel SVM trained by two-variable coordinate updates on the dual."""
+"""RBF-kernel SVM trained by second-order SMO on the dual, with Platt scaling."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel, child_rng
+from .base import LearnerError, ModelSpec, TrainedModel
 from .linear import sigmoid
 
 __all__ = ["SvmModel"]
+
+_TAU = 1e-12  # floor on the curvature a of a two-variable step (LIBSVM's TAU)
+_KERNEL_BUDGET_BYTES = 1 << 30  # largest n x n float64 kernel a fit may hold
 
 
 def _kernel_matrix(A, B, gamma: float) -> np.ndarray:
@@ -17,58 +20,68 @@ def _kernel_matrix(A, B, gamma: float) -> np.ndarray:
     return np.exp(-gamma * d2)
 
 
-def _smo(K, t, C, tol, max_passes, rng):
-    """Simplified SMO; each two-variable step maximizes the dual exactly,
-    so the recorded dual objective is monotone non-decreasing."""
+def _smo(K, t, C, tol, max_steps):
+    """Dual SMO with second-order working-set selection (Fan, Chen & Lin,
+    JMLR 2005, as in LIBSVM) on min f(a) = 1/2 a'Qa - e'a, Q = tt'K,
+    0 <= a <= C, t'a = 0.
+
+    The gradient G = Qa - e is kept up to date with two kernel rows per step.
+    Each step takes the maximal violator i over I_up, the partner j over
+    I_low with the largest second-order decrease b^2/a, and solves the
+    two-variable subproblem exactly, so the dual objective -f(a) never falls.
+    The loop stops when the KKT gap m(a) - M(a) <= tol or after max_steps
+    steps. Returns (alpha, b, objective history, fit info)."""
     n = t.size
     alpha = np.zeros(n)
-    b = 0.0
-    objective_history = []
+    G = -np.ones(n)
+    diag = np.diag(K)
+    up = np.where(t > 0, alpha < C, alpha > 0)    # I_up
+    low = np.where(t > 0, alpha > 0, alpha < C)   # I_low
+    history = []  # the dual objective every n steps and at return
 
     def dual_objective():
-        at = alpha * t
-        return float(alpha.sum() - 0.5 * at @ K @ at)
+        return float(-0.5 * alpha @ (G - 1.0))
 
-    passes = 0
-    epochs = 0
-    while passes < max_passes and epochs < 100 * max_passes:
-        changed = 0
-        for i in range(n):
-            Ei = float((alpha * t) @ K[:, i] + b - t[i])
-            if (t[i] * Ei < -tol and alpha[i] < C) or (t[i] * Ei > tol and alpha[i] > 0):
-                j = int(rng.integers(0, n - 1))
-                if j >= i:
-                    j += 1
-                Ej = float((alpha * t) @ K[:, j] + b - t[j])
-                ai_old, aj_old = alpha[i], alpha[j]
-                if t[i] != t[j]:
-                    L, H = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-                else:
-                    L, H = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-                if L >= H:
-                    continue
-                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - t[j] * (Ei - Ej) / eta
-                aj = min(max(aj, L), H)
-                if abs(aj - aj_old) < 1e-7:
-                    continue
-                ai = ai_old + t[i] * t[j] * (aj_old - aj)
-                alpha[i], alpha[j] = ai, aj
-                b1 = b - Ei - t[i] * (ai - ai_old) * K[i, i] - t[j] * (aj - aj_old) * K[i, j]
-                b2 = b - Ej - t[i] * (ai - ai_old) * K[i, j] - t[j] * (aj - aj_old) * K[j, j]
-                if 0 < ai < C:
-                    b = b1
-                elif 0 < aj < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        objective_history.append(dual_objective())
-        epochs += 1
-        passes = passes + 1 if changed == 0 else 0
-    return alpha, b, objective_history
+    steps = 0
+    while True:
+        v = -t * G
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        m = v[i]
+        M = np.min(np.where(low, v, np.inf))
+        if m - M <= tol or steps >= max_steps:
+            break
+        if steps % n == 0:
+            history.append(dual_objective())
+        Ki = K[i]
+        gain_b = m - v
+        gain_a = np.maximum(diag[i] + diag - 2.0 * Ki, _TAU)
+        j = int(np.argmin(np.where(low & (gain_b > 0), -gain_b * gain_b / gain_a, np.inf)))
+        # move a_i by t_i * lam and a_j by -t_j * lam, 0 < lam, within [0, C]
+        cap_i = C - alpha[i] if t[i] > 0 else alpha[i]
+        cap_j = alpha[j] if t[j] > 0 else C - alpha[j]
+        lam = min(gain_b[j] / gain_a[j], cap_i, cap_j)
+        ai, aj = alpha[i], alpha[j]
+        if lam == cap_i:
+            alpha[i] = C if t[i] > 0 else 0.0
+        else:
+            alpha[i] = min(max(ai + t[i] * lam, 0.0), C)
+        if lam == cap_j:
+            alpha[j] = 0.0 if t[j] > 0 else C
+        else:
+            alpha[j] = min(max(aj - t[j] * lam, 0.0), C)
+        di, dj = t[i] * (alpha[i] - ai), t[j] * (alpha[j] - aj)  # lam, -lam
+        G += t * (di * Ki + dj * K[j])
+        for k in (i, j):
+            up[k] = alpha[k] < C if t[k] > 0 else alpha[k] > 0
+            low[k] = alpha[k] > 0 if t[k] > 0 else alpha[k] < C
+        steps += 1
+    history.append(dual_objective())
+
+    free = (alpha > 0) & (alpha < C)
+    b = float(np.mean(v[free])) if free.any() else float(0.5 * (m + M))
+    info = {"iterations": steps, "converged": bool(m - M <= tol),
+            "kkt_gap": float(m - M), "dual_objective": history[-1]}
+    return alpha, b, history, info
 
 
 def _platt(decision, y, iters=300, lr=0.5):
@@ -106,6 +119,9 @@ class SvmModel(TrainedModel):
         h = spec.hyperparameters
         if h["kernel"] != "rbf":
             raise LearnerError("only the rbf kernel is supported")
+        C = float(h["C"])
+        if not C > 0:
+            raise LearnerError(f"svm: C must be positive, got {h['C']!r}")
         X = np.asarray(X, dtype=float)
         t = np.where(np.asarray(y) == 1, 1.0, -1.0)
         if h["gamma"] == "scale":
@@ -113,16 +129,23 @@ class SvmModel(TrainedModel):
             gamma = 1.0 / (X.shape[1] * v) if v > 0 else 1.0
         else:
             gamma = float(h["gamma"])
+        n = X.shape[0]
+        if n * n * 8 > _KERNEL_BUDGET_BYTES:
+            raise LearnerError(
+                f"svm: the {n} x {n} kernel matrix needs {n * n * 8 / 2**20:.0f} MiB, "
+                f"over the {_KERNEL_BUDGET_BYTES / 2**20:.0f} MiB budget")
         K = _kernel_matrix(X, X, gamma)
-        rng = child_rng(spec.seed, 3)
-        alpha, b, history = _smo(K, t, float(h["C"]), float(h["tol"]),
-                                 int(h["max_passes"]), rng)
+        # max_passes is a step cap: at most 100 * max_passes steps per training row
+        alpha, b, history, info = _smo(K, t, C, float(h["tol"]),
+                                       100 * int(h["max_passes"]) * n)
         decision = (alpha * t) @ K + b
         slack = np.maximum(0.0, 1.0 - t * decision)
         sv = alpha > 1e-10
         a_cal, b_cal = _platt(decision, np.asarray(y, dtype=float))
-        return cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
-                   slack=slack, objective_history=history)
+        model = cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
+                    slack=slack, objective_history=history)
+        model.fit_info = info
+        return model
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:
         if self.support_vectors.shape[0] == 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import ROUNDING_MODES, load_dataset, load_schema
-from .learners.base import LearnerError, ModelSpec
+from .learners.base import LearnerError, ModelSpec, default_hyperparameters
 from .stacking import StackingSpec
 from .validation import SmoteSettings
 from . import synth
@@ -156,11 +156,17 @@ def load_config(path, seed_override: int | None = None,
     reference = raw.get("reference_model")
     if reference is not None and reference not in models:
         raise ConfigError(f"reference model {reference!r} not in the roster")
-    for name in _section(tuning, "spaces"):
+    for name, space in _section(tuning, "spaces").items():
         if name not in models:
             raise ConfigError(f"tuning space for unknown model {name!r}")
         if isinstance(models[name], StackingSpec):
             raise ConfigError(f"stacking model {name!r} cannot be tuned")
+        if not isinstance(space, dict) or not space:
+            raise ConfigError(f"tuning space for {name!r} must be a non-empty JSON object")
+        unknown = set(space) - set(default_hyperparameters(models[name].algorithm))
+        if unknown:
+            raise ConfigError(f"tuning space for {name!r} has unknown hyperparameters "
+                              f"{sorted(unknown)}")
     explain = _section(raw, "explain")
     explain_options = {key: _number(int, explain.get(key, default), f"explain.{key}")
                        for key, default in _EXPLAIN_DEFAULTS.items()}

@@ -338,6 +338,17 @@ class TestExplain:
                          "--instances", "100000")
         assert result.exit_code == 3
 
+    def test_failed_fit_exits_4_without_traceback(self, tmp_path):
+        cfg, out = write_config(tmp_path, reference_model="bad", models=[
+            {"name": "bad", "algorithm": "mlp",
+             "hyperparameters": {"hidden_layer_sizes": [0]}}])
+        result = run_cli("explain", "--config", cfg, "--model", "bad")
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "model bad failed:" in result.output
+        assert "Traceback" not in result.output
+        assert read_manifest(out)["model_status"]["bad"].startswith("failed: ")
+
     def test_gbt_native_importances(self, tmp_path):
         cfg, out = write_config(tmp_path, reference_model="boost", models=[
             {"name": "boost", "algorithm": "gbt",
@@ -407,11 +418,16 @@ class TestErrorPaths:
         {"explain": {"n_permutations": "x"}},
         {"explain": {"background_rows": 0}},
         {"tuning": {"spaces": {"stack": {"oof_folds": [2, 3]}}}},
+        {"tuning": {"spaces": {"nb": {"bogus": [1]}}}},
+        {"tuning": {"spaces": {"nb": {}}}},
+        {"tuning": {"spaces": {"nb": [1e-9]}}},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
             "stack-bases-not-a-list", "stack-base-not-a-name",
-            "explain-option-not-a-number", "explain-option-below-1", "tuning-space-for-stack"])
+            "explain-option-not-a-number", "explain-option-below-1", "tuning-space-for-stack",
+            "tuning-space-unknown-hyperparameter", "tuning-space-empty",
+            "tuning-space-not-an-object"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         result = run_cli("benchmark", "--config", cfg)

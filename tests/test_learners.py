@@ -23,6 +23,8 @@ from imbalkit.learners.base import (
 from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
 from imbalkit.learners.linear import LinearParams, fit_logistic, logistic_response, sigmoid
 from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
+from imbalkit.learners import svm as svm_module
+from imbalkit.learners.svm import _kernel_matrix, _smo
 from imbalkit.learners.tree import (
     best_entropy_split,
     build_tree,
@@ -436,6 +438,22 @@ class TestGbt:
         assert set(model.cat_encoders) == {0, 1}
 
 
+def _matrix(values, target):
+    return EncodedMatrix(values, target, tuple(f"f{j}" for j in range(values.shape[1])),
+                         np.arange(target.size))
+
+
+@st.composite
+def _svm_problems(draw):
+    """Small two-class problems on a coarse grid, so duplicate rows (some with
+    opposite labels) and zero-curvature steps occur."""
+    n, d = draw(st.integers(4, 40)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[1] = 0, 1
+    return np.array(cells, dtype=float).reshape(n, d), np.array(labels)
+
+
 class TestSvm:
     def test_dual_objective_monotone(self):
         m = two_class_matrix(30, 30, seed=16)
@@ -465,6 +483,58 @@ class TestSvm:
         m = two_class_matrix(10, 10)
         with pytest.raises(LearnerError):
             fit_model(ModelSpec("svm", {"kernel": "linear"}), m)
+
+    @given(_svm_problems(), st.sampled_from([0.5, 10.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_solver_converges_inside_the_box(self, problem, C):
+        values, target = problem
+        spec = ModelSpec("svm", {"C": C}, seed=0)
+        model = fit_model(spec, _matrix(values, target))
+        info = model.fit_info
+        tol = spec.hyperparameters["tol"]
+        assert info["converged"] is True and info["kkt_gap"] <= tol
+        hist = model.objective_history
+        assert hist[-1] == info["dual_objective"]
+        assert all(b >= a - 1e-9 * max(1.0, abs(b)) for a, b in zip(hist, hist[1:]))
+        again = fit_model(spec, _matrix(values, target))
+        assert json.dumps(again.params_dict()) == json.dumps(model.params_dict())
+
+        # alpha at return, and the KKT gap of a gradient recomputed from it
+        t = np.where(target == 1, 1.0, -1.0)
+        K = _kernel_matrix(values, values, model.gamma)
+        alpha, _, _, _ = _smo(K, t, C, tol, 100 * spec.hyperparameters["max_passes"] * t.size)
+        assert np.all((alpha >= 0) & (alpha <= C))
+        assert abs(alpha @ t) <= 1e-9
+        v = -t * (t * (K @ (alpha * t)) - 1.0)
+        up = np.where(t > 0, alpha < C, alpha > 0)
+        low = np.where(t > 0, alpha > 0, alpha < C)
+        assert v[up].max() - v[low].min() <= tol + 1e-9
+
+    def test_step_cap_reports_not_converged(self):
+        m = two_class_matrix(30, 30, seed=23)
+        model = fit_model(ModelSpec("svm", {"tol": 0.0, "max_passes": 1}), m)
+        assert model.fit_info["converged"] is False
+        assert model.fit_info["iterations"] == 100 * 60
+
+    def test_fit_info_stays_out_of_the_model_document(self):
+        m = two_class_matrix(20, 20, seed=24)
+        model = fit_model(ModelSpec("svm"), m)
+        assert set(model.fit_info) == {"iterations", "converged", "kkt_gap", "dual_objective"}
+        doc = serialize_model(model)
+        restored = deserialize_model(doc)
+        assert restored.fit_info == {}
+        assert serialize_model(restored) == doc
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_non_positive_C_rejected(self, C):
+        with pytest.raises(LearnerError, match="C must be positive"):
+            fit_model(ModelSpec("svm", {"C": C}), two_class_matrix(10, 10))
+
+    def test_kernel_over_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr(svm_module, "_KERNEL_BUDGET_BYTES", 39 * 39 * 8)
+        fit_model(ModelSpec("svm"), two_class_matrix(20, 19, seed=25))
+        with pytest.raises(LearnerError, match="budget"):
+            fit_model(ModelSpec("svm"), two_class_matrix(20, 20, seed=25))
 
 
 class TestNaiveBayes:
