@@ -280,19 +280,25 @@ def compare(config_path, seed, resample_test, out_dir):
     sys.exit(EXIT_PARTIAL if failures else EXIT_OK)
 
 
-def _parse_instances(selector: str) -> list[int]:
-    selector = selector.strip()
-    if ".." in selector:
-        lo, hi = selector.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in selector.split(",") if tok != ""]
+def _parse_instances(ctx, param, selector: str) -> list[int]:
+    """The --instances selector as test-row indices; a malformed one is a usage
+    error (exit 2)."""
+    try:
+        selector = selector.strip()
+        if ".." in selector:
+            lo, hi = selector.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in selector.split(",") if tok != ""]
+    except ValueError:
+        raise click.BadParameter(f"{selector!r} is not '3', '0,4' or '0..2'") from None
 
 
 @main.command("explain")
 @_config_options
 @click.option("--model", "model_name", required=True, help="roster model to explain")
-@click.option("--instances", default="0", help="test instances: '3', '0,4', or '0..2'")
-def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances):
+@click.option("--instances", "instance_ids", default="0", callback=_parse_instances,
+              help="test instances: '3', '0,4', or '0..2'")
+def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_ids):
     """Global and local attributions for one roster model."""
     config = _load(config_path, seed, resample_test, out_dir)
     if model_name not in config.models:
@@ -302,7 +308,6 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instances
     writer = ArtifactWriter(config.output_dir, config)
     try:
         raw_train, train, test = _split_and_resample(config, matrix)
-        instance_ids = _parse_instances(instances)
         if any(i < 0 or i >= test.n_rows for i in instance_ids):
             raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
     except DataError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from ..data import EncodedMatrix
 from .base import LearnerError, ModelSpec, child_rng
 
-__all__ = ["SearchSpace", "CandidateScore", "sample_spec", "tune_random_search"]
+__all__ = ["SearchSpace", "CandidateScore", "check_space", "sample_spec", "tune_random_search"]
 
 # a search space maps hyperparameter name -> one of
 #   list of values                    (uniform choice)
@@ -17,6 +18,11 @@ __all__ = ["SearchSpace", "CandidateScore", "sample_spec", "tune_random_search"]
 #   ("loguniform", lo, hi)            (float, log scale)
 #   ("randint", lo, hi)               (integer, hi exclusive)
 SearchSpace = dict
+_DISTRIBUTIONS = ("uniform", "loguniform", "randint")
+
+
+def _is_distribution(dist) -> bool:
+    return isinstance(dist, (list, tuple)) and bool(dist) and dist[0] in _DISTRIBUTIONS
 
 
 @dataclass(frozen=True)
@@ -26,11 +32,26 @@ class CandidateScore:
     fold_accuracies: tuple[float, ...]
 
 
+def check_space(space: SearchSpace) -> None:
+    """Every distribution needs finite bounds lo < hi: integers for randint,
+    lo > 0 for loguniform."""
+    for key, dist in space.items():
+        if not _is_distribution(dist):
+            continue
+        kind, *bounds = dist
+        number = int if kind == "randint" else (int, float)
+        if not (len(bounds) == 2
+                and all(isinstance(b, number) and not isinstance(b, bool) and math.isfinite(b)
+                        for b in bounds)
+                and bounds[0] < bounds[1] and (kind != "loguniform" or bounds[0] > 0)):
+            raise LearnerError(f"{key!r}: {list(dist)!r} is not [kind, lo, hi] with finite "
+                               "lo < hi (integers for randint, lo > 0 for loguniform)")
+
+
 def sample_spec(algorithm: str, space: SearchSpace, rng, seed: int) -> ModelSpec:
     hyper = {}
     for key, dist in space.items():
-        if isinstance(dist, (list, tuple)) and dist and dist[0] in (
-                "uniform", "loguniform", "randint"):
+        if _is_distribution(dist):
             kind, lo, hi = dist
             if kind == "uniform":
                 hyper[key] = float(rng.uniform(lo, hi))
@@ -55,6 +76,7 @@ def tune_random_search(algorithm: str, space: SearchSpace, train: EncodedMatrix,
 
     if not space:
         raise LearnerError("empty search space")
+    check_space(space)
     rng = child_rng(seed, 20)
     scores: list[CandidateScore] = []
     best = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import LearnerError, ModelSpec, TrainedModel
-from .linear import sigmoid
+from .linear import newton_logistic, sigmoid
 
 __all__ = ["SvmModel"]
 
@@ -84,21 +84,6 @@ def _smo(K, t, C, tol, max_steps):
     return alpha, b, history, info
 
 
-def _platt(decision, y, iters=300, lr=0.5):
-    """1-D logistic calibration of decision values to probabilities."""
-    z = np.asarray(decision, dtype=float)
-    scale = np.std(z) or 1.0
-    z = z / scale
-    a, c = 1.0, 0.0
-    for _ in range(iters):
-        p = sigmoid(a * z + c)
-        ga = float(np.mean((p - y) * z))
-        gc = float(np.mean(p - y))
-        a -= lr * ga
-        c -= lr * gc
-    return a / scale, c
-
-
 class SvmModel(TrainedModel):
     algorithm = "svm"
 
@@ -141,7 +126,9 @@ class SvmModel(TrainedModel):
         decision = (alpha * t) @ K + b
         slack = np.maximum(0.0, 1.0 - t * decision)
         sv = alpha > 1e-10
-        a_cal, b_cal = _platt(decision, np.asarray(y, dtype=float))
+        n_pos = int(np.sum(t > 0))  # Platt scaling on Lin, Lin & Weng's (2007) targets
+        soft = np.where(t > 0, (n_pos + 1) / (n_pos + 2), 1 / (n - n_pos + 2))
+        (a_cal, b_cal), info["platt"] = newton_logistic(np.c_[decision, np.ones(n)], soft)
         model = cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
                     slack=slack, objective_history=history)
         model.fit_info = info

@@ -6,12 +6,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import ROUNDING_MODES, load_dataset, load_schema
 from .learners.base import LearnerError, ModelSpec, default_hyperparameters
+from .learners.search import check_space
 from .stacking import StackingSpec
 from .validation import SmoteSettings
 from . import synth
@@ -62,6 +64,21 @@ def _number(cast, value, what: str):
         return cast(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _count(value, what: str, low: int) -> int:
+    """int(value), which must be >= low; anything else is a config fault."""
+    count = _number(int, value, what)
+    if count < low:
+        raise ConfigError(f"{what} must be >= {low}, got {count}")
+    return count
+
+
+def _flag(value, what: str) -> bool:
+    """A JSON boolean: bool() would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -149,7 +166,7 @@ def load_config(path, seed_override: int | None = None,
     if resampler.rounding not in ROUNDING_MODES:
         raise ConfigError(f"unknown smote rounding {resampler.rounding!r}; "
                           f"choose from {', '.join(ROUNDING_MODES)}")
-    if not smote_raw.get("enabled", True):
+    if not _flag(smote_raw.get("enabled", True), "smote.enabled"):
         resampler = None
     models, order = _parse_models(raw.get("models", []), seed, resampler)
     tuning = _section(raw, "tuning")
@@ -167,14 +184,18 @@ def load_config(path, seed_override: int | None = None,
         if unknown:
             raise ConfigError(f"tuning space for {name!r} has unknown hyperparameters "
                               f"{sorted(unknown)}")
+        try:
+            check_space(space)
+        except LearnerError as exc:
+            raise ConfigError(f"tuning space for {name!r}: {exc}") from None
     explain = _section(raw, "explain")
-    explain_options = {key: _number(int, explain.get(key, default), f"explain.{key}")
+    explain_options = {key: _count(explain.get(key, default), f"explain.{key}", 1)
                        for key, default in _EXPLAIN_DEFAULTS.items()}
-    for key, value in explain_options.items():
-        if value < 1:
-            raise ConfigError(f"explain.{key} must be >= 1, got {value}")
     synthetic = _section(raw, "synthetic")
-    resample_test = bool(raw.get("resample_test", False))
+    imbalance = _number(float, synthetic.get("imbalance", 5.0), "synthetic.imbalance")
+    if not 0 < imbalance < math.inf:
+        raise ConfigError(f"synthetic.imbalance must be positive and finite, got {imbalance}")
+    resample_test = _flag(raw.get("resample_test", False), "resample_test")
     if resample_test_override is not None:
         resample_test = resample_test_override
     return RunConfig(
@@ -188,14 +209,13 @@ def load_config(path, seed_override: int | None = None,
         models=models,
         model_order=order,
         tuning_spaces=tuning.get("spaces", {}),
-        tuning_n_iter=_number(int, tuning.get("n_iter", 10), "tuning.n_iter"),
-        tuning_folds=_number(int, tuning.get("folds", 5), "tuning.folds"),
-        cv_folds=_number(int, raw.get("cv_folds", 10), "cv_folds"),
+        tuning_n_iter=_count(tuning.get("n_iter", 10), "tuning.n_iter", 1),
+        tuning_folds=_count(tuning.get("folds", 5), "tuning.folds", 2),
+        cv_folds=_count(raw.get("cv_folds", 10), "cv_folds", 2),
         reference_model=reference,
         output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
-        synthetic_n=_number(int, synthetic.get("n", 2000), "synthetic.n"),
-        synthetic_imbalance=_number(float, synthetic.get("imbalance", 5.0),
-                                    "synthetic.imbalance"),
+        synthetic_n=_count(synthetic.get("n", 2000), "synthetic.n", 1),
+        synthetic_imbalance=imbalance,
         explain_options=explain_options,
         raw=raw,
     )

@@ -421,19 +421,43 @@ class TestErrorPaths:
         {"tuning": {"spaces": {"nb": {"bogus": [1]}}}},
         {"tuning": {"spaces": {"nb": {}}}},
         {"tuning": {"spaces": {"nb": [1e-9]}}},
+        {"tuning": {"n_iter": 0, "spaces": {"nb": {"var_smoothing": [1e-9]}}}},
+        {"tuning": {"folds": 1, "spaces": {"nb": {"var_smoothing": [1e-9]}}}},
+        {"cv_folds": 1},
+        {"synthetic": {"n": 0}},
+        {"synthetic": {"n": 240, "imbalance": 0}},
+        {"synthetic": {"n": 240, "imbalance": float("inf")}},
+        {"tuning": {"spaces": {"tree": {"max_depth": ["uniform", "a", 3]}}}},
+        {"tuning": {"spaces": {"tree": {"max_depth": ["randint", 5, 5]}}}},
+        {"tuning": {"spaces": {"nb": {"var_smoothing": ["loguniform", 0, 1]}}}},
+        {"resample_test": "no"},
+        {"smote": {"enabled": "false"}},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
             "stack-bases-not-a-list", "stack-base-not-a-name",
             "explain-option-not-a-number", "explain-option-below-1", "tuning-space-for-stack",
             "tuning-space-unknown-hyperparameter", "tuning-space-empty",
-            "tuning-space-not-an-object"])
+            "tuning-space-not-an-object", "tuning-zero-iterations", "tuning-one-fold",
+            "cv-one-fold", "synthetic-no-rows", "synthetic-zero-imbalance",
+            "synthetic-infinite-imbalance",
+            "uniform-bound-not-a-number", "randint-empty-range", "loguniform-from-zero",
+            "resample-test-string", "smote-enabled-string"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         result = run_cli("benchmark", "--config", cfg)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("instances", ["abc", "1..x"])
+    def test_malformed_instances_exit_2_without_traceback(self, tmp_path, instances):
+        cfg, _ = write_config(tmp_path)
+        result = run_cli("explain", "--config", cfg, "--model", "nb", "--instances", instances)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--instances'" in result.output
         assert "Traceback" not in result.output
 
     def test_missing_config_file(self, tmp_path):

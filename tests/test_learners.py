@@ -21,7 +21,13 @@ from imbalkit.learners.base import (
     serialize_model,
 )
 from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
-from imbalkit.learners.linear import LinearParams, fit_logistic, logistic_response, sigmoid
+from imbalkit.learners.linear import (
+    LinearParams,
+    fit_logistic,
+    logistic_response,
+    newton_logistic,
+    sigmoid,
+)
 from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
 from imbalkit.learners import svm as svm_module
 from imbalkit.learners.svm import _kernel_matrix, _smo
@@ -117,6 +123,24 @@ class TestFitDispatch:
             gc.enable()
 
 
+@st.composite
+def _logistic_problems(draw):
+    """Small problems [X, 1] with hard or soft targets, on a coarse grid so that
+    duplicate and constant columns occur; a column of zeros makes H singular
+    and gives H_jj = 0 in the L1 sweeps."""
+    n, d = draw(st.integers(3, 30)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    X = np.array(cells, dtype=float).reshape(n, d)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    y[0], y[1] = 0.0, 1.0  # both classes, so the unpenalized intercept stays finite
+    return np.c_[X, np.ones(n)], y
+
+
 class TestLogistic:
     def test_response_known_value(self):
         params = LinearParams(intercept=0.0, weights=np.array([math.log(3.0)]))
@@ -148,6 +172,39 @@ class TestLogistic:
     def test_invalid_c(self):
         with pytest.raises(LearnerError):
             LinearParams(0.0, np.zeros(2), C=0.0)
+
+    @given(_logistic_problems(), st.sampled_from(["l1", "l2", "none"]))
+    @settings(max_examples=80, deadline=None)
+    def test_newton_solver_converges_to_tol(self, problem, penalty):
+        A, y = problem
+        l1, l2 = {"l1": (0.05, 0.0), "l2": (0.0, 0.05), "none": (0.0, 0.0)}[penalty]
+        theta, info = newton_logistic(A, y, l1, l2, max_iter=500, tol=1e-10)
+        assert info["converged"] is True and info["kkt_gap"] <= 1e-10
+        again, again_info = newton_logistic(A, y, l1, l2, max_iter=500, tol=1e-10)
+        assert again.tobytes() == theta.tobytes() and again_info == info
+
+        # the reported gap is the minimum-norm subgradient recomputed at theta
+        z = A @ theta
+        g = A.T @ (sigmoid(z) - y) / y.size
+        g[:-1] += 2.0 * l2 * theta[:-1]
+        w, gw = theta[:-1], g[:-1]
+        sub = np.where(w != 0, np.abs(gw + l1 * np.sign(w)), np.maximum(np.abs(gw) - l1, 0.0))
+        assert max(np.max(sub, initial=0.0), abs(g[-1])) == info["kkt_gap"]
+
+    def test_newton_iteration_cap_reports_not_converged(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 3))
+        A, y = np.c_[X, np.ones(50)], (X[:, 0] + rng.normal(size=50) > 0).astype(float)
+        for l1, l2 in ((0.0, 0.05), (0.05, 0.0)):
+            _, info = newton_logistic(A, y, l1, l2, max_iter=1, tol=0.0)
+            assert (info["iterations"], info["converged"]) == (1, False) and info["kkt_gap"] > 0
+
+    def test_fit_info_reports_the_solver(self):
+        model = fit_model(ModelSpec("logistic"), two_class_matrix(40, 40, seed=3))
+        assert set(model.fit_info) == {"iterations", "converged", "kkt_gap"}
+        assert model.fit_info["converged"] is True
+        assert model.fit_info["kkt_gap"] <= ModelSpec("logistic").hyperparameters["tol"]
+        assert deserialize_model(serialize_model(model)).fit_info == {}
 
 
 class TestEntropyTree:
@@ -519,7 +576,8 @@ class TestSvm:
     def test_fit_info_stays_out_of_the_model_document(self):
         m = two_class_matrix(20, 20, seed=24)
         model = fit_model(ModelSpec("svm"), m)
-        assert set(model.fit_info) == {"iterations", "converged", "kkt_gap", "dual_objective"}
+        assert set(model.fit_info) == {"iterations", "converged", "kkt_gap", "dual_objective",
+                                       "platt"}
         doc = serialize_model(model)
         restored = deserialize_model(doc)
         assert restored.fit_info == {}
@@ -747,3 +805,11 @@ class TestRandomSearch:
         m = two_class_matrix(10, 10)
         with pytest.raises(LearnerError):
             tune_random_search("knn", {}, m, n_iter=1, folds=2, seed=0)
+
+    @pytest.mark.parametrize("dist", [("uniform", "a", 3), ("randint", 5, 5), ("randint", 2, 5.5),
+                                      ("loguniform", 0, 1), ("uniform", 0.0, math.inf),
+                                      ("uniform", 1)])
+    def test_malformed_distribution_rejected(self, dist):
+        m = two_class_matrix(10, 10)
+        with pytest.raises(LearnerError, match="is not"):
+            tune_random_search("decision-tree", {"max_depth": dist}, m, n_iter=1, folds=2, seed=0)
