@@ -13,7 +13,6 @@ from .data import (
     SchemaError,
     class_distribution,
     label_encode,
-    smote,
     stratified_split,
 )
 from .learners.base import fit_model, predict_proba
@@ -32,7 +31,7 @@ from .stats import (
     paired_t_test,
 )
 from .svg import bar_chart_svg, heatmap_svg, roc_svg
-from .validation import cross_validate
+from .validation import check_fold_count, cross_validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,10 +65,13 @@ def _load(config_path, seed, resample_test, out_dir) -> RunConfig:
         sys.exit(EXIT_CONFIG)
 
 
-def _materialize(config: RunConfig):
+def _materialize(config: RunConfig, folds: int | None = None):
+    """(dataset, matrix, encoder); a data fault, or more folds than minority rows, exits 3."""
     try:
         dataset = config.load()
         matrix, encoder = label_encode(dataset)
+        if folds is not None:
+            check_fold_count(matrix.target, folds)
     except (DataError, SchemaError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_DATA)
@@ -80,13 +82,10 @@ def _split_and_resample(config: RunConfig, matrix):
     """(raw training split, training split after SMOTE, test split)."""
     raw_train, test = stratified_split(matrix, config.test_fraction, config.seed)
     train = raw_train
-    smote_cfg = config.resampler
-    if smote_cfg is not None:
-        train = smote(raw_train, k_neighbors=smote_cfg.k_neighbors,
-                      seed=config.seed, rounding=smote_cfg.rounding)
+    if config.resampler is not None:
+        train = config.resampler.apply(raw_train, config.seed)
         if config.resample_test:
-            test = smote(test, k_neighbors=smote_cfg.k_neighbors,
-                         seed=config.seed + 1, rounding=smote_cfg.rounding)
+            test = config.resampler.apply(test, config.seed + 1)
     return raw_train, train, test
 
 
@@ -167,21 +166,18 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
     return np.clip(np.digitize(x, edges[1:-1]), 0, bins - 1)
 
 
-def _tuned_specs(config: RunConfig, raw_train, writer: ArtifactWriter):
-    """Random search per tuning space; its CV resamples inside each fold, so
-    it scores candidates on the raw training split."""
-    specs = dict(config.models)
-    for name, space in config.tuning_spaces.items():
-        spec = specs[name]
-        best, scores = tune_random_search(
-            spec.algorithm, space, raw_train, n_iter=config.tuning_n_iter,
-            folds=config.tuning_folds, seed=spec.seed, resampler=config.resampler)
-        specs[name] = best
-        writer.write_csv(
-            f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
-            [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
-             for i, c in enumerate(scores)])
-    return specs
+def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
+    """Random search from the configured entry over its tuning space; its CV
+    resamples inside each fold, so it scores candidates on the raw split."""
+    spec = config.models[name]
+    best, scores = tune_random_search(
+        spec, config.tuning_spaces[name], raw_train, n_iter=config.tuning_n_iter,
+        folds=config.tuning_folds, seed=spec.seed, resampler=config.resampler)
+    writer.write_csv(
+        f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
+        [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
+         for i, c in enumerate(scores)])
+    return best
 
 
 @main.command()
@@ -193,17 +189,19 @@ def benchmark(config_path, seed, resample_test, out_dir):
     writer = ArtifactWriter(config.output_dir, config)
     try:
         raw_train, train, test = _split_and_resample(config, matrix)
+        if config.tuning_spaces:
+            check_fold_count(raw_train.target, config.tuning_folds)
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_DATA)
 
-    specs = _tuned_specs(config, raw_train, writer)
     metrics = {}
     curves = {}
     failures = 0
     for name in config.model_order:
-        spec = specs[name]
         try:
+            spec = (_tuned_spec(config, name, raw_train, writer)
+                    if name in config.tuning_spaces else config.models[name])
             model = fit_model(spec, _training_split(spec, raw_train, train))
             probs = predict_proba(model, test)
             report = evaluate(probs, test.target)
@@ -236,7 +234,7 @@ def compare(config_path, seed, resample_test, out_dir):
     if not config.reference_model:
         click.echo("config error: compare requires 'reference_model'", err=True)
         sys.exit(EXIT_CONFIG)
-    _, matrix, _ = _materialize(config)
+    _, matrix, _ = _materialize(config, folds=config.cv_folds)
     writer = ArtifactWriter(config.output_dir, config)
 
     runs = {}

@@ -48,7 +48,8 @@ def check_space(space: SearchSpace) -> None:
                                "lo < hi (integers for randint, lo > 0 for loguniform)")
 
 
-def sample_spec(algorithm: str, space: SearchSpace, rng, seed: int) -> ModelSpec:
+def sample_spec(spec: ModelSpec, space: SearchSpace, rng) -> ModelSpec:
+    """spec with the hyperparameters in space drawn from their distributions."""
     hyper = {}
     for key, dist in space.items():
         if _is_distribution(dist):
@@ -63,30 +64,31 @@ def sample_spec(algorithm: str, space: SearchSpace, rng, seed: int) -> ModelSpec
             hyper[key] = dist[int(rng.integers(0, len(dist)))]
         else:
             hyper[key] = dist
-    return ModelSpec(algorithm, hyper, seed)
+    return spec.replace(**hyper)
 
 
-def tune_random_search(algorithm: str, space: SearchSpace, train: EncodedMatrix,
+def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: EncodedMatrix,
                        n_iter: int = 10, folds: int = 10, seed: int = 0,
                        resampler=None) -> tuple[ModelSpec, list[CandidateScore]]:
-    """Sample n_iter specs, score each by mean stratified k-fold accuracy
-    (resampling only inside fold-training partitions), return the argmax.
-    Ties break toward the earliest-sampled candidate."""
+    """Sample n_iter specs from spec (a name means ModelSpec(name, seed=seed)),
+    score each by mean stratified k-fold accuracy (resampling only inside
+    fold-training partitions), return the argmax; ties go to the earliest."""
     from ..validation import cross_validate
 
     if not space:
         raise LearnerError("empty search space")
     check_space(space)
+    if isinstance(spec, str):
+        spec = ModelSpec(spec, seed=seed)
     rng = child_rng(seed, 20)
     scores: list[CandidateScore] = []
     best = None
     for i in range(n_iter):
-        spec = sample_spec(algorithm, space, rng, seed)
-        run = cross_validate(spec, train, folds=folds, resampler=resampler,
-                             seed=int(child_rng(seed, 21).integers(0, 2**31)))
-        acc = run.accuracies
-        cand = CandidateScore(spec, float(acc.mean()), tuple(float(a) for a in acc))
-        scores.append(cand)
-        if best is None or cand.mean_accuracy > best.mean_accuracy:
-            best = cand
+        candidate = sample_spec(spec, space, rng)
+        acc = cross_validate(candidate, train, folds=folds, resampler=resampler,
+                             seed=int(child_rng(seed, 21).integers(0, 2**31))).accuracies
+        score = CandidateScore(candidate, float(acc.mean()), tuple(float(a) for a in acc))
+        scores.append(score)
+        if best is None or score.mean_accuracy > best.mean_accuracy:
+            best = score
     return best.spec, scores

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import ROUNDING_MODES, load_dataset, load_schema
+from .data import load_dataset, load_schema
 from .learners.base import LearnerError, ModelSpec, default_hyperparameters
 from .learners.search import check_space
 from .stacking import StackingSpec
@@ -160,12 +160,12 @@ def load_config(path, seed_override: int | None = None,
     smote_raw = _section(raw, "smote")
     # the settings are checked even when SMOTE is disabled
     resampler = SmoteSettings(
-        k_neighbors=_number(int, smote_raw.get("k_neighbors", 5), "smote.k_neighbors"),
-        rounding=smote_raw.get("rounding", "continuous"),
-    )
-    if resampler.rounding not in ROUNDING_MODES:
-        raise ConfigError(f"unknown smote rounding {resampler.rounding!r}; "
-                          f"choose from {', '.join(ROUNDING_MODES)}")
+        k_neighbors=_number(int, smote_raw.get("k_neighbors", 5), "smote.k_neighbors"))
+    rounding = smote_raw.get("rounding", "continuous")
+    if rounding != "continuous":
+        raise ConfigError(f"smote.rounding must be \"continuous\", got {rounding!r}: a run "
+                          "does not tell SMOTE which columns are categorical, so no other "
+                          "mode would change its output")
     if not _flag(smote_raw.get("enabled", True), "smote.enabled"):
         resampler = None
     models, order = _parse_models(raw.get("models", []), seed, resampler)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EncodedMatrix, smote
+from .data import EncodedMatrix
 from .learners.base import (
     LearnerError,
     ModelSpec,
@@ -18,7 +18,7 @@ from .learners.base import (
     predict_proba,
     serialize_model,
 )
-from .validation import SmoteSettings, stratified_folds
+from .validation import SmoteSettings, fold_partitions, stratified_folds
 
 __all__ = ["StackingSpec", "StackedModel", "stack_fit", "stack_predict_proba"]
 
@@ -90,23 +90,20 @@ def stack_fit(spec: StackingSpec, train: EncodedMatrix,
     base_fit(spec, matrix) -> model overrides base training (test hook).
     """
     fit = base_fit or fit_model
-    n = train.n_rows
+
+    def fit_base(b: int, matrix: EncodedMatrix) -> TrainedModel:
+        try:
+            return fit(spec.base_specs[b], matrix)
+        except Exception as exc:
+            raise LearnerError(f"base {b} ({spec.base_specs[b].algorithm}) failed: {exc}") from exc
+
+    bases = range(len(spec.base_specs))
     assignment = stratified_folds(train.target, spec.oof_folds, spec.seed)
-    oof = np.empty((n, len(spec.base_specs)))
-    for f in range(spec.oof_folds):
-        val_mask = assignment == f
-        fold_train = train.take(np.flatnonzero(~val_mask))
-        if spec.resampler is not None:
-            fold_seed = int(child_rng(spec.seed, 30, f).integers(0, 2**31))
-            fold_train = smote(fold_train, k_neighbors=spec.resampler.k_neighbors,
-                               seed=fold_seed, rounding=spec.resampler.rounding)
-        fold_val = train.take(np.flatnonzero(val_mask))
-        for b, base_spec in enumerate(spec.base_specs):
-            try:
-                model = fit(base_spec, fold_train)
-            except Exception as exc:
-                raise LearnerError(f"base {b} ({base_spec.algorithm}) failed: {exc}") from exc
-            oof[val_mask, b] = predict_proba(model, fold_val)
+    oof = np.empty((train.n_rows, len(bases)))
+    for held_out, fold_train, fold_val in fold_partitions(train, assignment, spec.resampler,
+                                                          spec.seed, 30):
+        for b in bases:
+            oof[held_out, b] = predict_proba(fit_base(b, fold_train), fold_val)
 
     meta_train = EncodedMatrix(
         oof, train.target,
@@ -115,18 +112,9 @@ def stack_fit(spec: StackingSpec, train: EncodedMatrix,
     )
     meta_model = fit_model(spec.meta_spec, meta_train)
 
-    full_train = train
-    if spec.resampler is not None:
-        full_seed = int(child_rng(spec.seed, 31).integers(0, 2**31))
-        full_train = smote(full_train, k_neighbors=spec.resampler.k_neighbors,
-                           seed=full_seed, rounding=spec.resampler.rounding)
-    base_models = []
-    for b, base_spec in enumerate(spec.base_specs):
-        try:
-            base_models.append(fit(base_spec, full_train))
-        except Exception as exc:
-            raise LearnerError(f"base {b} ({base_spec.algorithm}) failed: {exc}") from exc
-    return StackedModel(base_models, meta_model, oof, assignment,
+    full_train = train if spec.resampler is None else spec.resampler.apply(
+        train, int(child_rng(spec.seed, 31).integers(0, 2**31)))
+    return StackedModel([fit_base(b, full_train) for b in bases], meta_model, oof, assignment,
                         tuple(s.algorithm for s in spec.base_specs))
 
 

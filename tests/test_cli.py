@@ -273,6 +273,18 @@ class TestBenchmark:
         assert result.exit_code == 0, result.output
         assert (out / "tuning" / "tree.csv").exists()
 
+    def test_tuning_starts_from_the_configured_entry(self, tmp_path):
+        cfg, out = write_config(
+            tmp_path, reference_model="gbt",
+            models=[{"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 3}}],
+            tuning={"spaces": {"gbt": {"max_depth": [1, 2, 3]}}, "n_iter": 3, "folds": 3})
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        candidates = read_csv(out / "tuning" / "gbt.csv")[1:]
+        assert len(candidates) == 3
+        for row in candidates:
+            assert "('n_estimators', 3)" in row[2], row
+
 
 class TestCompare:
     def test_outputs(self, tmp_path):
@@ -432,6 +444,7 @@ class TestErrorPaths:
         {"tuning": {"spaces": {"nb": {"var_smoothing": ["loguniform", 0, 1]}}}},
         {"resample_test": "no"},
         {"smote": {"enabled": "false"}},
+        {"smote": {"rounding": "nearest-code"}},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -442,7 +455,7 @@ class TestErrorPaths:
             "cv-one-fold", "synthetic-no-rows", "synthetic-zero-imbalance",
             "synthetic-infinite-imbalance",
             "uniform-bound-not-a-number", "randint-empty-range", "loguniform-from-zero",
-            "resample-test-string", "smote-enabled-string"])
+            "resample-test-string", "smote-enabled-string", "smote-rounding-nearest-code"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         result = run_cli("benchmark", "--config", cfg)
@@ -450,6 +463,36 @@ class TestErrorPaths:
         assert isinstance(result.exception, SystemExit)
         assert "config error" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("benchmark", {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
+        ("compare", {"cv_folds": 50}),
+    ], ids=["tuning-folds-above-minority", "cv-folds-above-minority"])
+    def test_fold_count_above_minority_exits_3_without_traceback(self, tmp_path, command,
+                                                                 overrides):
+        cfg, _ = write_config(tmp_path, **overrides)
+        result = run_cli(command, "--config", cfg)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "data error: fold count 50 exceeds the minority class count" in result.output
+        assert "failed" not in result.output
+        assert "Traceback" not in result.output
+
+    def test_failed_tuning_fit_exits_4_without_traceback(self, tmp_path):
+        cfg, out = write_config(
+            tmp_path, reference_model="nb",
+            models=[{"name": "nb", "algorithm": "naive-bayes"},
+                    {"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 3}}],
+            tuning={"spaces": {"gbt": {"categorical_handling": ["ordered-target-stats"],
+                                       "categorical_features": [[99]]}},
+                    "n_iter": 1, "folds": 3})
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "model gbt failed" in result.output
+        assert "Traceback" not in result.output
+        status = read_manifest(out)["model_status"]
+        assert status["nb"] == "ok" and status["gbt"].startswith("failed")
 
     @pytest.mark.parametrize("instances", ["abc", "1..x"])
     def test_malformed_instances_exit_2_without_traceback(self, tmp_path, instances):

@@ -237,8 +237,7 @@ class TestEstimatorContract:
             fold_train = m.take(np.flatnonzero(assignment != f))
             fold_val = m.take(np.flatnonzero(assignment == f))
             fold_train = smote(fold_train, k_neighbors=settings.k_neighbors,
-                               seed=int(child_rng(9, 11, f).integers(0, 2**31)),
-                               rounding=settings.rounding)
+                               seed=int(child_rng(9, 11, f).integers(0, 2**31)))
             probs = stack_predict_proba(stack_fit(spec, fold_train), fold_val)
             assert run.reports[f] == evaluate(probs, fold_val.target)
 

@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from imbalkit.data import DataError, EncodedMatrix
 from imbalkit.learners.base import ModelSpec
+from imbalkit.learners.search import tune_random_search
+from imbalkit.stacking import StackingSpec, stack_fit
 from imbalkit.validation import SmoteSettings, cross_validate, stratified_folds
 
 from conftest import two_class_matrix
@@ -87,3 +92,52 @@ class TestCrossValidate:
         m = two_class_matrix(10, 20)
         with pytest.raises(TypeError):
             cross_validate(object(), m, folds=2)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _cv_run_doc():
+    run = cross_validate(ModelSpec("decision-tree", {"max_depth": 4}, seed=2),
+                         two_class_matrix(24, 70, seed=21), folds=4,
+                         resampler=SmoteSettings(), seed=5)
+    return {"reports": [r.to_dict() for r in run.reports],
+            "validation_row_ids": [ids.tolist() for ids in run.validation_row_ids]}
+
+
+def _stack_doc():
+    spec = StackingSpec(base_specs=(ModelSpec("naive-bayes"),
+                                    ModelSpec("decision-tree", {"max_depth": 3}, seed=1)),
+                        oof_folds=3, seed=6, resampler=SmoteSettings(k_neighbors=3))
+    model = stack_fit(spec, two_class_matrix(20, 64, seed=22))
+    return {"oof_matrix": model.oof_matrix.tolist(),
+            "oof_fold_assignment": model.oof_fold_assignment.tolist()}
+
+
+def _search_doc():
+    _, scores = tune_random_search("decision-tree",
+                                   {"max_depth": [2, 3, 5], "min_samples_split": ["randint", 2, 9]},
+                                   two_class_matrix(22, 66, seed=23), n_iter=3, folds=3,
+                                   seed=7, resampler=SmoteSettings())
+    return [[sorted(c.spec.hyperparameters.items()), c.mean_accuracy, list(c.fold_accuracies)]
+            for c in scores]
+
+
+# sha256 of the sorted-key JSON results, recorded when cross-validation and the
+# stack's out-of-fold loop each ran their own partition-and-SMOTE loop: the
+# fold engine they now share must keep every fold seed and every number
+FOLD_ENGINE_DIGESTS = {
+    "cross-validate": (_cv_run_doc,
+                      "24e3ef9848285bd1c206cb0ef6cfc65cceddf4a134e28e4f4944d0cdc8b48895"),
+    "stack-oof": (_stack_doc,
+                 "364a47c742bacbc0d70054dcc2d5611b0c7dfdb6156ff814db0f4092e4eb7ee7"),
+    "random-search": (_search_doc,
+                     "2e74c7c378b763eac89e3d9ec0b92193e77254c122a7d52ba1fe3f3674a957a6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_ENGINE_DIGESTS))
+def test_fold_engine_is_pinned(case):
+    build, digest = FOLD_ENGINE_DIGESTS[case]
+    assert _digest(build()) == digest
