@@ -191,6 +191,9 @@ def benchmark(config_path, seed, resample_test, out_dir):
         raw_train, train, test = _split_and_resample(config, matrix)
         if config.tuning_spaces:
             check_fold_count(raw_train.target, config.tuning_folds)
+        for spec in config.models.values():  # a stack's out-of-fold folds split raw_train
+            if isinstance(spec, StackingSpec):
+                check_fold_count(raw_train.target, spec.oof_folds)
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_DATA)
@@ -304,15 +307,17 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
         sys.exit(EXIT_CONFIG)
     _, matrix, _ = _materialize(config)
     writer = ArtifactWriter(config.output_dir, config)
+    spec = config.models[model_name]
     try:
         raw_train, train, test = _split_and_resample(config, matrix)
         if any(i < 0 or i >= test.n_rows for i in instance_ids):
             raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
+        if isinstance(spec, StackingSpec):
+            check_fold_count(raw_train.target, spec.oof_folds)
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(EXIT_DATA)
 
-    spec = config.models[model_name]
     try:
         model = fit_model(spec, _training_split(spec, raw_train, train))
     except Exception as exc:  # reported as in benchmark: a model failure, exit 4

@@ -1,10 +1,10 @@
 from .base import (
     ALGORITHMS,
+    HYPERPARAMETERS,
     LearnerError,
     ModelSpec,
     TrainedModel,
     child_rng,
-    default_hyperparameters,
     deserialize_model,
     fit_model,
     load_model,
@@ -19,11 +19,11 @@ from .tree import DecisionTreeModel, TreeNode, entropy_impurity
 
 __all__ = [
     "ALGORITHMS",
+    "HYPERPARAMETERS",
     "LearnerError",
     "ModelSpec",
     "TrainedModel",
     "child_rng",
-    "default_hyperparameters",
     "deserialize_model",
     "fit_model",
     "load_model",

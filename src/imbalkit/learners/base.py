@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ __all__ = [
     "TrainedModel",
     "LearnerError",
     "ALGORITHMS",
-    "default_hyperparameters",
+    "HYPERPARAMETERS",
     "fit_model",
     "predict_proba",
     "child_rng",
@@ -32,32 +33,90 @@ class LearnerError(ValueError):
     pass
 
 
-_DEFAULTS: dict[str, dict] = {
-    "logistic": {"penalty": "l2", "C": 1.0, "max_iter": 500, "tol": 1e-10},
-    "decision-tree": {"max_depth": 10, "min_samples_split": 10},
-    "random-forest": {"n_estimators": 500, "max_depth": 20, "max_features": "sqrt"},
+@dataclass(frozen=True)
+class Rule:
+    """The values a setting accepts: the JSON constants in choices, and integers
+    (kind numbers.Integral) or reals (numbers.Real) from low to high, or strictly
+    between them if strict; numpy scalars pass, bools are not numbers. With
+    each=True, lists (or tuples) of such values instead."""
+
+    choices: tuple = ()
+    kind: type | None = None
+    low: float = 0
+    high: float = 0
+    strict: bool = False
+    each: bool = False
+
+    def accepts(self, value) -> bool:
+        if self.each:
+            item = replace(self, each=False)
+            return isinstance(value, (list, tuple)) and all(map(item.accepts, value))
+        if self.kind and isinstance(value, self.kind) and not isinstance(value, bool):
+            return self.low < value < self.high if self.strict else self.low <= value <= self.high
+        return any(isinstance(value, type(c)) and value == c for c in self.choices)
+
+    def __str__(self):
+        words = [json.dumps(c) for c in self.choices]
+        if self.strict:  # only ever (0, high)
+            words.append(f"positive and below {self.high:g}")
+        elif self.kind is numbers.Integral:
+            words.append(f"an integer from {self.low} to {self.high}")
+        elif self.kind:
+            words.append(f"a number from {self.low:g} to {self.high:g}")
+        return ("a list, each " if self.each else "") + " or ".join(words)
+
+
+def check_value(rule: Rule, value, what: str) -> None:
+    """LearnerError unless rule accepts value; the value is never converted."""
+    if not rule.accepts(value):
+        raise LearnerError(f"{what} must be {rule}, got {value!r}")
+
+
+def count(low: int, **more) -> Rule:
+    return Rule(kind=numbers.Integral, low=low, high=10**6, **more)
+
+
+POSITIVE = Rule(kind=numbers.Real, high=1e12, strict=True)
+NON_NEGATIVE = Rule(kind=numbers.Real, high=1e12)
+
+# algorithm -> hyperparameter -> (default, the rule its values must pass)
+HYPERPARAMETERS: dict[str, dict[str, tuple]] = {
+    "logistic": {"penalty": ("l2", Rule(("l1", "l2"))), "C": (1.0, POSITIVE),
+                 "max_iter": (500, count(0)), "tol": (1e-10, NON_NEGATIVE)},
+    "decision-tree": {"max_depth": (10, count(1)), "min_samples_split": (10, count(0))},
+    "random-forest": {"n_estimators": (500, count(1)), "max_depth": (20, count(0)),
+                      "max_features": ("sqrt", count(0, choices=("sqrt", "all")))},
     "gbt": {
-        "n_estimators": 200, "learning_rate": 0.01, "max_depth": 3,
-        "l2_leaf_reg": 1.0, "min_samples_split": 2, "bins": 0,
-        "categorical_handling": "plain-codes", "categorical_features": (),
-        "target_stat_smoothing": 1.0,
+        "n_estimators": (200, count(0)), "learning_rate": (0.01, NON_NEGATIVE),
+        "max_depth": (3, count(1)), "l2_leaf_reg": (1.0, NON_NEGATIVE),
+        "min_samples_split": (2, count(0)), "bins": (0, count(0)),
+        "categorical_handling": ("plain-codes", Rule(("plain-codes", "ordered-target-stats"))),
+        "categorical_features": ((), count(0, each=True)),
+        "target_stat_smoothing": (1.0, POSITIVE),
     },
-    "svm": {"kernel": "rbf", "C": 10.0, "gamma": "scale", "tol": 1e-3, "max_passes": 8},
-    "naive-bayes": {"var_smoothing": 1e-9},
-    "knn": {"n_neighbors": 3, "weights": "distance"},
+    "svm": {"kernel": ("rbf", Rule(("rbf",))), "C": (10.0, POSITIVE),
+            "gamma": ("scale", replace(POSITIVE, choices=("scale",))),
+            "tol": (1e-3, NON_NEGATIVE), "max_passes": (8, count(0))},
+    "naive-bayes": {"var_smoothing": (1e-9, POSITIVE)},
+    "knn": {"n_neighbors": (3, count(1)), "weights": ("distance", Rule(("uniform", "distance")))},
     "mlp": {
-        "hidden_layer_sizes": (512, 256, 128), "activation": "tanh",
-        "max_iterations": 500, "learning_rate": 1e-3, "batch_size": 32,
+        "hidden_layer_sizes": ((512, 256, 128), count(1, each=True)),
+        "activation": ("tanh", Rule(("tanh", "relu"))), "max_iterations": (500, count(0)),
+        "learning_rate": (1e-3, NON_NEGATIVE), "batch_size": (32, count(1)),
     },
 }
 
-ALGORITHMS = tuple(_DEFAULTS)
+ALGORITHMS = tuple(HYPERPARAMETERS)
 
 
-def default_hyperparameters(algorithm: str) -> dict:
-    if algorithm not in _DEFAULTS:
+def hyperparameter_rules(algorithm: str, keys) -> dict:
+    """{key: rule} for keys of algorithm; an unknown algorithm or key is a LearnerError."""
+    if algorithm not in HYPERPARAMETERS:
         raise LearnerError(f"unknown algorithm {algorithm!r}")
-    return dict(_DEFAULTS[algorithm])
+    unknown = set(keys) - set(HYPERPARAMETERS[algorithm])
+    if unknown:
+        raise LearnerError(f"unknown hyperparameters for {algorithm}: {sorted(unknown)}")
+    return {key: HYPERPARAMETERS[algorithm][key][1] for key in keys}
 
 
 @dataclass(frozen=True)
@@ -67,14 +126,9 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in _DEFAULTS:
-            raise LearnerError(f"unknown algorithm {self.algorithm!r}")
-        unknown = set(self.hyperparameters) - set(_DEFAULTS[self.algorithm])
-        if unknown:
-            raise LearnerError(
-                f"unknown hyperparameters for {self.algorithm}: {sorted(unknown)}"
-            )
-        merged = default_hyperparameters(self.algorithm)
+        for key, rule in hyperparameter_rules(self.algorithm, self.hyperparameters).items():
+            check_value(rule, self.hyperparameters[key], f"{self.algorithm} {key}")
+        merged = {key: default for key, (default, _) in HYPERPARAMETERS[self.algorithm].items()}
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)
 

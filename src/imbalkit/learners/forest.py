@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel, child_rng
+from .base import ModelSpec, TrainedModel, child_rng
 from .tree import TreeNode, build_tree, tree_predict
 
 __all__ = ["RandomForestModel"]
@@ -22,9 +22,6 @@ class RandomForestModel(TrainedModel):
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "RandomForestModel":
         h = spec.hyperparameters
-        n_estimators = h["n_estimators"]
-        if n_estimators < 1:
-            raise LearnerError("n_estimators must be >= 1")
         d = X.shape[1]
         mf = h["max_features"]
         if mf == "sqrt":
@@ -35,7 +32,7 @@ class RandomForestModel(TrainedModel):
             max_features = int(mf)
         n = X.shape[0]
         trees = []
-        for t in range(n_estimators):
+        for t in range(h["n_estimators"]):
             rng = child_rng(spec.seed, 1, t)
             sample = rng.integers(0, n, size=n)  # bootstrap with replacement
             trees.append(build_tree(X[sample], y[sample], h["max_depth"], 2,

@@ -213,8 +213,6 @@ class GbtModel(TrainedModel):
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "GbtModel":
         h = spec.hyperparameters
-        if h["n_estimators"] < 0 or h["max_depth"] < 1:
-            raise LearnerError("degenerate gbt spec")
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n = y.size
@@ -226,6 +224,9 @@ class GbtModel(TrainedModel):
             prior = float(y.mean())
             a = float(h["target_stat_smoothing"])
             for j in h["categorical_features"]:
+                if j >= X.shape[1]:
+                    raise LearnerError(f"categorical feature index {j} is outside the "
+                                       f"{X.shape[1]} columns")
                 rng = child_rng(spec.seed, 2, int(j))
                 perm = rng.permutation(n)
                 stats = {}
@@ -235,8 +236,6 @@ class GbtModel(TrainedModel):
                     stats[float(code)] = (y[m].sum() + a * prior) / (m.sum() + a)
                 X[:, j] = ordered_target_statistics(col, y, perm, prior, a)
                 cat_encoders[int(j)] = {"prior": prior, "stats": stats}
-        elif h["categorical_handling"] != "plain-codes":
-            raise LearnerError(f"unknown categorical_handling {h['categorical_handling']!r}")
 
         prevalence = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
         base = float(np.log(prevalence / (1.0 - prevalence)))

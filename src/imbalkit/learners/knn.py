@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel
 
 __all__ = ["KnnModel"]
 
@@ -22,10 +22,6 @@ class KnnModel(TrainedModel):
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "KnnModel":
         h = spec.hyperparameters
-        if h["n_neighbors"] < 1:
-            raise LearnerError("n_neighbors must be >= 1")
-        if h["weights"] not in ("uniform", "distance"):
-            raise LearnerError(f"unknown weights {h['weights']!r}")
         k = min(h["n_neighbors"], X.shape[0])
         return cls(X, y, k, h["weights"], feature_names)
 

@@ -65,11 +65,6 @@ class MlpModel(TrainedModel):
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "MlpModel":
         h = spec.hyperparameters
-        if h["activation"] not in _ACTIVATIONS:
-            raise LearnerError(f"unknown activation {h['activation']!r}")
-        hidden = tuple(int(s) for s in h["hidden_layer_sizes"])
-        if any(s < 1 for s in hidden):
-            raise LearnerError("hidden layer sizes must be positive")
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         mu, sd = X.mean(axis=0), X.std(axis=0)
@@ -77,7 +72,7 @@ class MlpModel(TrainedModel):
         Z = (X - mu) / sd
 
         rng = child_rng(spec.seed, 4)
-        sizes = (X.shape[1],) + hidden + (1,)
+        sizes = (X.shape[1], *h["hidden_layer_sizes"], 1)
         layers = init_layers(sizes, rng)
         lr = float(h["learning_rate"])
         batch = int(h["batch_size"])

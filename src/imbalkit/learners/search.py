@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..data import EncodedMatrix
-from .base import LearnerError, ModelSpec, child_rng
+from .base import LearnerError, ModelSpec, check_value, child_rng, hyperparameter_rules
 
 __all__ = ["SearchSpace", "CandidateScore", "check_space", "sample_spec", "tune_random_search"]
 
 # a search space maps hyperparameter name -> one of
-#   list of values                    (uniform choice)
+#   non-empty list of values          (uniform choice)
 #   ("uniform", lo, hi)               (float)
 #   ("loguniform", lo, hi)            (float, log scale)
 #   ("randint", lo, hi)               (integer, hi exclusive)
+#   any other value                   (fixed)
 SearchSpace = dict
 _DISTRIBUTIONS = ("uniform", "loguniform", "randint")
 
@@ -32,20 +33,25 @@ class CandidateScore:
     fold_accuracies: tuple[float, ...]
 
 
-def check_space(space: SearchSpace) -> None:
-    """Every distribution needs finite bounds lo < hi: integers for randint,
-    lo > 0 for loguniform."""
-    for key, dist in space.items():
+def check_space(algorithm: str, space: SearchSpace) -> None:
+    """Every choice, and both ends lo < hi of every distribution, must pass the
+    hyperparameter's rule; randint only draws integer hyperparameters, uniform
+    and loguniform (lo > 0) only real ones."""
+    for key, rule in hyperparameter_rules(algorithm, space).items():
+        dist = space[key]
         if not _is_distribution(dist):
+            for choice in dist if isinstance(dist, (list, tuple)) and dist else [dist]:
+                check_value(rule, choice, f"{algorithm} {key}")
             continue
-        kind, *bounds = dist
-        number = int if kind == "randint" else (int, float)
-        if not (len(bounds) == 2
-                and all(isinstance(b, number) and not isinstance(b, bool) and math.isfinite(b)
-                        for b in bounds)
-                and bounds[0] < bounds[1] and (kind != "loguniform" or bounds[0] > 0)):
-            raise LearnerError(f"{key!r}: {list(dist)!r} is not [kind, lo, hi] with finite "
-                               "lo < hi (integers for randint, lo > 0 for loguniform)")
+        kind, *ends = dist
+        number = replace(rule, choices=())
+        if not (len(ends) == 2 and not number.each and all(map(number.accepts, ends))
+                and ends[0] < ends[1]
+                and number.kind is (numbers.Integral if kind == "randint" else numbers.Real)
+                and (kind != "loguniform" or ends[0] > 0)):
+            raise LearnerError(f"{algorithm} {key}: {list(dist)!r} is not [kind, lo, hi] with "
+                               f"lo < hi inside {rule} (randint only for integers, uniform "
+                               "and loguniform only for reals, lo > 0 for loguniform)")
 
 
 def sample_spec(spec: ModelSpec, space: SearchSpace, rng) -> ModelSpec:
@@ -60,7 +66,7 @@ def sample_spec(spec: ModelSpec, space: SearchSpace, rng) -> ModelSpec:
                 hyper[key] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
             else:
                 hyper[key] = int(rng.integers(lo, hi))
-        elif isinstance(dist, (list, tuple)):
+        elif isinstance(dist, (list, tuple)) and dist:
             hyper[key] = dist[int(rng.integers(0, len(dist)))]
         else:
             hyper[key] = dist
@@ -77,9 +83,9 @@ def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: Encoded
 
     if not space:
         raise LearnerError("empty search space")
-    check_space(space)
     if isinstance(spec, str):
         spec = ModelSpec(spec, seed=seed)
+    check_space(spec.algorithm, space)
     rng = child_rng(seed, 20)
     scores: list[CandidateScore] = []
     best = None

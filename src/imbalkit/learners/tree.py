@@ -154,8 +154,6 @@ class DecisionTreeModel(TrainedModel):
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":
         h = spec.hyperparameters
-        if h["max_depth"] < 1:
-            raise LearnerError("max_depth must be >= 1")
         root = build_tree(X, y, h["max_depth"], max(2, h["min_samples_split"]))
         return cls(root, feature_names)
 

@@ -6,13 +6,13 @@ import csv
 import hashlib
 import io
 import json
-import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import load_dataset, load_schema
-from .learners.base import LearnerError, ModelSpec, default_hyperparameters
+from .learners.base import POSITIVE, LearnerError, ModelSpec, Rule, check_value, count
 from .learners.search import check_space
 from .stacking import StackingSpec
 from .validation import SmoteSettings
@@ -52,33 +52,8 @@ class RunConfig:
         if self.dataset == "synthetic":
             return synth.synthetic_dataset(n=self.synthetic_n, seed=self.seed,
                                            imbalance=self.synthetic_imbalance)
-        if not self.schema_path:
-            raise ConfigError("a CSV dataset requires a schema path")
         schema = load_schema(self.schema_path)
         return load_dataset(self.dataset, schema, self.target)
-
-
-def _number(cast, value, what: str):
-    """cast(value) for cast in (int, float); a value it rejects is a config fault."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-def _count(value, what: str, low: int) -> int:
-    """int(value), which must be >= low; anything else is a config fault."""
-    count = _number(int, value, what)
-    if count < low:
-        raise ConfigError(f"{what} must be >= {low}, got {count}")
-    return count
-
-
-def _flag(value, what: str) -> bool:
-    """A JSON boolean: bool() would read the string "false" as true."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -88,8 +63,39 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
-_EXPLAIN_DEFAULTS = {"n_permutations": 30, "background_rows": 25, "global_rows": 50,
-                     "lime_samples": 500}
+# run setting (dotted as in the config) -> (default, the rule its values must pass)
+_SETTINGS = {
+    "seed": (0, Rule(kind=numbers.Integral, high=2**63 - 1)),
+    "test_fraction": (0.2, Rule(kind=numbers.Real, high=1.0, strict=True)),
+    "smote.k_neighbors": (5, count(1)),
+    # a run does not tell SMOTE which columns are categorical, so no other
+    # rounding mode would change its output
+    "smote.rounding": ("continuous", Rule(("continuous",))),
+    "smote.enabled": (True, Rule((True, False))),
+    "resample_test": (False, Rule((True, False))),
+    "cv_folds": (10, count(2)),
+    "oof_folds": (5, count(2)),
+    "tuning.n_iter": (10, count(1)),
+    "tuning.folds": (5, count(2)),
+    "synthetic.n": (2000, count(1)),
+    "synthetic.imbalance": (5.0, POSITIVE),
+    "explain.n_permutations": (30, count(1)),
+    "explain.background_rows": (25, count(1)),
+    "explain.global_rows": (50, count(1)),
+    "explain.lime_samples": (500, count(1)),
+}
+
+
+def _setting(raw: dict, key: str, default=None):
+    """Run setting key (dotted: section.name) from raw, checked against its rule;
+    a missing one is default, or the table's default if that is None."""
+    *sections, name = key.split(".")
+    for section in sections:
+        raw = _section(raw, section)
+    table_default, rule = _SETTINGS[key]
+    value = raw.get(name, table_default if default is None else default)
+    check_value(rule, value, key)
+    return value
 
 
 def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
@@ -111,11 +117,8 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
         if algo == "stacking":
             deferred.append((name, entry))
             continue
-        try:
-            specs[name] = ModelSpec(algo, dict(_section(entry, "hyperparameters")),
-                                    _number(int, entry.get("seed", seed), f"{name}.seed"))
-        except LearnerError as exc:
-            raise ConfigError(str(exc)) from exc
+        specs[name] = ModelSpec(algo, dict(_section(entry, "hyperparameters")),
+                                _setting(entry, "seed", seed))
     for name, entry in deferred:
         base_names = entry.get("bases", [])
         if not isinstance(base_names, list) or not all(isinstance(b, str) for b in base_names):
@@ -124,24 +127,23 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
         if missing:
             raise ConfigError(f"stacking model {name!r} references unknown bases {missing}")
         meta_entry = _section(entry, "meta")
-        try:
-            meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
-                             _number(int, meta_entry.get("seed", seed), f"{name}.meta.seed"))
-            specs[name] = StackingSpec(
-                base_specs=tuple(specs[b] for b in base_names),
-                meta_spec=meta,
-                oof_folds=_number(int, entry.get("oof_folds", 5), f"{name}.oof_folds"),
-                seed=_number(int, entry.get("seed", seed), f"{name}.seed"),
-                resampler=resampler,
-            )
-        except LearnerError as exc:
-            raise ConfigError(f"stacking model {name!r}: {exc}") from exc
+        meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
+                         _setting(meta_entry, "seed", seed))
+        specs[name] = StackingSpec(
+            base_specs=tuple(specs[b] for b in base_names),
+            meta_spec=meta,
+            oof_folds=_setting(entry, "oof_folds"),
+            seed=_setting(entry, "seed", seed),
+            resampler=resampler,
+        )
     return specs, order
 
 
 def load_config(path, seed_override: int | None = None,
                 out_override: str | None = None,
                 resample_test_override: bool | None = None) -> RunConfig:
+    """The run configuration at path; every fault in it, a value that the rule
+    of a run setting or hyperparameter rejects included, is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -151,74 +153,54 @@ def load_config(path, seed_override: int | None = None,
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-
-    seed = _number(int, seed_override if seed_override is not None else raw.get("seed", 0),
-                   "seed")
-    test_fraction = _number(float, raw.get("test_fraction", 0.2), "test_fraction")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction}")
-    smote_raw = _section(raw, "smote")
-    # the settings are checked even when SMOTE is disabled
-    resampler = SmoteSettings(
-        k_neighbors=_number(int, smote_raw.get("k_neighbors", 5), "smote.k_neighbors"))
-    rounding = smote_raw.get("rounding", "continuous")
-    if rounding != "continuous":
-        raise ConfigError(f"smote.rounding must be \"continuous\", got {rounding!r}: a run "
-                          "does not tell SMOTE which columns are categorical, so no other "
-                          "mode would change its output")
-    if not _flag(smote_raw.get("enabled", True), "smote.enabled"):
-        resampler = None
-    models, order = _parse_models(raw.get("models", []), seed, resampler)
-    tuning = _section(raw, "tuning")
-    reference = raw.get("reference_model")
-    if reference is not None and reference not in models:
-        raise ConfigError(f"reference model {reference!r} not in the roster")
-    for name, space in _section(tuning, "spaces").items():
-        if name not in models:
-            raise ConfigError(f"tuning space for unknown model {name!r}")
-        if isinstance(models[name], StackingSpec):
-            raise ConfigError(f"stacking model {name!r} cannot be tuned")
-        if not isinstance(space, dict) or not space:
-            raise ConfigError(f"tuning space for {name!r} must be a non-empty JSON object")
-        unknown = set(space) - set(default_hyperparameters(models[name].algorithm))
-        if unknown:
-            raise ConfigError(f"tuning space for {name!r} has unknown hyperparameters "
-                              f"{sorted(unknown)}")
-        try:
-            check_space(space)
-        except LearnerError as exc:
-            raise ConfigError(f"tuning space for {name!r}: {exc}") from None
-    explain = _section(raw, "explain")
-    explain_options = {key: _count(explain.get(key, default), f"explain.{key}", 1)
-                       for key, default in _EXPLAIN_DEFAULTS.items()}
-    synthetic = _section(raw, "synthetic")
-    imbalance = _number(float, synthetic.get("imbalance", 5.0), "synthetic.imbalance")
-    if not 0 < imbalance < math.inf:
-        raise ConfigError(f"synthetic.imbalance must be positive and finite, got {imbalance}")
-    resample_test = _flag(raw.get("resample_test", False), "resample_test")
-    if resample_test_override is not None:
-        resample_test = resample_test_override
-    return RunConfig(
-        dataset=raw.get("dataset", "synthetic"),
-        schema_path=raw.get("schema"),
-        target=raw.get("target", synth.TARGET),
-        seed=seed,
-        test_fraction=test_fraction,
-        resampler=resampler,
-        resample_test=resample_test,
-        models=models,
-        model_order=order,
-        tuning_spaces=tuning.get("spaces", {}),
-        tuning_n_iter=_count(tuning.get("n_iter", 10), "tuning.n_iter", 1),
-        tuning_folds=_count(tuning.get("folds", 5), "tuning.folds", 2),
-        cv_folds=_count(raw.get("cv_folds", 10), "cv_folds", 2),
-        reference_model=reference,
-        output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
-        synthetic_n=_count(synthetic.get("n", 2000), "synthetic.n", 1),
-        synthetic_imbalance=imbalance,
-        explain_options=explain_options,
-        raw=raw,
-    )
+    if raw.get("dataset", "synthetic") != "synthetic" and not raw.get("schema"):
+        raise ConfigError("a CSV dataset requires a schema path")
+    try:
+        seed = _setting(raw if seed_override is None else {"seed": seed_override}, "seed")
+        # the SMOTE settings are checked even when SMOTE is disabled
+        resampler = SmoteSettings(k_neighbors=_setting(raw, "smote.k_neighbors"))
+        _setting(raw, "smote.rounding")
+        if not _setting(raw, "smote.enabled"):
+            resampler = None
+        models, order = _parse_models(raw.get("models", []), seed, resampler)
+        tuning = _section(raw, "tuning")
+        reference = raw.get("reference_model")
+        if reference is not None and reference not in models:
+            raise ConfigError(f"reference model {reference!r} not in the roster")
+        for name, space in _section(tuning, "spaces").items():
+            if name not in models:
+                raise ConfigError(f"tuning space for unknown model {name!r}")
+            if isinstance(models[name], StackingSpec):
+                raise ConfigError(f"stacking model {name!r} cannot be tuned")
+            if not isinstance(space, dict) or not space:
+                raise ConfigError(f"tuning space for {name!r} must be a non-empty JSON object")
+            check_space(models[name].algorithm, space)
+        resample_test = _setting(raw, "resample_test")
+        return RunConfig(
+            dataset=raw.get("dataset", "synthetic"),
+            schema_path=raw.get("schema"),
+            target=raw.get("target", synth.TARGET),
+            seed=seed,
+            test_fraction=float(_setting(raw, "test_fraction")),
+            resampler=resampler,
+            resample_test=resample_test if resample_test_override is None
+            else resample_test_override,
+            models=models,
+            model_order=order,
+            tuning_spaces=tuning.get("spaces", {}),
+            tuning_n_iter=_setting(raw, "tuning.n_iter"),
+            tuning_folds=_setting(raw, "tuning.folds"),
+            cv_folds=_setting(raw, "cv_folds"),
+            reference_model=reference,
+            output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
+            synthetic_n=_setting(raw, "synthetic.n"),
+            synthetic_imbalance=float(_setting(raw, "synthetic.imbalance")),
+            explain_options={key.split(".")[1]: _setting(raw, key)
+                             for key in _SETTINGS if key.startswith("explain.")},
+            raw=raw,
+        )
+    except LearnerError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _sha256_bytes(data: bytes) -> str:

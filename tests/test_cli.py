@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imbalkit
 from imbalkit.cli import main
+from imbalkit.report import ConfigError, load_config
 from imbalkit.special import chi2_sf
 
 
@@ -42,6 +45,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path, out_dir
+
+
+# valid hyperparameters that every fit rejects: a categorical column index
+# outside the 22-column synthetic matrix
+UNFITTABLE_GBT = {"categorical_handling": "ordered-target-stats", "categorical_features": [99]}
 
 
 def run_cli(*args):
@@ -251,8 +259,7 @@ class TestBenchmark:
         assert not list(out.rglob("*.tmp"))
 
     def test_partial_failure_exit_code(self, tmp_path):
-        broken = {"name": "bad", "algorithm": "mlp",
-                  "hyperparameters": {"hidden_layer_sizes": [0]}}
+        broken = {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}
         cfg, out = write_config(tmp_path, reference_model="nb", models=[
             {"name": "nb", "algorithm": "naive-bayes"}, broken])
         result = run_cli("benchmark", "--config", cfg)
@@ -352,8 +359,7 @@ class TestExplain:
 
     def test_failed_fit_exits_4_without_traceback(self, tmp_path):
         cfg, out = write_config(tmp_path, reference_model="bad", models=[
-            {"name": "bad", "algorithm": "mlp",
-             "hyperparameters": {"hidden_layer_sizes": [0]}}])
+            {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}])
         result = run_cli("explain", "--config", cfg, "--model", "bad")
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
@@ -377,6 +383,12 @@ def with_stack(**entry):
     models = base_config("out")["models"]
     models[-1] = dict(models[-1], **entry)
     return {"models": models}
+
+
+def with_entry(algorithm, **hyperparameters):
+    """The base_config roster plus an entry "extra" of algorithm with hyperparameters."""
+    return {"models": base_config("out")["models"] + [
+        {"name": "extra", "algorithm": algorithm, "hyperparameters": hyperparameters}]}
 
 
 class TestResamplingLeakage:
@@ -414,7 +426,46 @@ class TestResamplingLeakage:
                 assert ids.size == 180 and np.all(ids >= 0), f"SMOTE rows reached {name}"
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+_RUN_SETTINGS = ["seed", "test_fraction", "cv_folds", "resample_test", "smote.k_neighbors",
+                 "smote.enabled", "tuning.n_iter", "tuning.folds", "synthetic.n",
+                 "synthetic.imbalance", "explain.n_permutations", "explain.background_rows",
+                 "explain.global_rows", "explain.lime_samples", "stack.oof_folds"]
+_SPACE_VALUES = _JSON | st.tuples(st.sampled_from(["uniform", "loguniform", "randint"]),
+                                  _JSON, _JSON).map(list)
+_SPACES = st.dictionaries(
+    st.sampled_from(["nb", "tree", "stack", "ghost"]),
+    _JSON | st.dictionaries(st.sampled_from(["var_smoothing", "max_depth", "min_samples_split",
+                                             "bogus"]), _SPACE_VALUES, max_size=2),
+    max_size=2)
+
+
 class TestErrorPaths:
+    @given(st.dictionaries(st.sampled_from(_RUN_SETTINGS), _JSON, max_size=4), _SPACES)
+    @settings(max_examples=150, deadline=None)
+    def test_load_config_raises_only_config_error(self, tmp_path_factory, run_settings,
+                                                  spaces):
+        """Arbitrary JSON run settings and tuning spaces load, or raise ConfigError."""
+        cfg = base_config("out", tuning={"spaces": spaces})
+        for dotted, value in run_settings.items():
+            *section, key = dotted.split(".")
+            target = cfg
+            if section == ["stack"]:
+                target = cfg["models"][-1]
+            elif section:
+                target = cfg.setdefault(section[0], {})
+            target[key] = value
+        path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+
     @pytest.mark.parametrize("overrides", [
         {"seed": "abc"},
         {"models": ["nb"]},
@@ -445,6 +496,24 @@ class TestErrorPaths:
         {"resample_test": "no"},
         {"smote": {"enabled": "false"}},
         {"smote": {"rounding": "nearest-code"}},
+        with_entry("logistic", C=0),
+        with_entry("decision-tree", max_depth="3"),
+        with_entry("naive-bayes", var_smoothing="x"),
+        {"tuning": {"spaces": {"nb": {"var_smoothing": "x"}}}},
+        with_entry("random-forest", max_features="log2"),
+        with_entry("knn", n_neighbors=2.5),
+        with_entry("gbt", learning_rate="fast"),
+        with_entry("mlp", hidden_layer_sizes=True),
+        with_entry("mlp", hidden_layer_sizes=[0]),
+        with_entry("svm", gamma=-1.0),
+        with_entry("decision-tree", max_depth=True),
+        {"seed": "7"},
+        {"synthetic": {"n": True}},
+        {"cv_folds": 4.5},
+        {"explain": {"lime_samples": 60.9}},
+        {"tuning": {"spaces": {"tree": {"max_depth": ["uniform", 2, 6]}}}},
+        {"tuning": {"spaces": {"nb": {"var_smoothing": ["randint", 1, 5]}}}},
+        {"dataset": "survey.csv"},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -455,23 +524,33 @@ class TestErrorPaths:
             "cv-one-fold", "synthetic-no-rows", "synthetic-zero-imbalance",
             "synthetic-infinite-imbalance",
             "uniform-bound-not-a-number", "randint-empty-range", "loguniform-from-zero",
-            "resample-test-string", "smote-enabled-string", "smote-rounding-nearest-code"])
+            "resample-test-string", "smote-enabled-string", "smote-rounding-nearest-code",
+            "logistic-zero-C", "depth-numeric-string", "smoothing-string",
+            "tuning-smoothing-string", "unknown-max-features", "fractional-neighbors",
+            "learning-rate-string", "hidden-sizes-bool", "hidden-layer-of-zero", "negative-gamma",
+            "depth-bool", "seed-numeric-string", "synthetic-rows-bool", "fractional-cv-folds",
+            "fractional-lime-samples", "uniform-over-integer-key", "randint-over-real-key",
+            "csv-without-schema"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
-        result = run_cli("benchmark", "--config", cfg)
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "config error" in result.output
-        assert "Traceback" not in result.output
+        for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):
+            result = run_cli(*command, "--config", cfg)
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "config error" in result.output
+            assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("command, overrides", [
-        ("benchmark", {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
-        ("compare", {"cv_folds": 50}),
-    ], ids=["tuning-folds-above-minority", "cv-folds-above-minority"])
+        (["benchmark"], {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
+        (["compare"], {"cv_folds": 50}),
+        (["benchmark"], with_stack(oof_folds=50)),
+        (["explain", "--model", "stack"], with_stack(oof_folds=50)),
+    ], ids=["tuning-folds-above-minority", "cv-folds-above-minority",
+            "oof-folds-above-minority", "explain-oof-folds-above-minority"])
     def test_fold_count_above_minority_exits_3_without_traceback(self, tmp_path, command,
                                                                  overrides):
         cfg, _ = write_config(tmp_path, **overrides)
-        result = run_cli(command, "--config", cfg)
+        result = run_cli(*command, "--config", cfg)
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "data error: fold count 50 exceeds the minority class count" in result.output

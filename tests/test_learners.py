@@ -12,6 +12,7 @@ from imbalkit.data import EncodedMatrix
 from imbalkit.learners import fit_model, predict_proba, tune_random_search
 from imbalkit.learners.base import (
     ALGORITHMS,
+    HYPERPARAMETERS,
     LearnerError,
     ModelSpec,
     child_rng,
@@ -55,7 +56,33 @@ def fast_spec(algorithm, seed=0, **extra):
     return ModelSpec(algorithm, hyper, seed)
 
 
+_CHOICES = sorted({c for table in HYPERPARAMETERS.values() for _, rule in table.values()
+                   for c in rule.choices if isinstance(c, str)})
+# JSON values: every kind of scalar, the strings the table accepts, short lists
+_JSON_VALUES = (st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.just(0.0)
+                | st.sampled_from(_CHOICES) | st.text(max_size=3)
+                | st.lists(st.integers(-3, 8) | st.floats() | st.text(max_size=2), max_size=3))
+
+
 class TestModelSpec:
+    @given(st.sampled_from([(a, k) for a in ALGORITHMS for k in HYPERPARAMETERS[a]]),
+           _JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_any_value_is_rejected_or_fits(self, algorithm_key, value):
+        """A value the table accepts never makes a fit raise anything but
+        LearnerError, nor return a probability outside [0, 1]."""
+        algorithm, key = algorithm_key
+        try:
+            spec = fast_spec(algorithm, **{key: value})
+        except LearnerError:
+            return
+        m = two_class_matrix(25, 15, seed=2)
+        try:
+            probs = predict_proba(fit_model(spec, m), m)
+        except LearnerError:
+            return
+        assert np.all(np.isfinite(probs)) and np.all((probs >= 0) & (probs <= 1))
+
     def test_unknown_algorithm(self):
         with pytest.raises(LearnerError):
             ModelSpec("xgboost")
@@ -416,6 +443,12 @@ class TestGbt:
         assert model.trees == trees
         assert [[r.tree, r.feature, r.gain] for r in model.split_records] == records
         assert np.array_equal(model.raw_score(X), raw)
+
+    def test_categorical_index_outside_the_matrix_rejected(self):
+        spec = fast_spec("gbt", categorical_handling="ordered-target-stats",
+                         categorical_features=[0, 3])
+        with pytest.raises(LearnerError, match="index 3 is outside the 3 columns"):
+            fit_model(spec, two_class_matrix(10, 10))
 
     def test_zero_trees_predicts_prevalence(self):
         m = two_class_matrix(30, 10, seed=10)
