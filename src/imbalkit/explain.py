@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,20 +63,36 @@ class ImportanceReport:
         return self.scores / total if total > 0 else self.scores
 
 
+# Rows per predict call when coalitions are scored; memory stays at a few such batches.
+_COALITION_ROWS = 600
+
+
 def _coalition_values(predict, x, background, masks):
-    """v(S) for each subset mask: mean prediction with features outside S
-    replaced by background-row values (interventional replacement)."""
+    """v(S) for each coalition: mean prediction with features outside S
+    replaced by background-row values (interventional replacement).
+
+    masks is a (k, d) boolean array, True for the features in S. The hybrids
+    of as many coalitions as fit in _COALITION_ROWS rows go to one predict
+    call (one coalition per call if the background alone is larger), so
+    predict must score each row on its own.
+    """
     x = np.asarray(x, dtype=float)
     bg = np.asarray(background, dtype=float)
     n_bg, d = bg.shape
+    masks = np.asarray(masks, dtype=bool)
+    step = max(1, _COALITION_ROWS // n_bg)
     out = np.empty(len(masks))
-    for i, mask in enumerate(masks):
-        hybrid = bg.copy()
-        idx = [j for j in range(d) if mask >> j & 1]
-        if idx:
-            hybrid[:, idx] = x[idx]
-        out[i] = float(np.mean(predict(hybrid)))
+    for start in range(0, len(masks), step):
+        keep = masks[start:start + step]
+        hybrid = np.where(keep[:, None, :], x, bg[None])
+        preds = np.asarray(predict(hybrid.reshape(-1, d)), dtype=float)
+        out[start:start + len(keep)] = preds.reshape(len(keep), n_bg).mean(axis=1)
     return out
+
+
+def _mask_rows(masks, d: int) -> np.ndarray:
+    """Boolean rows of Python-int coalitions (bit j: feature j), so any d fits."""
+    return np.array([[mask >> j & 1 for j in range(d)] for mask in masks], dtype=bool)
 
 
 def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
@@ -94,8 +111,8 @@ def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
         raise ExplainError(
             f"{d} features exceed the exact limit {max_features}; use shapley_sampled"
         )
-    masks = list(range(1 << d))
-    v = _coalition_values(predict, x, bg, masks)
+    masks = range(1 << d)
+    v = _coalition_values(predict, x, bg, _mask_rows(masks, d))
     fact = [math.factorial(k) for k in range(d + 1)]
     phi = np.zeros(d)
     for mask in masks:
@@ -116,7 +133,8 @@ def shapley_sampled(predict, x, background, n_permutations: int, seed: int = 0
 
     When n_permutations is a multiple of d! (d small), orderings are
     enumerated in full blocks, so complete coverage reproduces the exact
-    values; otherwise the remainder is sampled uniformly.
+    values; otherwise the remainder is sampled uniformly. The distinct
+    coalitions along all permutations are evaluated in one batched pass.
     """
     if n_permutations < 1:
         raise ExplainError("n_permutations must be >= 1")
@@ -132,26 +150,22 @@ def shapley_sampled(predict, x, background, n_permutations: int, seed: int = 0
         perms.extend(tuple(rng.permutation(d)) for _ in range(rem))
     else:
         perms.extend(tuple(rng.permutation(d)) for _ in range(n_permutations))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), d)
 
-    cache: dict[int, float] = {}
-
-    def v(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = _coalition_values(predict, x, bg, [mask])[0]
-        return cache[mask]
+    # each permutation's chain of d + 1 coalitions, as rows of the table of
+    # distinct coalitions in the order they are first reached
+    index = {0: 0}
+    chains = [[0] + [index.setdefault(mask, len(index))
+                     for mask in itertools.accumulate((1 << j for j in perm), operator.or_)]
+              for perm in perms.tolist()]
+    v = _coalition_values(predict, x, bg, _mask_rows(index, d))
 
     phi = np.zeros(d)
-    for perm in perms:
-        mask = 0
-        prev = v(0)
-        for j in perm:
-            mask |= 1 << int(j)
-            cur = v(mask)
-            phi[j] += cur - prev
-            prev = cur
+    for chain, perm in zip(chains, perms):
+        phi[perm] += np.diff(v[chain])
     phi /= len(perms)
     prediction = float(np.asarray(predict(x[None, :]))[0])
-    return Attribution(values=phi, base_value=v(0), prediction=prediction,
+    return Attribution(values=phi, base_value=float(v[0]), prediction=prediction,
                        method="shapley-sampled")
 
 

@@ -178,9 +178,10 @@ def _add_nodes(tree, nodes, depth) -> int:
 
 
 def _flatten(trees):
-    """Parallel node arrays (feature, threshold, left, right, value) of all
-    trees, the index of each root, and the depth of the deepest leaf. A leaf
-    points to itself, so walking that many levels from the roots ends on
+    """Flat node arrays (feature, threshold, children, value) of all trees, the
+    index of each root, and the depth of the deepest leaf. children interleaves
+    each node's right and left child, so node i steps to children[2*i + go_left].
+    A leaf points to itself, so walking that many levels from the roots ends on
     every row's leaf in every tree."""
     nodes: list = []
     roots = []
@@ -189,8 +190,9 @@ def _flatten(trees):
         roots.append(len(nodes))
         depth = max(depth, _add_nodes(tree, nodes, 0))
     table = np.array(nodes, dtype=float).reshape(-1, 5)
-    feature, left, right = table[:, [0, 2, 3]].astype(np.intp).T
-    return (feature, table[:, 1], left, right, table[:, 4]), np.array(roots, dtype=np.intp), depth
+    feature = table[:, 0].astype(np.intp)
+    children = table[:, [3, 2]].astype(np.intp).ravel()
+    return (feature, table[:, 1], children, table[:, 4]), np.array(roots, dtype=np.intp), depth
 
 
 class GbtModel(TrainedModel):
@@ -269,13 +271,15 @@ class GbtModel(TrainedModel):
     def _leaf_values(self, values: np.ndarray) -> np.ndarray:
         """(n_trees, n_rows) leaf values, walked one level at a time for every
         row and tree at once."""
-        feature, threshold, left, right, value = self._nodes
-        node = np.repeat(self._roots[:, None], values.shape[0], axis=1)
-        rows = np.arange(values.shape[0])
+        feature, threshold, children, value = self._nodes
+        n, d = values.shape
+        flat = values.ravel()  # row-major, copied if values is not
+        base = np.arange(n) * d  # each row's offset in flat
+        node = np.repeat(self._roots[:, None], n, axis=1)
         for _ in range(self._depth):
-            go_left = values[rows, feature[node]] <= threshold[node]
-            node = np.where(go_left, left[node], right[node])
-        return value[node]
+            go_left = flat.take(base + feature.take(node)) <= threshold.take(node)
+            node = children.take(2 * node + go_left)
+        return value.take(node)
 
     def raw_score(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(self._transform(values), dtype=float)

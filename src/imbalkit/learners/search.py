@@ -18,12 +18,15 @@ __all__ = ["SearchSpace", "CandidateScore", "check_space", "sample_spec", "tune_
 #   ("loguniform", lo, hi)            (float, log scale)
 #   ("randint", lo, hi)               (integer, hi exclusive)
 #   any other value                   (fixed)
+# a distribution only for a numeric hyperparameter: knn's
+# ["uniform", "distance"] is a list of choices
 SearchSpace = dict
 _DISTRIBUTIONS = ("uniform", "loguniform", "randint")
 
 
-def _is_distribution(dist) -> bool:
-    return isinstance(dist, (list, tuple)) and bool(dist) and dist[0] in _DISTRIBUTIONS
+def _is_distribution(dist, rule) -> bool:
+    return (rule.kind is not None and isinstance(dist, (list, tuple)) and bool(dist)
+            and dist[0] in _DISTRIBUTIONS)
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ def check_space(algorithm: str, space: SearchSpace) -> None:
     and loguniform (lo > 0) only real ones."""
     for key, rule in hyperparameter_rules(algorithm, space).items():
         dist = space[key]
-        if not _is_distribution(dist):
+        if not _is_distribution(dist, rule):
             for choice in dist if isinstance(dist, (list, tuple)) and dist else [dist]:
                 check_value(rule, choice, f"{algorithm} {key}")
             continue
@@ -57,8 +60,9 @@ def check_space(algorithm: str, space: SearchSpace) -> None:
 def sample_spec(spec: ModelSpec, space: SearchSpace, rng) -> ModelSpec:
     """spec with the hyperparameters in space drawn from their distributions."""
     hyper = {}
-    for key, dist in space.items():
-        if _is_distribution(dist):
+    for key, rule in hyperparameter_rules(spec.algorithm, space).items():
+        dist = space[key]
+        if _is_distribution(dist, rule):
             kind, lo, hi = dist
             if kind == "uniform":
                 hyper[key] = float(rng.uniform(lo, hi))

@@ -109,8 +109,8 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
             raise ConfigError(f"model entry {entry!r} is not a JSON object")
         name = entry.get("name")
         algo = entry.get("algorithm")
-        if not name or not algo:
-            raise ConfigError("every model entry needs 'name' and 'algorithm'")
+        if not (name and isinstance(name, str) and algo and isinstance(algo, str)):
+            raise ConfigError("every model entry needs 'name' and 'algorithm' strings")
         if name in specs or name in [d[0] for d in deferred]:
             raise ConfigError(f"duplicate model name {name!r}")
         order.append(name)
@@ -165,7 +165,7 @@ def load_config(path, seed_override: int | None = None,
         models, order = _parse_models(raw.get("models", []), seed, resampler)
         tuning = _section(raw, "tuning")
         reference = raw.get("reference_model")
-        if reference is not None and reference not in models:
+        if reference is not None and (not isinstance(reference, str) or reference not in models):
             raise ConfigError(f"reference model {reference!r} not in the roster")
         for name, space in _section(tuning, "spaces").items():
             if name not in models:

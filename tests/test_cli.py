@@ -293,6 +293,20 @@ class TestBenchmark:
             assert "('n_estimators', 3)" in row[2], row
 
 
+    def test_knn_weights_space_is_a_list_of_choices(self, tmp_path):
+        # a list that starts with a distribution's name is a distribution only
+        # for a numeric hyperparameter
+        cfg, out = write_config(
+            tmp_path, reference_model="knn",
+            models=[{"name": "knn", "algorithm": "knn"}],
+            tuning={"spaces": {"knn": {"weights": ["uniform", "distance"]}},
+                    "n_iter": 4, "folds": 3})
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        drawn = {row[2].split("('weights', ")[1][1:-3]
+                 for row in read_csv(out / "tuning" / "knn.csv")[1:]}
+        assert drawn <= {"uniform", "distance"} and drawn
+
 class TestCompare:
     def test_outputs(self, tmp_path):
         cfg, out = write_config(tmp_path)
@@ -514,6 +528,12 @@ class TestErrorPaths:
         {"tuning": {"spaces": {"tree": {"max_depth": ["uniform", 2, 6]}}}},
         {"tuning": {"spaces": {"nb": {"var_smoothing": ["randint", 1, 5]}}}},
         {"dataset": "survey.csv"},
+        {**with_entry("knn"), "tuning": {"spaces": {"extra": {"weights": ["uniform", 0, 1]}}}},
+        {"reference_model": ["stack"]},
+        {"models": base_config("out")["models"] + [{"name": ["extra"],
+                                                     "algorithm": "naive-bayes"}]},
+        {"models": base_config("out")["models"] + [{"name": "extra",
+                                                     "algorithm": ["naive-bayes"]}]},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -530,7 +550,8 @@ class TestErrorPaths:
             "learning-rate-string", "hidden-sizes-bool", "hidden-layer-of-zero", "negative-gamma",
             "depth-bool", "seed-numeric-string", "synthetic-rows-bool", "fractional-cv-folds",
             "fractional-lime-samples", "uniform-over-integer-key", "randint-over-real-key",
-            "csv-without-schema"])
+            "csv-without-schema", "uniform-over-choice-key", "reference-model-list",
+            "model-name-list", "algorithm-list"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):

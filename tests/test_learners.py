@@ -21,7 +21,7 @@ from imbalkit.learners.base import (
     save_model,
     serialize_model,
 )
-from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
+from imbalkit.learners.gbt import GbtModel, _flatten, ordered_target_statistics
 from imbalkit.learners.linear import (
     LinearParams,
     fit_logistic,
@@ -463,6 +463,33 @@ class TestGbt:
         for tree in model.trees:
             manual = manual + model.learning_rate * _walk(tree, m.values)
         np.testing.assert_allclose(model.raw_score(m.values), manual, atol=1e-12)
+
+    def test_flat_walk_reads_non_contiguous_input(self):
+        m = two_class_matrix(60, 40, d=4, seed=13)
+        model = fit_model(ModelSpec("gbt", {"n_estimators": 15, "max_depth": 3}), m)
+        contiguous = model.raw_score(np.ascontiguousarray(m.values))
+        wide = np.hstack([m.values, -m.values])
+        for values in (np.asfortranarray(m.values), wide[:, :4], wide[:, ::-1][:, 7:3:-1]):
+            assert not values.flags.c_contiguous
+            assert np.array_equal(model.raw_score(values), contiguous)
+
+    def test_flat_nodes_encode_the_nested_trees(self):
+        m = two_class_matrix(60, 40, d=4, seed=14)
+        model = fit_model(ModelSpec("gbt", {"n_estimators": 6, "max_depth": 3}), m)
+        (feature, threshold, children, value), roots, depth = _flatten(model.trees)
+
+        def unflatten(i):
+            left, right = children[2 * i + 1], children[2 * i]
+            if left == right == i:
+                return {"value": float(value[i])}
+            return {"feature": int(feature[i]), "threshold": float(threshold[i]),
+                    "left": unflatten(left), "right": unflatten(right)}
+
+        assert [unflatten(r) for r in roots] == model.trees
+        assert depth == 3
+        restored = deserialize_model(json.loads(json.dumps(serialize_model(model))))
+        assert restored.trees == model.trees
+        assert np.array_equal(restored.raw_score(m.values), model.raw_score(m.values))
 
     def test_histogram_covering_all_values_matches_exact(self):
         # every feature has < 64 distinct values, so bins=64 reproduces the
