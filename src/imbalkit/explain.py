@@ -111,17 +111,18 @@ def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
         raise ExplainError(
             f"{d} features exceed the exact limit {max_features}; use shapley_sampled"
         )
-    masks = range(1 << d)
-    v = _coalition_values(predict, x, bg, _mask_rows(masks, d))
+    masks = np.arange(1 << d)
+    member = ((masks[:, None] >> np.arange(d)) & 1).astype(bool)  # bit j: feature j
+    v = _coalition_values(predict, x, bg, member)
     fact = [math.factorial(k) for k in range(d + 1)]
-    phi = np.zeros(d)
-    for mask in masks:
-        s = bin(mask).count("1")
-        for j in range(d):
-            if mask >> j & 1:
-                continue
-            w = fact[s] * fact[d - s - 1] / fact[d]
-            phi[j] += w * (v[mask | (1 << j)] - v[mask])
+    weight = np.array([fact[s] * fact[d - s - 1] / fact[d] for s in range(d)])
+    size = member.sum(axis=1)
+    phi = np.empty(d)
+    for j in range(d):
+        without = masks[~member[:, j]]
+        terms = weight[size[without]] * (v[without | (1 << j)] - v[without])
+        # a sequential sum from 0.0 over ascending masks, as a scalar loop adds
+        phi[j] = np.concatenate(([0.0], terms)).cumsum()[-1]
     prediction = float(np.asarray(predict(x[None, :]))[0])
     return Attribution(values=phi, base_value=float(v[0]), prediction=prediction,
                        method="shapley-exact")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelSpec, TrainedModel, child_rng
-from .tree import TreeNode, build_tree, tree_predict
+from .tree import TreeNode, build_tree, flatten_trees, leaf_values
 
 __all__ = ["RandomForestModel"]
 
@@ -18,6 +18,7 @@ class RandomForestModel(TrainedModel):
     def __init__(self, trees: list[TreeNode], feature_names):
         super().__init__(feature_names)
         self.trees = trees
+        self._flat = flatten_trees([t.to_dict() for t in trees])
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "RandomForestModel":
@@ -41,8 +42,8 @@ class RandomForestModel(TrainedModel):
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         acc = np.zeros(values.shape[0])
-        for root in self.trees:
-            acc += tree_predict(root, values)
+        for leaf in leaf_values(self._flat, values):
+            acc += leaf
         return acc / len(self.trees)
 
     def params_dict(self) -> dict:

@@ -10,8 +10,9 @@ rows in each column's sorted order, so no node sorts. A column's split
 candidates are the midpoints between its consecutive distinct training
 values; `bins > 0` subsamples them to at most `bins` evenly spaced ones, and
 the same search runs over that subset. Fitted trees are kept as nested dicts,
-their serialized form, and as parallel node arrays over all trees, which
-predict walks one level at a time for every row and tree at once.
+their serialized form, and as parallel node arrays over all trees
+(`tree.flatten_trees`), which predict walks one level at a time for every
+row and tree at once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .base import LearnerError, ModelSpec, TrainedModel, child_rng
 from .linear import sigmoid
+from .tree import flatten_trees, leaf_values
 
 __all__ = ["GbtModel", "SplitRecord", "ordered_target_statistics"]
 
@@ -163,38 +165,6 @@ class _Grower:
         return (*best, best_gain)
 
 
-def _add_nodes(tree, nodes, depth) -> int:
-    """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
-    i = len(nodes)
-    if "feature" not in tree:
-        nodes.append((0, 0.0, i, i, tree["value"]))
-        return depth
-    nodes.append(None)
-    left_depth = _add_nodes(tree["left"], nodes, depth + 1)
-    right = len(nodes)
-    right_depth = _add_nodes(tree["right"], nodes, depth + 1)
-    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0)
-    return max(left_depth, right_depth)
-
-
-def _flatten(trees):
-    """Flat node arrays (feature, threshold, children, value) of all trees, the
-    index of each root, and the depth of the deepest leaf. children interleaves
-    each node's right and left child, so node i steps to children[2*i + go_left].
-    A leaf points to itself, so walking that many levels from the roots ends on
-    every row's leaf in every tree."""
-    nodes: list = []
-    roots = []
-    depth = 0
-    for tree in trees:
-        roots.append(len(nodes))
-        depth = max(depth, _add_nodes(tree, nodes, 0))
-    table = np.array(nodes, dtype=float).reshape(-1, 5)
-    feature = table[:, 0].astype(np.intp)
-    children = table[:, [3, 2]].astype(np.intp).ravel()
-    return (feature, table[:, 1], children, table[:, 4]), np.array(roots, dtype=np.intp), depth
-
-
 class GbtModel(TrainedModel):
     algorithm = "gbt"
 
@@ -203,7 +173,7 @@ class GbtModel(TrainedModel):
                  cat_encoders=None):
         super().__init__(feature_names)
         self.trees = trees  # nested dicts, as params_dict writes them
-        self._nodes, self._roots, self._depth = _flatten(trees)
+        self._flat = flatten_trees(trees)
         self.base_log_odds = base_log_odds
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
@@ -268,23 +238,10 @@ class GbtModel(TrainedModel):
             values[:, j] = out
         return values
 
-    def _leaf_values(self, values: np.ndarray) -> np.ndarray:
-        """(n_trees, n_rows) leaf values, walked one level at a time for every
-        row and tree at once."""
-        feature, threshold, children, value = self._nodes
-        n, d = values.shape
-        flat = values.ravel()  # row-major, copied if values is not
-        base = np.arange(n) * d  # each row's offset in flat
-        node = np.repeat(self._roots[:, None], n, axis=1)
-        for _ in range(self._depth):
-            go_left = flat.take(base + feature.take(node)) <= threshold.take(node)
-            node = children.take(2 * node + go_left)
-        return value.take(node)
-
     def raw_score(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(self._transform(values), dtype=float)
         acc = np.full(values.shape[0], self.base_log_odds)
-        for leaf in self._leaf_values(values):
+        for leaf in leaf_values(self._flat, values):
             acc += self.learning_rate * leaf
         return acc
 

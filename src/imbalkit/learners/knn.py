@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import data
 from .base import ModelSpec, TrainedModel
 
 __all__ = ["KnnModel"]
@@ -26,28 +27,43 @@ class KnnModel(TrainedModel):
         return cls(X, y, k, h["weights"], feature_names)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        sq_t = np.sum(self.X * self.X, axis=1)
+        """Mean label of each row's nearest training rows, scored in blocks of
+        _NN_BLOCK query rows. Rows exactly tied with the k-th distance are all
+        included and share the boundary weight, so exact ties average out; with
+        distance weights, training rows at distance 0 decide alone."""
+        X, y, k = self.X, self.y, self.n_neighbors
+        sq_t = np.sum(X * X, axis=1)
         out = np.empty(values.shape[0])
-        for i in range(values.shape[0]):
-            x = values[i]
-            d2 = np.maximum(sq_t - 2.0 * (self.X @ x) + x @ x, 0.0)
-            order = np.argsort(d2, kind="stable")
-            kth = d2[order[self.n_neighbors - 1]]
-            # rows exactly tied with the k-th distance are all included and
-            # share the boundary weight, so exact ties average out
-            idx = np.flatnonzero(d2 <= kth)
-            dd = d2[idx]
-            yy = self.y[idx]
-            if self.weights == "uniform":
-                out[i] = yy.mean()
-            else:
+        for start in range(0, values.shape[0], data._NN_BLOCK):
+            block = values[start:start + data._NN_BLOCK]
+            d2 = np.empty((block.shape[0], X.shape[0]))
+            for i, x in enumerate(block):
+                d2[i] = sq_t - 2.0 * (X @ x) + x @ x
+            np.maximum(d2, 0.0, out=d2)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+            near = d2 <= kth
+            # exactly k neighbours and no zero distance: one vectorized vote
+            regular = (near.sum(axis=1) == k) & ~(d2 == 0.0).any(axis=1)
+            cols = near[regular].nonzero()[1].reshape(-1, k)
+            out[start:start + block.shape[0]][regular] = self._vote(
+                np.take_along_axis(d2[regular], cols, axis=1), y.take(cols))
+            for i in np.flatnonzero(~regular):
+                idx = np.flatnonzero(near[i])
+                dd, yy = d2[i, idx], y.take(idx)
                 zero = dd == 0.0
-                if np.any(zero):
-                    out[i] = yy[zero].mean()
+                if self.weights == "distance" and zero.any():
+                    out[start + i] = yy[zero].mean()
                 else:
-                    w = 1.0 / np.sqrt(dd)
-                    out[i] = float(np.sum(w * yy) / np.sum(w))
+                    out[start + i] = self._vote(dd[None], yy[None])[0]
         return out
+
+    def _vote(self, dd: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        """Per row of (rows, m) neighbour distances and labels, none of them
+        at distance 0: the mean label, or the inverse-distance weighted one."""
+        if self.weights == "uniform":
+            return yy.mean(axis=1)
+        w = 1.0 / np.sqrt(dd)
+        return np.sum(w * yy, axis=1) / np.sum(w, axis=1)
 
     def params_dict(self) -> dict:
         return {"X": self.X.tolist(), "y": self.y.tolist(),

@@ -1,4 +1,6 @@
-"""Entropy-criterion decision tree grown by exhaustive threshold search."""
+"""Entropy-criterion decision tree grown by exhaustive threshold search, and
+the flat, level-wise walk that every tree model (decision tree, random forest,
+gradient-boosted trees) predicts through."""
 
 from __future__ import annotations
 
@@ -69,36 +71,34 @@ class TreeNode:
 
 def best_entropy_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
     """Highest information-gain split; ties break to the lowest feature index,
-    then the lowest threshold. Returns (feature, threshold, gain) or None."""
+    then the lowest threshold. Returns (feature, threshold, gain) or None.
+
+    Every column is scored in one pass: one stable sort per column, one prefix
+    sum of labels, and one entropy evaluation over every (position, column)
+    pair, with positions between equal values masked out."""
     n = y.size
     pos_total = int(y.sum())
     parent = entropy_impurity((n - pos_total, pos_total))
     if parent == 0.0:
         return None
+    order = X.argsort(axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    pos_left = y.take(order).cumsum(axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    pos_right = pos_total - pos_left
+    h_left = _entropy_vec(pos_left.astype(float), n_left.astype(float))
+    h_right = _entropy_vec(pos_right.astype(float), n_right.astype(float))
+    gains = parent - (n_left / n) * h_left - (n_right / n) * h_right
+    gains[xs[1:] == xs[:-1]] = -np.inf  # no boundary between equal values
+    ks = gains.argmax(axis=0)
     best = None
-    for j in range(X.shape[1]):
-        x = X[:, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        boundaries = np.flatnonzero(xs[1:] != xs[:-1])
-        if boundaries.size == 0:
-            continue
-        pos_prefix = np.cumsum(ys)
-        n_left = boundaries + 1
-        pos_left = pos_prefix[boundaries]
-        n_right = n - n_left
-        pos_right = pos_total - pos_left
-        h_left = _entropy_vec(pos_left.astype(float), n_left.astype(float))
-        h_right = _entropy_vec(pos_right.astype(float), n_right.astype(float))
-        gains = parent - (n_left / n) * h_left - (n_right / n) * h_right
-        k = int(np.argmax(gains))
-        gain = float(gains[k])
+    for j, k in enumerate(ks.tolist()):
+        gain = float(gains[k, j])
         if gain <= 1e-12:
             continue
-        threshold = 0.5 * (xs[boundaries[k]] + xs[boundaries[k] + 1])
         if best is None or gain > best[2] + 1e-15:
-            best = (j, float(threshold), gain)
+            best = (j, float(0.5 * (xs[k, j] + xs[k + 1, j])), gain)
     return best
 
 
@@ -134,14 +134,51 @@ def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: 
     return node
 
 
-def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        node = root
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        out[i] = node.value
-    return out
+def _add_nodes(tree, nodes, depth) -> int:
+    """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
+    i = len(nodes)
+    if "feature" not in tree:
+        nodes.append((0, 0.0, i, i, tree["value"]))
+        return depth
+    nodes.append(None)
+    left_depth = _add_nodes(tree["left"], nodes, depth + 1)
+    right = len(nodes)
+    right_depth = _add_nodes(tree["right"], nodes, depth + 1)
+    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0)
+    return max(left_depth, right_depth)
+
+
+def flatten_trees(trees):
+    """Flat node arrays (feature, threshold, children, value) of nested-dict
+    trees, the index of each root, and the depth of the deepest leaf. children
+    interleaves each node's right and left child, so node i steps to
+    children[2*i + go_left]. A leaf points to itself, so walking that many
+    levels from the roots ends on every row's leaf in every tree."""
+    nodes: list = []
+    roots = []
+    depth = 0
+    for tree in trees:
+        roots.append(len(nodes))
+        depth = max(depth, _add_nodes(tree, nodes, 0))
+    table = np.array(nodes, dtype=float).reshape(-1, 5)
+    feature = table[:, 0].astype(np.intp)
+    children = table[:, [3, 2]].astype(np.intp).ravel()
+    return (feature, table[:, 1], children, table[:, 4]), np.array(roots, dtype=np.intp), depth
+
+
+def leaf_values(flat, values: np.ndarray) -> np.ndarray:
+    """(n_trees, n_rows) leaf values of flatten_trees' output `flat`, walked
+    one level at a time for every row and tree at once; a row goes left when
+    its value is <= the node's threshold."""
+    (feature, threshold, children, value), roots, depth = flat
+    n, d = values.shape
+    cells = values.ravel()  # row-major, copied if values is not
+    base = np.arange(n) * d  # each row's offset in cells
+    node = np.repeat(roots[:, None], n, axis=1)
+    for _ in range(depth):
+        go_left = cells.take(base + feature.take(node)) <= threshold.take(node)
+        node = children.take(2 * node + go_left)
+    return value.take(node)
 
 
 class DecisionTreeModel(TrainedModel):
@@ -150,6 +187,7 @@ class DecisionTreeModel(TrainedModel):
     def __init__(self, root: TreeNode, feature_names):
         super().__init__(feature_names)
         self.root = root
+        self._flat = flatten_trees([root.to_dict()])
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":
@@ -158,7 +196,7 @@ class DecisionTreeModel(TrainedModel):
         return cls(root, feature_names)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        return tree_predict(self.root, values)
+        return leaf_values(self._flat, values)[0]
 
     def params_dict(self) -> dict:
         return {"root": self.root.to_dict()}

@@ -66,17 +66,12 @@ def synthetic_dataset(n: int = 2000, seed: int = 7, imbalance: float = 5.0) -> D
     threshold = np.quantile(z, imbalance / (imbalance + 1.0))
     y = (z > threshold).astype(int)
 
-    rows = []
-    for r in range(n):
-        cells = []
-        for i in range(14):
-            cells.append(_categories(3 + i % 4)[cat_codes[r, i]])
-        for i in range(4):
-            cells.append(("no", "yes")[bin_codes[r, i]])
-        for i in range(4):
-            cells.append(f"{cont[r, i]:.6f}")
-        cells.append(("absent", "present")[y[r]])
-        rows.append(tuple(cells))
+    levels = [_categories(3 + i % 4) for i in range(14)]  # built once, not per cell
+    columns = [[levels[i][c] for c in cat_codes[:, i].tolist()] for i in range(14)]
+    columns += [[("no", "yes")[c] for c in bin_codes[:, i].tolist()] for i in range(4)]
+    columns += [[f"{v:.6f}" for v in cont[:, i].tolist()] for i in range(4)]
+    columns.append([("absent", "present")[c] for c in y.tolist()])
+    rows = list(zip(*columns))
     return dataset_from_rows(schema, rows, TARGET)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -118,6 +119,13 @@ class TestLoading:
         write_schema_json(ds.schema, schema_path)
         loaded = load_dataset(csv_path, load_schema(schema_path), ds.target)
         assert loaded.rows == ds.rows
+
+    def test_synthetic_csv_is_pinned(self, tmp_path):
+        # sha256 recorded when every cell still rebuilt its category tuple
+        path = tmp_path / "synth.csv"
+        write_dataset_csv(synthetic_dataset(200, seed=7), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c5c8a373589a1d21cfaeb16f7cb1736596d57dc0d699cf78492b951f1d53096b")
 
 
 class TestEncoding:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,26 @@ def linear_predict(w, b=0.0):
         return np.asarray(X, dtype=float) @ w + b
 
     return predict
+
+
+
+def _loop_shapley_exact(predict, x, background):
+    """phi of the scalar loop over masks and features that shapley_exact's
+    array form replaced, on the same coalition values."""
+    d = x.size
+    masks = range(1 << d)
+    v = explain._coalition_values(predict, x, np.atleast_2d(background),
+                                  explain._mask_rows(masks, d))
+    fact = [math.factorial(k) for k in range(d + 1)]
+    phi = np.zeros(d)
+    for mask in masks:
+        s = bin(mask).count("1")
+        for j in range(d):
+            if mask >> j & 1:
+                continue
+            w = fact[s] * fact[d - s - 1] / fact[d]
+            phi[j] += w * (v[mask | (1 << j)] - v[mask])
+    return phi
 
 
 class TestShapleyExact:
@@ -91,6 +113,32 @@ class TestShapleyExact:
         with pytest.raises(ExplainError):
             shapley_exact(lambda X: np.zeros(len(X)), np.zeros(3),
                           np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("algorithm, hyper", [
+        ("gbt", {"n_estimators": 20}),
+        ("logistic", {}),
+        ("knn", {}),
+    ])
+    def test_matches_the_scalar_loop(self, algorithm, hyper):
+        for d in (1, 2, 5, 10):
+            m = two_class_matrix(60, 40, d=d, seed=d)
+            model = fit_model(ModelSpec(algorithm, hyper), m)
+            predict = lambda X, model=model: predict_proba(model, X)
+            x, bg = m.values[3], m.values[50:60]
+            att = shapley_exact(predict, x, bg)
+            assert np.array_equal(att.values, _loop_shapley_exact(predict, x, bg))
+
+    def test_signed_zeros_match_the_scalar_loop(self):
+        # every term of feature 0, w * -5e-324 with w < 1, underflows to -0.0;
+        # the loop adds them to +0.0
+        x, bg = np.array([1.0, 2.0, 3.0]), np.zeros((1, 3))
+
+        def predict(X):
+            return np.where(np.asarray(X)[:, 0] == 1.0, -5e-324, 0.0)
+
+        att = shapley_exact(predict, x, bg)
+        assert att.values.tobytes() == _loop_shapley_exact(predict, x, bg).tobytes()
+        assert not np.signbit(att.values).any()
 
 
 class TestShapleySampled:

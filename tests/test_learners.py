@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbalkit import data as data_module
 from imbalkit.data import EncodedMatrix
 from imbalkit.learners import fit_model, predict_proba, tune_random_search
 from imbalkit.learners.base import (
@@ -21,7 +22,7 @@ from imbalkit.learners.base import (
     save_model,
     serialize_model,
 )
-from imbalkit.learners.gbt import GbtModel, _flatten, ordered_target_statistics
+from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
 from imbalkit.learners.linear import (
     LinearParams,
     fit_logistic,
@@ -32,11 +33,13 @@ from imbalkit.learners.linear import (
 from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
 from imbalkit.learners import svm as svm_module
 from imbalkit.learners.svm import _kernel_matrix, _smo
+from imbalkit.learners import tree as tree_module
 from imbalkit.learners.tree import (
+    _entropy_vec,
     best_entropy_split,
     build_tree,
     entropy_impurity,
-    tree_predict,
+    flatten_trees,
 )
 
 from conftest import two_class_matrix
@@ -264,7 +267,7 @@ class TestEntropyTree:
         X = np.tile(base, (8, 1))
         y = np.tile(np.array([0, 0, 0, 1]), 8)
         root = build_tree(X, y, max_depth=2, min_samples_split=2)
-        preds = tree_predict(root, base)
+        preds = _walk(root.to_dict(), base)
         assert preds.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_xor_root_stays_leaf(self):
@@ -274,7 +277,7 @@ class TestEntropyTree:
         X = np.tile(base, (8, 1))
         y = np.tile(np.array([0, 1, 1, 0]), 8)
         root = build_tree(X, y, max_depth=4, min_samples_split=2)
-        assert tree_predict(root, base).tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert _walk(root.to_dict(), base).tolist() == [0.5, 0.5, 0.5, 0.5]
 
     def test_every_internal_node_reduces_impurity(self):
         m = two_class_matrix(60, 40, d=5, seed=5)
@@ -308,7 +311,7 @@ class TestRandomForest:
     def test_probability_is_mean_of_trees(self):
         m = two_class_matrix(40, 25, seed=7)
         model = fit_model(fast_spec("random-forest"), m)
-        manual = np.mean([tree_predict(t, m.values) for t in model.trees], axis=0)
+        manual = np.mean([_walk(t.to_dict(), m.values) for t in model.trees], axis=0)
         np.testing.assert_allclose(model.predict_proba_values(m.values), manual,
                                    atol=1e-12)
 
@@ -316,7 +319,7 @@ class TestRandomForest:
         m = two_class_matrix(30, 20, seed=8)
         model = fit_model(ModelSpec("random-forest", {"n_estimators": 1}), m)
         np.testing.assert_array_equal(model.predict_proba_values(m.values),
-                                      tree_predict(model.trees[0], m.values))
+                                      _walk(model.trees[0].to_dict(), m.values))
 
     def test_different_seeds_differ(self):
         m = two_class_matrix(40, 25, seed=9)
@@ -367,6 +370,128 @@ def _walk(tree, X):
             node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
         out[i] = node["value"]
     return out
+
+
+
+def _reference_best_split(X, y):
+    """The per-column split search the one-pass search replaced."""
+    n = y.size
+    pos_total = int(y.sum())
+    parent = entropy_impurity((n - pos_total, pos_total))
+    if parent == 0.0:
+        return None
+    best = None
+    for j in range(X.shape[1]):
+        x = X[:, j]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[order]
+        boundaries = np.flatnonzero(xs[1:] != xs[:-1])
+        if boundaries.size == 0:
+            continue
+        pos_prefix = np.cumsum(ys)
+        n_left = boundaries + 1
+        pos_left = pos_prefix[boundaries]
+        n_right = n - n_left
+        pos_right = pos_total - pos_left
+        h_left = _entropy_vec(pos_left.astype(float), n_left.astype(float))
+        h_right = _entropy_vec(pos_right.astype(float), n_right.astype(float))
+        gains = parent - (n_left / n) * h_left - (n_right / n) * h_right
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain <= 1e-12:
+            continue
+        threshold = 0.5 * (xs[boundaries[k]] + xs[boundaries[k] + 1])
+        if best is None or gain > best[2] + 1e-15:
+            best = (j, float(threshold), gain)
+    return best
+
+
+@st.composite
+def _split_problems(draw):
+    """Tie-heavy small-integer, continuous or mixed columns, some constant."""
+    n, d = draw(st.integers(2, 70)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "continuous", "mixed"]))
+    X = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)).astype(float)
+    if kind != "ties":
+        cont = rng.normal(size=(n, d))
+        X = cont if kind == "continuous" else np.where(rng.random(d) < 0.5, X, cont)
+    for j in np.flatnonzero(rng.random(d) < 0.2):
+        X[:, j] = X[0, j]
+    y = (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(np.int64)
+    return X, y
+
+
+class TestOnePassSplit:
+    @given(_split_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_column_search(self, problem):
+        X, y = problem
+        assert best_entropy_split(X, y) == _reference_best_split(X, y)
+
+    def test_constant_and_zero_columns(self):
+        y = np.array([0, 1, 1, 0, 1])
+        for X in (np.full((5, 3), 2.0), np.empty((5, 0))):
+            assert best_entropy_split(X, y) is None
+            assert _reference_best_split(X, y) is None
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("decision-tree", {"max_depth": 12, "min_samples_split": 2}),
+        ModelSpec("random-forest", {"n_estimators": 3, "max_depth": 8}, seed=6),
+        ModelSpec("random-forest", {"n_estimators": 2, "max_features": "all"}, seed=7),
+    ])
+    def test_every_node_of_a_fit_matches(self, monkeypatch, spec):
+        calls = []
+
+        def checked(X, y):
+            calls.append(X.shape)
+            split = best_entropy_split(X, y)
+            assert split == _reference_best_split(X, y)
+            return split
+
+        monkeypatch.setattr(tree_module, "best_entropy_split", checked)
+        fit_model(spec, _tie_heavy_matrix())
+        assert len(calls) > 10
+
+    def test_zero_drawn_columns_give_leaves(self):
+        m = _tie_heavy_matrix()
+        model = fit_model(ModelSpec("random-forest", {"n_estimators": 3, "max_features": 0}), m)
+        assert all(t.is_leaf for t in model.trees)
+        probs = model.predict_proba_values(m.values)
+        assert np.all(probs == probs[0])
+
+
+def _strided_copies(values):
+    """Fortran-ordered, column-sliced and row-strided views of values."""
+    d = values.shape[1]
+    wide = np.hstack([values, -values])
+    return (np.asfortranarray(values), wide[:, :d], np.repeat(values, 2, axis=0)[::2])
+
+
+class TestFlatTreePredict:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("decision-tree", {"max_depth": 8, "min_samples_split": 4}),
+        ModelSpec("decision-tree", {"max_depth": 1}),
+        ModelSpec("random-forest", {"n_estimators": 7, "max_depth": 6}, seed=3),
+        ModelSpec("random-forest", {"n_estimators": 1, "max_depth": 0}, seed=4),
+    ])
+    def test_matches_a_per_row_walk(self, spec):
+        m = _tie_heavy_matrix()
+        model = fit_model(spec, m)
+        rng = np.random.default_rng(5)
+        values = np.vstack([m.values, rng.normal(2.5, 2.0, size=(40, 6))])
+        if spec.algorithm == "decision-tree":
+            expected = _walk(model.root.to_dict(), values)
+        else:
+            expected = np.zeros(values.shape[0])
+            for t in model.trees:
+                expected += _walk(t.to_dict(), values)
+            expected /= len(model.trees)
+        restored = deserialize_model(json.loads(json.dumps(serialize_model(model))))
+        for v in (values, *_strided_copies(values)):
+            assert np.array_equal(model.predict_proba_values(v), expected)
+            assert np.array_equal(restored.predict_proba_values(v), expected)
 
 
 def _reference_tree(X, g, h, candidates, lam, max_depth, records, t, depth=0):
@@ -476,7 +601,7 @@ class TestGbt:
     def test_flat_nodes_encode_the_nested_trees(self):
         m = two_class_matrix(60, 40, d=4, seed=14)
         model = fit_model(ModelSpec("gbt", {"n_estimators": 6, "max_depth": 3}), m)
-        (feature, threshold, children, value), roots, depth = _flatten(model.trees)
+        (feature, threshold, children, value), roots, depth = flatten_trees(model.trees)
 
         def unflatten(i):
             left, right = children[2 * i + 1], children[2 * i]
@@ -693,6 +818,31 @@ class TestNaiveBayes:
         assert np.all(np.isfinite(model.predict_proba_values(values)))
 
 
+
+def _reference_knn(model, values):
+    """The per-row neighbour vote the blocked scoring replaced."""
+    sq_t = np.sum(model.X * model.X, axis=1)
+    out = np.empty(values.shape[0])
+    for i in range(values.shape[0]):
+        x = values[i]
+        d2 = np.maximum(sq_t - 2.0 * (model.X @ x) + x @ x, 0.0)
+        order = np.argsort(d2, kind="stable")
+        kth = d2[order[model.n_neighbors - 1]]
+        idx = np.flatnonzero(d2 <= kth)
+        dd = d2[idx]
+        yy = model.y[idx]
+        if model.weights == "uniform":
+            out[i] = yy.mean()
+        else:
+            zero = dd == 0.0
+            if np.any(zero):
+                out[i] = yy[zero].mean()
+            else:
+                w = 1.0 / np.sqrt(dd)
+                out[i] = float(np.sum(w * yy) / np.sum(w))
+    return out
+
+
 class TestKnn:
     def test_zero_distance_training_point_dominates(self):
         m = two_class_matrix(20, 20, seed=22)
@@ -724,6 +874,25 @@ class TestKnn:
         m = two_class_matrix(3, 3, seed=23)
         model = fit_model(ModelSpec("knn", {"n_neighbors": 50}), m)
         assert model.n_neighbors == 6
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("k", [1, 3, 9, 40])
+    def test_blocked_scoring_matches_the_row_loop(self, monkeypatch, block, weights, k):
+        if block is not None:
+            monkeypatch.setattr(data_module, "_NN_BLOCK", block)
+        rng = np.random.default_rng(k)
+        grid = rng.integers(0, 3, size=(30, 2)).astype(float)  # exact distance ties
+        for X in (grid, rng.normal(size=(30, 2))):
+            y = rng.integers(0, 2, size=30)
+            m = EncodedMatrix(X, y, ("a", "b"), np.arange(30))
+            model = fit_model(ModelSpec("knn", {"n_neighbors": k, "weights": weights}), m)
+            # training rows (zero distances), grid points and off-grid points
+            queries = np.vstack([X[:7], rng.integers(0, 3, size=(10, 2)),
+                                 rng.normal(size=(10, 2))])
+            expected = _reference_knn(model, queries)
+            for v in (queries, *_strided_copies(queries)):
+                assert np.array_equal(model.predict_proba_values(v), expected)
 
 
 class TestMlp:
