@@ -31,7 +31,7 @@ from .stats import (
     paired_t_test,
 )
 from .svg import bar_chart_svg, heatmap_svg, roc_svg
-from .validation import check_fold_count, cross_validate
+from .validation import check_fold_count, cross_validate_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,18 +240,19 @@ def compare(config_path, seed, resample_test, out_dir):
     _, matrix, _ = _materialize(config, folds=config.cv_folds)
     writer = ArtifactWriter(config.output_dir, config)
 
+    results = cross_validate_many([config.models[name] for name in config.model_order],
+                                  matrix, folds=config.cv_folds,
+                                  resampler=config.resampler, seed=config.seed)
     runs = {}
     failures = 0
-    for name in config.model_order:
-        try:
-            runs[name] = cross_validate(config.models[name], matrix,
-                                        folds=config.cv_folds, resampler=config.resampler,
-                                        seed=config.seed)
-            writer.model_status[name] = "ok"
-        except Exception as exc:
-            writer.model_status[name] = f"failed: {exc}"
+    for name, run in zip(config.model_order, results):
+        if isinstance(run, Exception):  # per-model failure must not abort the run
+            writer.model_status[name] = f"failed: {run}"
             failures += 1
-            click.echo(f"model {name} failed: {exc}", err=True)
+            click.echo(f"model {name} failed: {run}", err=True)
+        else:
+            runs[name] = run
+            writer.model_status[name] = "ok"
 
     ref = config.reference_model
     if ref not in runs:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "fit_model",
     "predict_proba",
     "child_rng",
+    "map_ordered",
     "serialize_model",
     "deserialize_model",
     "save_model",
@@ -165,6 +167,50 @@ class TrainedModel:
 def child_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-style seed derivation so parallel and serial runs agree."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *stream]))
+
+
+# (fn, items) of the map a worker serves; set only in map_ordered's workers,
+# whose own map_ordered calls therefore run serially
+_job: tuple | None = None
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _adopt(fn, items) -> None:
+    global _job
+    _job = (fn, items)
+
+
+def _run(i: int):
+    fn, items = _job
+    return fn(items[i])
+
+
+def map_ordered(fn, items) -> list:
+    """[fn(item) for item in items], spread over forked worker processes, one
+    per CPU this process may use and at most one per item.
+
+    Workers inherit fn and items through fork; only item indices go to them
+    and only results come back pickled, so fn may be a closure and its inputs
+    are never pickled. Results come back in item order, so with child_rng
+    seeds the output is the serial loop's, bit for bit. The serial loop runs
+    instead for one worker or one item, where the platform has no fork, and
+    inside a worker, so pools never nest. An exception from fn is raised for
+    the earliest failing item, as the loop would raise it; a worker that dies
+    raises BrokenProcessPool. The pool is joined before this returns."""
+    import multiprocessing  # here, not at import time: most commands never fork
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = list(items)
+    workers = min(_available_cpus(), len(items))
+    if workers <= 1 or _job is not None or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn, items)) as pool:
+        return list(pool.map(_run, range(len(items))))
 
 
 def _registry() -> dict:

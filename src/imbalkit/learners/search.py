@@ -82,8 +82,10 @@ def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: Encoded
                        resampler=None) -> tuple[ModelSpec, list[CandidateScore]]:
     """Sample n_iter specs from spec (a name means ModelSpec(name, seed=seed)),
     score each by mean stratified k-fold accuracy (resampling only inside
-    fold-training partitions), return the argmax; ties go to the earliest."""
-    from ..validation import cross_validate
+    fold-training partitions; all candidates share the folds and are scored in
+    one cross_validate_many call), return the argmax; ties go to the earliest.
+    The first failing candidate's exception is raised."""
+    from ..validation import cross_validate_many
 
     if not space:
         raise LearnerError("empty search space")
@@ -91,14 +93,13 @@ def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: Encoded
         spec = ModelSpec(spec, seed=seed)
     check_space(spec.algorithm, space)
     rng = child_rng(seed, 20)
+    candidates = [sample_spec(spec, space, rng) for _ in range(n_iter)]
+    runs = cross_validate_many(candidates, train, folds=folds, resampler=resampler,
+                               seed=int(child_rng(seed, 21).integers(0, 2**31)))
     scores: list[CandidateScore] = []
-    best = None
-    for i in range(n_iter):
-        candidate = sample_spec(spec, space, rng)
-        acc = cross_validate(candidate, train, folds=folds, resampler=resampler,
-                             seed=int(child_rng(seed, 21).integers(0, 2**31))).accuracies
-        score = CandidateScore(candidate, float(acc.mean()), tuple(float(a) for a in acc))
-        scores.append(score)
-        if best is None or score.mean_accuracy > best.mean_accuracy:
-            best = score
-    return best.spec, scores
+    for candidate, run in zip(candidates, runs):
+        if isinstance(run, Exception):
+            raise run
+        scores.append(CandidateScore(candidate, float(run.accuracies.mean()),
+                                     tuple(float(a) for a in run.accuracies)))
+    return max(scores, key=lambda score: score.mean_accuracy).spec, scores

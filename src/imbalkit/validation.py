@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, EncodedMatrix, smote
-from .learners.base import child_rng, fit_model, predict_proba
+from .learners.base import child_rng, fit_model, map_ordered, predict_proba
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "check_fold_count", "stratified_folds",
-           "fold_partitions", "cross_validate"]
+           "fold_partitions", "cross_validate", "cross_validate_many"]
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,43 @@ def fold_partitions(data: EncodedMatrix, assignment, resampler, seed: int, strea
         yield held_out, train_part, data.take(np.flatnonzero(held_out))
 
 
+def _fold_report(unit):
+    """The report of one (spec, fold) unit, or the exception its fit, predict
+    or evaluation raised: one spec's failure must not stop the others' units."""
+    spec, (_, train_part, val_part) = unit
+    try:
+        return evaluate(predict_proba(fit_model(spec, train_part), val_part), val_part.target)
+    except Exception as exc:
+        return exc
+
+
+def cross_validate_many(specs, data: EncodedMatrix, folds: int = 10,
+                        resampler: SmoteSettings | None = None, seed: int = 0) -> list:
+    """One CvRun per spec (a ModelSpec or StackingSpec), or the exception that
+    stopped it: its first failing fold's, in fold order. Every spec sees the
+    same stratified folds, and each fold's training partition is SMOTEd once
+    (when enabled) and shared, so every validation row is original. All
+    (spec, fold) units fit, predict and evaluate through map_ordered."""
+    try:
+        assignment = stratified_folds(data.target, folds, seed)
+        parts = list(fold_partitions(data, assignment, resampler, seed, 11))
+    except Exception as exc:  # no fold exists, so every spec stops here
+        return [exc] * len(specs)
+    results = map_ordered(_fold_report, [(spec, part) for spec in specs for part in parts])
+    val_ids = tuple(val_part.row_ids.copy() for _, _, val_part in parts)
+    runs = []
+    for start in range(0, len(results), len(parts)):
+        reports = tuple(results[start:start + len(parts)])
+        failure = next((r for r in reports if isinstance(r, Exception)), None)
+        runs.append(failure if failure is not None else
+                    CvRun(reports, assignment, val_ids, resampled=resampler is not None))
+    return runs
+
+
 def cross_validate(spec, data: EncodedMatrix, folds: int = 10,
                    resampler: SmoteSettings | None = None, seed: int = 0) -> CvRun:
-    """Stratified k-fold evaluation of a ModelSpec or StackingSpec; SMOTE (when
-    enabled) touches only the training partition of each fold, so every
-    validation row is original."""
-    assignment = stratified_folds(data.target, folds, seed)
-    reports, val_ids = [], []
-    for _, train_part, val_part in fold_partitions(data, assignment, resampler, seed, 11):
-        probs = predict_proba(fit_model(spec, train_part), val_part)
-        reports.append(evaluate(probs, val_part.target))
-        val_ids.append(val_part.row_ids.copy())
-    return CvRun(tuple(reports), assignment, tuple(val_ids), resampled=resampler is not None)
+    """cross_validate_many for one spec; raises the exception that stopped it."""
+    run, = cross_validate_many((spec,), data, folds, resampler, seed)
+    if isinstance(run, Exception):
+        raise run
+    return run

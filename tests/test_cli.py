@@ -337,6 +337,47 @@ class TestCompare:
         result = run_cli("compare", "--config", cfg)
         assert result.exit_code == 2
 
+    def test_failed_model_exits_4_and_leaves_no_rows(self, tmp_path):
+        cfg, out = write_config(tmp_path, **with_entry("gbt", **UNFITTABLE_GBT))
+        result = run_cli("compare", "--config", cfg)
+        assert result.exit_code == 4, result.output
+        assert "model extra failed:" in result.output
+        assert "Traceback" not in result.output
+        status = read_manifest(out)["model_status"]
+        assert status["extra"].startswith("failed: ")
+        assert {name: status[name] for name in ("nb", "tree", "stack")} == dict.fromkeys(
+            ("nb", "tree", "stack"), "ok")
+        assert [r[0] for r in read_csv(out / "cv_accuracies.csv")[1:]] == ["nb", "tree", "stack"]
+        assert [r[0] for r in read_csv(out / "comparison.csv")[1:]] == ["nb", "tree"]
+        meta = json.loads((out / "comparison_meta.json").read_text())
+        assert meta["comparisons"] == 2
+
+    def test_failed_reference_exits_4(self, tmp_path):
+        cfg, out = write_config(tmp_path, reference_model="bad", models=[
+            {"name": "nb", "algorithm": "naive-bayes"},
+            {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}])
+        result = run_cli("compare", "--config", cfg)
+        assert result.exit_code == 4, result.output
+        assert "reference model 'bad' failed" in result.output
+        assert "Traceback" not in result.output
+        status = read_manifest(out)["model_status"]
+        assert status["nb"] == "ok" and status["bad"].startswith("failed: ")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_artifacts_identical_at_every_worker_count(self, tmp_path, monkeypatch, workers):
+        """compare fits its (model, fold) units in worker processes: at most 3
+        here, so no test starts a large pool."""
+        from imbalkit.learners import base
+
+        hashes = []
+        for n in (1, workers):
+            monkeypatch.setattr(base, "_available_cpus", lambda: n)
+            (tmp_path / str(n)).mkdir()
+            cfg, out = write_config(tmp_path / str(n))
+            assert run_cli("compare", "--config", cfg).exit_code == 0
+            hashes.append(read_manifest(out)["artifacts"])
+        assert hashes[0] == hashes[1]
+
 
 class TestExplain:
     def test_attribution_artifacts(self, tmp_path):
@@ -407,7 +448,7 @@ def with_entry(algorithm, **hyperparameters):
 
 class TestResamplingLeakage:
     @pytest.mark.parametrize("command, spied", [
-        (("benchmark",), {"stack_fit", "cross_validate"}),
+        (("benchmark",), {"stack_fit", "cross_validate_many"}),
         (("explain", "--model", "stack"), {"stack_fit"}),
     ], ids=["benchmark", "explain"])
     def test_no_synthetic_row_reaches_in_fold_resamplers(self, tmp_path, monkeypatch,
@@ -429,7 +470,7 @@ class TestResamplingLeakage:
             monkeypatch.setattr(module, name, wrapper)
 
         spy(imbalkit.stacking, "stack_fit")
-        spy(imbalkit.validation, "cross_validate")
+        spy(imbalkit.validation, "cross_validate_many")
         cfg, out = write_config(tmp_path, tuning={"spaces": {"tree": {"max_depth": [2, 6]}},
                                                   "n_iter": 2, "folds": 3})
         result = run_cli(*command, "--config", cfg)

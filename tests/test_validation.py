@@ -1,14 +1,22 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imbalkit.data import DataError, EncodedMatrix
-from imbalkit.learners.base import ModelSpec
+from imbalkit.learners import base
+from imbalkit.learners.base import LearnerError, ModelSpec, map_ordered
 from imbalkit.learners.search import tune_random_search
 from imbalkit.stacking import StackingSpec, stack_fit
-from imbalkit.validation import SmoteSettings, cross_validate, stratified_folds
+from imbalkit.validation import (CvRun, SmoteSettings, cross_validate, cross_validate_many,
+                                 stratified_folds)
 
 from conftest import two_class_matrix
 
@@ -137,7 +145,154 @@ FOLD_ENGINE_DIGESTS = {
 }
 
 
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-workers")
+def workers(request, monkeypatch):
+    """map_ordered sees this many CPUs; never more than 3, so no test starts a
+    large pool."""
+    monkeypatch.setattr(base, "_available_cpus", lambda: request.param)
+    return request.param
+
+
 @pytest.mark.parametrize("case", sorted(FOLD_ENGINE_DIGESTS))
 def test_fold_engine_is_pinned(case):
     build, digest = FOLD_ENGINE_DIGESTS[case]
     assert _digest(build()) == digest
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_ENGINE_DIGESTS))
+def test_fold_engine_pins_hold_at_every_worker_count(case, workers):
+    build, digest = FOLD_ENGINE_DIGESTS[case]
+    assert _digest(build()) == digest
+
+
+def _many_doc():
+    specs = (ModelSpec("naive-bayes"), ModelSpec("decision-tree", {"max_depth": 3}, seed=4),
+             StackingSpec(base_specs=(ModelSpec("naive-bayes"), ModelSpec("logistic")),
+                          oof_folds=3, seed=1, resampler=SmoteSettings(k_neighbors=3)))
+    runs = cross_validate_many(specs, two_class_matrix(21, 63, seed=24), folds=3,
+                               resampler=SmoteSettings(), seed=8)
+    return [{"reports": [r.to_dict() for r in run.reports],
+             "fold_assignment": run.fold_assignment.tolist(),
+             "validation_row_ids": [ids.tolist() for ids in run.validation_row_ids]}
+            for run in runs]
+
+
+class TestCrossValidateMany:
+    def test_bit_identical_at_every_worker_count(self, workers, monkeypatch):
+        doc = _many_doc()
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        assert doc == _many_doc()
+        assert multiprocessing.active_children() == []
+
+    def test_each_spec_matches_its_own_cross_validate(self):
+        m = two_class_matrix(18, 54, seed=25)
+        specs = (ModelSpec("naive-bayes"), ModelSpec("decision-tree", {"max_depth": 2}))
+        for spec, run in zip(specs, cross_validate_many(specs, m, folds=3,
+                                                        resampler=SmoteSettings(), seed=2)):
+            alone = cross_validate(spec, m, folds=3, resampler=SmoteSettings(), seed=2)
+            assert [r.to_dict() for r in run.reports] == [r.to_dict() for r in alone.reports]
+            assert np.array_equal(run.fold_assignment, alone.fold_assignment)
+
+    def test_a_failing_spec_leaves_the_others_running(self, workers):
+        m = two_class_matrix(12, 36, seed=26)
+        bad = ModelSpec("gbt", {"categorical_handling": "ordered-target-stats",
+                                "categorical_features": [99]})
+        ok, failed, none = cross_validate_many((ModelSpec("naive-bayes"), bad, object()), m,
+                                               folds=3)
+        assert isinstance(ok, CvRun) and len(ok.reports) == 3
+        assert isinstance(failed, LearnerError) and "99" in str(failed)
+        assert isinstance(none, TypeError)
+
+    def test_a_spec_fails_with_its_first_failing_fold(self, workers, monkeypatch):
+        import imbalkit.validation
+
+        m = two_class_matrix(12, 36, seed=27)
+        assignment = stratified_folds(m.target, 3, seed=0)
+        first_held_out = [m.row_ids[assignment == f][0] for f in range(3)]
+        real_fit = imbalkit.validation.fit_model
+
+        def fit(spec, train):
+            fold = next(f for f, i in enumerate(first_held_out) if i not in train.row_ids)
+            if fold == 0:
+                return real_fit(spec, train)
+            raise ValueError(f"fold {fold}")
+        monkeypatch.setattr(imbalkit.validation, "fit_model", fit)
+        with pytest.raises(ValueError, match="^fold 1$"):
+            cross_validate(ModelSpec("naive-bayes"), m, folds=3)
+
+    def test_a_partition_fault_stops_every_spec(self):
+        m = two_class_matrix(2, 30)
+        runs = cross_validate_many((ModelSpec("naive-bayes"), ModelSpec("knn")), m, folds=3)
+        assert [type(r) for r in runs] == [DataError, DataError]
+        with pytest.raises(DataError, match="minority"):
+            cross_validate(ModelSpec("naive-bayes"), m, folds=3)
+
+    @pytest.mark.parametrize("spec", [
+        object(),
+        ModelSpec("gbt", {"categorical_handling": "ordered-target-stats",
+                          "categorical_features": [99]}),
+    ], ids=["TypeError", "LearnerError"])
+    def test_worker_errors_surface_as_in_the_serial_loop(self, spec, monkeypatch):
+        m = two_class_matrix(10, 20)
+        raised = []
+        for n in (1, 2):
+            monkeypatch.setattr(base, "_available_cpus", lambda: n)
+            with pytest.raises(Exception) as info:
+                cross_validate(spec, m, folds=2)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] in (TypeError, LearnerError)
+        assert multiprocessing.active_children() == []
+
+
+class TestMapOrdered:
+    def test_results_in_item_order_from_worker_processes(self, workers):
+        items = list(range(7))
+
+        def fn(i):
+            time.sleep(0.01 * (7 - i))  # later items finish first
+            return i * i, os.getpid()
+        results = map_ordered(fn, items)
+        assert [r for r, _ in results] == [i * i for i in items]
+        pids = {pid for _, pid in results}
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= workers
+        assert multiprocessing.active_children() == []
+
+    def test_one_item_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(base, "_available_cpus", lambda: 3)
+        assert map_ordered(lambda _: os.getpid(), ["x"]) == [os.getpid()]
+
+    def test_a_nested_map_runs_serially_in_its_worker(self, monkeypatch):
+        monkeypatch.setattr(base, "_available_cpus", lambda: 2)
+        outer = map_ordered(lambda _: (os.getpid(), map_ordered(lambda _: os.getpid(), "abc")),
+                            "xy")
+        for pid, inner in outer:
+            assert pid != os.getpid() and inner == [pid] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_failing_item_is_raised(self, monkeypatch):
+        monkeypatch.setattr(base, "_available_cpus", lambda: 2)
+
+        def fn(i):
+            if i >= 2:
+                raise ValueError(f"item {i}")
+            return i
+        with pytest.raises(ValueError, match="^item 2$"):
+            map_ordered(fn, range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_a_dying_worker_raises_and_does_not_hang(self):
+        script = ("import os\n"
+                  "from imbalkit.learners import base\n"
+                  "base._available_cpus = lambda: 2\n"
+                  "base.map_ordered(lambda i: os._exit(3) if i == 1 else i, range(3))\n")
+        src = str(Path(base.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "BrokenProcessPool" in proc.stderr
