@@ -21,7 +21,6 @@ from .learners.gbt import GbtModel
 from .learners.search import tune_random_search
 from .metrics import evaluate, roc_curve
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
-from .stacking import StackingSpec
 from .stats import (
     StatsError,
     bonferroni_adjust,
@@ -31,7 +30,7 @@ from .stats import (
     paired_t_test,
 )
 from .svg import bar_chart_svg, heatmap_svg, roc_svg
-from .validation import check_fold_count, cross_validate_many
+from .validation import check_fold_counts, cross_validate_many, training_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,32 +49,25 @@ def _config_options(fn):
     return fn
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """A fault that escapes a command exits with its code: a config fault 2; a
+    data fault, or a file that cannot be read or written, 3. The commands
+    report a model's own failure themselves (exit 4)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except (DataError, SchemaError, OSError) as exc:
+            click.echo(f"data error: {exc}", err=True)
+            sys.exit(EXIT_DATA)
+
+
+@click.group(cls=_ExitCodes)
 def main():
     """Imbalanced tabular classification toolkit."""
-
-
-def _load(config_path, seed, resample_test, out_dir) -> RunConfig:
-    try:
-        return load_config(config_path, seed_override=seed,
-                           out_override=out_dir,
-                           resample_test_override=resample_test)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-
-def _materialize(config: RunConfig, folds: int | None = None):
-    """(dataset, matrix, encoder); a data fault, or more folds than minority rows, exits 3."""
-    try:
-        dataset = config.load()
-        matrix, encoder = label_encode(dataset)
-        if folds is not None:
-            check_fold_count(matrix.target, folds)
-    except (DataError, SchemaError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-    return dataset, matrix, encoder
 
 
 def _split_and_resample(config: RunConfig, matrix):
@@ -89,19 +81,13 @@ def _split_and_resample(config: RunConfig, matrix):
     return raw_train, train, test
 
 
-def _training_split(spec, raw_train, train):
-    """A stack resamples inside its own out-of-fold partitions, so it trains
-    on the raw split: SMOTE rows made beforehand would reach its held-out
-    folds as near-copies of rows the fold models trained on."""
-    return raw_train if isinstance(spec, StackingSpec) else train
-
-
 @main.command()
 @_config_options
 def eda(config_path, seed, resample_test, out_dir):
     """Frequency tables, Cramer's V matrix + heatmap, chi-square associations."""
-    config = _load(config_path, seed, resample_test, out_dir)
-    dataset, matrix, _ = _materialize(config)
+    config = load_config(config_path, seed, out_dir, resample_test)
+    dataset = config.load()
+    matrix, _ = label_encode(dataset)
     writer = ArtifactWriter(config.output_dir, config)
 
     # every column once as (sorted observed labels, integer code per row);
@@ -184,19 +170,13 @@ def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter)
 @_config_options
 def benchmark(config_path, seed, resample_test, out_dir):
     """Train and evaluate every roster model on the held-out test set."""
-    config = _load(config_path, seed, resample_test, out_dir)
-    _, matrix, _ = _materialize(config)
+    config = load_config(config_path, seed, out_dir, resample_test)
+    matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
-    try:
-        raw_train, train, test = _split_and_resample(config, matrix)
-        if config.tuning_spaces:
-            check_fold_count(raw_train.target, config.tuning_folds)
-        for spec in config.models.values():  # a stack's out-of-fold folds split raw_train
-            if isinstance(spec, StackingSpec):
-                check_fold_count(raw_train.target, spec.oof_folds)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    raw_train, train, test = _split_and_resample(config, matrix)
+    check_fold_counts(config.models.values(), raw_train, None, config.seed)
+    check_fold_counts([config.models[name] for name in config.tuning_spaces], raw_train,
+                      config.tuning_folds, config.seed)
 
     metrics = {}
     curves = {}
@@ -205,7 +185,7 @@ def benchmark(config_path, seed, resample_test, out_dir):
         try:
             spec = (_tuned_spec(config, name, raw_train, writer)
                     if name in config.tuning_spaces else config.models[name])
-            model = fit_model(spec, _training_split(spec, raw_train, train))
+            model = fit_model(spec, training_rows(spec, raw_train, train))
             probs = predict_proba(model, test)
             report = evaluate(probs, test.target)
             metrics[name] = report.to_dict()
@@ -233,15 +213,15 @@ def benchmark(config_path, seed, resample_test, out_dir):
 @_config_options
 def compare(config_path, seed, resample_test, out_dir):
     """10-fold CV accuracies and Bonferroni-corrected paired t-tests vs a reference."""
-    config = _load(config_path, seed, resample_test, out_dir)
+    config = load_config(config_path, seed, out_dir, resample_test)
     if not config.reference_model:
-        click.echo("config error: compare requires 'reference_model'", err=True)
-        sys.exit(EXIT_CONFIG)
-    _, matrix, _ = _materialize(config, folds=config.cv_folds)
+        raise ConfigError("compare requires 'reference_model'")
+    matrix, _ = label_encode(config.load())
+    specs = [config.models[name] for name in config.model_order]
+    check_fold_counts(specs, matrix, config.cv_folds, config.seed)
     writer = ArtifactWriter(config.output_dir, config)
 
-    results = cross_validate_many([config.models[name] for name in config.model_order],
-                                  matrix, folds=config.cv_folds,
+    results = cross_validate_many(specs, matrix, folds=config.cv_folds,
                                   resampler=config.resampler, seed=config.seed)
     runs = {}
     failures = 0
@@ -302,25 +282,19 @@ def _parse_instances(ctx, param, selector: str) -> list[int]:
               help="test instances: '3', '0,4', or '0..2'")
 def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_ids):
     """Global and local attributions for one roster model."""
-    config = _load(config_path, seed, resample_test, out_dir)
+    config = load_config(config_path, seed, out_dir, resample_test)
     if model_name not in config.models:
-        click.echo(f"config error: unknown model {model_name!r}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _, matrix, _ = _materialize(config)
+        raise ConfigError(f"unknown model {model_name!r}")
+    matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
     spec = config.models[model_name]
-    try:
-        raw_train, train, test = _split_and_resample(config, matrix)
-        if any(i < 0 or i >= test.n_rows for i in instance_ids):
-            raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
-        if isinstance(spec, StackingSpec):
-            check_fold_count(raw_train.target, spec.oof_folds)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    raw_train, train, test = _split_and_resample(config, matrix)
+    if any(i < 0 or i >= test.n_rows for i in instance_ids):
+        raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
+    check_fold_counts([spec], raw_train, None, config.seed)
 
     try:
-        model = fit_model(spec, _training_split(spec, raw_train, train))
+        model = fit_model(spec, training_rows(spec, raw_train, train))
     except Exception as exc:  # reported as in benchmark: a model failure, exit 4
         writer.model_status[model_name] = f"failed: {exc}"
         click.echo(f"model {model_name} failed: {exc}", err=True)

@@ -10,7 +10,7 @@ from .data import DataError, EncodedMatrix, smote
 from .learners.base import child_rng, fit_model, map_ordered, predict_proba
 from .metrics import EvaluationReport, evaluate
 
-__all__ = ["SmoteSettings", "CvRun", "check_fold_count", "stratified_folds",
+__all__ = ["SmoteSettings", "CvRun", "check_fold_counts", "training_rows", "stratified_folds",
            "fold_partitions", "cross_validate", "cross_validate_many"]
 
 
@@ -38,18 +38,38 @@ class CvRun:
         return np.array([getattr(r, name) for r in self.reports])
 
 
-def check_fold_count(target: np.ndarray, folds: int) -> None:
-    """Every fold needs a row of each class."""
+def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int) -> None:
+    """Raise DataError, before any fit, for a fold count above the minority
+    class count of the raw rows it splits: folds, a cross-validation of specs
+    over data with this seed (None: each spec fits all of data), and each
+    stack's oof_folds over every training set the stack will be fit on."""
+    from .stacking import StackingSpec  # stacking imports this module
+
+    training = [data.target]
+    if folds is not None and specs:
+        assignment = stratified_folds(data.target, folds, seed)
+        training = [data.target[assignment != f] for f in range(folds)]
+    for spec in specs:
+        for target in training if isinstance(spec, StackingSpec) else ():
+            stratified_folds(target, spec.oof_folds, spec.seed)
+
+
+def training_rows(spec, raw: EncodedMatrix, resampled: EncodedMatrix) -> EncodedMatrix:
+    """A stack SMOTEs inside its own out-of-fold partitions, so it trains on
+    the raw rows; every other spec trains on the resampled rows."""
+    from .stacking import StackingSpec  # stacking imports this module
+
+    return raw if isinstance(spec, StackingSpec) else resampled
+
+
+def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:
+    """Deterministic stratified fold assignment (round-robin within each
+    class); every fold needs a row of each class."""
     counts = np.bincount(target, minlength=2)
     if folds < 2:
         raise DataError("need at least 2 folds")
     if folds > counts.min():
         raise DataError(f"fold count {folds} exceeds the minority class count {counts.min()}")
-
-
-def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:
-    """Deterministic stratified fold assignment (round-robin within each class)."""
-    check_fold_count(target, folds)
     rng = child_rng(seed, 10)
     assignment = np.empty(target.size, dtype=np.int64)
     for cls in (0, 1):
@@ -74,8 +94,9 @@ def fold_partitions(data: EncodedMatrix, assignment, resampler, seed: int, strea
 def _fold_report(unit):
     """The report of one (spec, fold) unit, or the exception its fit, predict
     or evaluation raised: one spec's failure must not stop the others' units."""
-    spec, (_, train_part, val_part) = unit
+    spec, data, (held_out, train_part, val_part) = unit
     try:
+        train_part = training_rows(spec, data.take(np.flatnonzero(~held_out)), train_part)
         return evaluate(predict_proba(fit_model(spec, train_part), val_part), val_part.target)
     except Exception as exc:
         return exc
@@ -85,15 +106,16 @@ def cross_validate_many(specs, data: EncodedMatrix, folds: int = 10,
                         resampler: SmoteSettings | None = None, seed: int = 0) -> list:
     """One CvRun per spec (a ModelSpec or StackingSpec), or the exception that
     stopped it: its first failing fold's, in fold order. Every spec sees the
-    same stratified folds, and each fold's training partition is SMOTEd once
-    (when enabled) and shared, so every validation row is original. All
-    (spec, fold) units fit, predict and evaluate through map_ordered."""
+    same stratified folds, so every validation row is original; each fold's
+    training partition is SMOTEd once (when enabled) and shared, and a spec
+    trains on the partition training_rows picks. All (spec, fold) units fit,
+    predict and evaluate through map_ordered."""
     try:
         assignment = stratified_folds(data.target, folds, seed)
         parts = list(fold_partitions(data, assignment, resampler, seed, 11))
     except Exception as exc:  # no fold exists, so every spec stops here
         return [exc] * len(specs)
-    results = map_ordered(_fold_report, [(spec, part) for spec in specs for part in parts])
+    results = map_ordered(_fold_report, [(spec, data, part) for spec in specs for part in parts])
     val_ids = tuple(val_part.row_ids.copy() for _, _, val_part in parts)
     runs = []
     for start in range(0, len(results), len(parts)):

@@ -447,17 +447,23 @@ def with_entry(algorithm, **hyperparameters):
 
 
 class TestResamplingLeakage:
-    @pytest.mark.parametrize("command, spied", [
-        (("benchmark",), {"stack_fit", "cross_validate_many"}),
-        (("explain", "--model", "stack"), {"stack_fit"}),
-    ], ids=["benchmark", "explain"])
+    @pytest.mark.parametrize("command, spied, stack_fits", [
+        (("benchmark",), {"stack_fit", "cross_validate_many"}, 1),
+        (("explain", "--model", "stack"), {"stack_fit"}, 1),
+        (("compare",), {"stack_fit"}, 4),
+    ], ids=["benchmark", "explain", "compare"])
     def test_no_synthetic_row_reaches_in_fold_resamplers(self, tmp_path, monkeypatch,
-                                                         command, spied):
+                                                         command, spied, stack_fits):
         """A stack and the tuning CV SMOTE inside their own folds; a SMOTE row
         made before them would sit in a held-out fold as a near-copy of rows
-        the fold models trained on. SMOTE rows carry negative row ids."""
+        the fold models trained on. SMOTE rows carry negative row ids. compare
+        fits one stack per outer fold (180 raw rows each), here in-process:
+        a spy cannot see fits in pool workers."""
         import imbalkit.stacking
         import imbalkit.validation
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
 
         seen = {}
 
@@ -476,6 +482,7 @@ class TestResamplingLeakage:
         result = run_cli(*command, "--config", cfg)
         assert result.exit_code == 0, result.output
         assert set(seen) == spied
+        assert len(seen["stack_fit"]) == stack_fits
         for name, calls in seen.items():
             for ids in calls:
                 assert ids.size == 180 and np.all(ids >= 0), f"SMOTE rows reached {name}"
@@ -490,6 +497,9 @@ _RUN_SETTINGS = ["seed", "test_fraction", "cv_folds", "resample_test", "smote.k_
                  "smote.enabled", "tuning.n_iter", "tuning.folds", "synthetic.n",
                  "synthetic.imbalance", "explain.n_permutations", "explain.background_rows",
                  "explain.global_rows", "explain.lime_samples", "stack.oof_folds"]
+# the run settings whose rules admit positive integers
+_COUNT_SETTINGS = [key for key in _RUN_SETTINGS
+                   if key not in ("test_fraction", "resample_test", "smote.enabled")]
 _SPACE_VALUES = _JSON | st.tuples(st.sampled_from(["uniform", "loguniform", "randint"]),
                                   _JSON, _JSON).map(list)
 _SPACES = st.dictionaries(
@@ -499,6 +509,18 @@ _SPACES = st.dictionaries(
     max_size=2)
 
 
+def with_settings(cfg, run_settings):
+    """Set each dotted run setting (section.key; stack.* on the stacking entry) in cfg."""
+    for dotted, value in run_settings.items():
+        *section, key = dotted.split(".")
+        target = cfg
+        if section == ["stack"]:
+            target = cfg["models"][-1]
+        elif section:
+            target = cfg.setdefault(section[0], {})
+        target[key] = value
+
+
 class TestErrorPaths:
     @given(st.dictionaries(st.sampled_from(_RUN_SETTINGS), _JSON, max_size=4), _SPACES)
     @settings(max_examples=150, deadline=None)
@@ -506,20 +528,38 @@ class TestErrorPaths:
                                                   spaces):
         """Arbitrary JSON run settings and tuning spaces load, or raise ConfigError."""
         cfg = base_config("out", tuning={"spaces": spaces})
-        for dotted, value in run_settings.items():
-            *section, key = dotted.split(".")
-            target = cfg
-            if section == ["stack"]:
-                target = cfg["models"][-1]
-            elif section:
-                target = cfg.setdefault(section[0], {})
-            target[key] = value
+        with_settings(cfg, run_settings)
         path = tmp_path_factory.getbasetemp() / "arbitrary.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         try:
             load_config(path)
         except ConfigError:
             pass
+
+    @given(st.dictionaries(st.sampled_from(_COUNT_SETTINGS), st.integers(1, 50), max_size=3),
+           st.dictionaries(st.sampled_from(_RUN_SETTINGS), _JSON, max_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_commands_exit_with_documented_codes(self, tmp_path_factory, counts, arbitrary):
+        """benchmark, compare and explain on arbitrary JSON run settings exit
+        0, 2, 3 or 4, never with a traceback. Counts drawn for the settings
+        that take them (fold counts, rows, options) pass their rules and reach
+        the data; an arbitrary JSON value may override one. The roster is
+        tiny: nb, tuned, and a stack over nb."""
+        cfg = base_config(tmp_path_factory.getbasetemp() / "property-out", n=120,
+                          models=[{"name": "nb", "algorithm": "naive-bayes"},
+                                  {"name": "stack", "algorithm": "stacking", "bases": ["nb"],
+                                   "oof_folds": 3}],
+                          tuning={"spaces": {"nb": {"var_smoothing": [1e-9, 1e-6]}},
+                                  "n_iter": 2, "folds": 3})
+        with_settings(cfg, {**counts, **arbitrary})
+        path = tmp_path_factory.getbasetemp() / "property.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in (["benchmark"], ["compare"], ["explain", "--model", "stack"]):
+            result = run_cli(*command, "--config", path)
+            assert result.exit_code in (0, 2, 3, 4), (command, cfg, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                command, cfg, result.exception)
+            assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("overrides", [
         {"seed": "abc"},
@@ -607,8 +647,10 @@ class TestErrorPaths:
         (["compare"], {"cv_folds": 50}),
         (["benchmark"], with_stack(oof_folds=50)),
         (["explain", "--model", "stack"], with_stack(oof_folds=50)),
+        (["compare"], with_stack(oof_folds=50)),
     ], ids=["tuning-folds-above-minority", "cv-folds-above-minority",
-            "oof-folds-above-minority", "explain-oof-folds-above-minority"])
+            "oof-folds-above-minority", "explain-oof-folds-above-minority",
+            "compare-oof-folds-above-minority"])
     def test_fold_count_above_minority_exits_3_without_traceback(self, tmp_path, command,
                                                                  overrides):
         cfg, _ = write_config(tmp_path, **overrides)
@@ -616,6 +658,17 @@ class TestErrorPaths:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "data error: fold count 50 exceeds the minority class count" in result.output
+        assert "failed" not in result.output
+        assert "Traceback" not in result.output
+
+    def test_oof_folds_above_an_outer_partition_minority_exits_3(self, tmp_path):
+        """35 out-of-fold folds fit the whole minority of 40 rows, but compare
+        fits the stack on 4-fold outer training partitions of 30."""
+        cfg, _ = write_config(tmp_path, **with_stack(oof_folds=35))
+        result = run_cli("compare", "--config", cfg)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "data error: fold count 35 exceeds the minority class count 30" in result.output
         assert "failed" not in result.output
         assert "Traceback" not in result.output
 

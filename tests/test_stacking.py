@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from imbalkit.data import EncodedMatrix, smote
+from imbalkit.data import EncodedMatrix
 from imbalkit.learners.base import (
     LearnerError,
     ModelSpec,
     TrainedModel,
-    child_rng,
     deserialize_model,
     fit_model,
     load_model,
@@ -227,17 +226,16 @@ class TestEstimatorContract:
             predict_proba(model, m.values[:, :2])
 
     def test_cross_validate_equals_per_fold_stack_fit(self):
+        """A stack SMOTEs inside its own out-of-fold partitions, so each outer
+        fold fits it on the raw partition, not the SMOTEd one plain specs get."""
         m = two_class_matrix(24, 60, seed=13)
         spec = simple_spec("naive-bayes", "decision-tree", seed=2, resampler=SmoteSettings())
-        settings = SmoteSettings()
-        run = cross_validate(spec, m, folds=4, resampler=settings, seed=9)
+        run = cross_validate(spec, m, folds=4, resampler=SmoteSettings(), seed=9)
 
         assignment = stratified_folds(m.target, 4, 9)
         for f in range(4):
             fold_train = m.take(np.flatnonzero(assignment != f))
             fold_val = m.take(np.flatnonzero(assignment == f))
-            fold_train = smote(fold_train, k_neighbors=settings.k_neighbors,
-                               seed=int(child_rng(9, 11, f).integers(0, 2**31)))
             probs = stack_predict_proba(stack_fit(spec, fold_train), fold_val)
             assert run.reports[f] == evaluate(probs, fold_val.target)
 
