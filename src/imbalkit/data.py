@@ -321,31 +321,35 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     return matrix.take(train_idx), matrix.take(test_idx)
 
 
-# Rows of the minority distance matrix handled at once: memory beyond the
-# Gram matrix stays at a few (_NN_BLOCK, n_min) float arrays.
+# Query rows whose distances are held at once: the neighbour searches of
+# smote and k-NN keep a few (_NN_BLOCK, n) float arrays, never an n x n one.
 _NN_BLOCK = 256
 
 
-def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k Euclidean nearest other rows, 0 < k < len(X).
-
-    Equal to np.argsort(d2, axis=1, kind="stable")[:, :k] on the full squared
-    distance matrix d2 (diagonal +inf): by distance, ties to the lower index.
-    The Gram matrix is one X @ X.T: numpy computes it with syrk and a product
-    of row slices with gemm, which need not agree to the last bit. d2 is then
-    formed and searched block by block.
-    """
-    n = X.shape[0]
+def _sq_distance_blocks(queries: np.ndarray, X: np.ndarray):
+    """Yield (start, d2) per block of _NN_BLOCK query rows: d2[i, j] is the
+    squared distance from queries[start + i] to X[j], clamped at 0. One
+    matrix-vector product per row keeps its bits free of the block size."""
     sq = np.sum(X * X, axis=1)
-    gram = X @ X.T
-    nn = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, _NN_BLOCK):
-        stop = min(start + _NN_BLOCK, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram[start:stop]
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+    for start in range(0, queries.shape[0], _NN_BLOCK):
+        rows = queries[start:start + _NN_BLOCK]
+        d2 = np.empty((rows.shape[0], X.shape[0]))
+        for i, x in enumerate(rows):
+            d2[i] = sq - 2.0 * (X @ x) + x @ x
         if np.isnan(d2).any():
             raise DataError("squared distances overflow; rescale the features")
-        nn[start:stop] = _k_smallest(d2, k)
+        yield start, np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k Euclidean nearest other rows, 0 < k < len(X):
+    np.argsort(d2, axis=1, kind="stable")[:, :k] with the diagonal of d2 at
+    +inf, i.e. by distance, ties to the lower index."""
+    nn = np.empty((X.shape[0], k), dtype=np.intp)
+    for start, d2 in _sq_distance_blocks(X, X):
+        rows = np.arange(d2.shape[0])
+        d2[rows, start + rows] = np.inf
+        nn[start:start + rows.size] = _k_smallest(d2, k)
     return nn
 
 
@@ -398,23 +402,18 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
         raise DataError("k_neighbors must be >= 1")
     k = min(k_neighbors, n_min - 1)
     if k < k_neighbors:
-        warnings.warn(
-            f"k_neighbors clamped from {k_neighbors} to {k} (minority size {n_min})",
-            stacklevel=2,
-        )
+        warnings.warn(f"k_neighbors clamped from {k_neighbors} to {k} (minority size {n_min})",
+                      stacklevel=2)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 2]))
-    min_idx = np.flatnonzero(train.target == minority)
-    X = train.values[min_idx]
-
+    X = train.values[train.target == minority]
     nn = _nearest_neighbors(X, k)
 
     n_new = n_maj - n_min
     base = np.arange(n_new) % n_min
     pick = rng.integers(0, k, size=n_new)
     u = rng.uniform(0.0, 1.0, size=n_new)
-    neighbors = nn[base, pick]
-    synth = X[base] + u[:, None] * (X[neighbors] - X[base])
+    synth = X[base] + u[:, None] * (X[nn[base, pick]] - X[base])
 
     if rounding == "nearest-code" and categorical_columns:
         for j in categorical_columns:

@@ -27,25 +27,20 @@ class KnnModel(TrainedModel):
         return cls(X, y, k, h["weights"], feature_names)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        """Mean label of each row's nearest training rows, scored in blocks of
-        _NN_BLOCK query rows. Rows exactly tied with the k-th distance are all
-        included and share the boundary weight, so exact ties average out; with
-        distance weights, training rows at distance 0 decide alone."""
-        X, y, k = self.X, self.y, self.n_neighbors
-        sq_t = np.sum(X * X, axis=1)
+        """Mean label of each row's nearest training rows, scored block by block
+        on the distances smote's neighbour search uses. Rows exactly tied with
+        the k-th distance are all included and share the boundary weight, so
+        exact ties average out; with distance weights, training rows at
+        distance 0 decide alone. Distances that overflow raise DataError."""
+        y, k = self.y, self.n_neighbors
         out = np.empty(values.shape[0])
-        for start in range(0, values.shape[0], data._NN_BLOCK):
-            block = values[start:start + data._NN_BLOCK]
-            d2 = np.empty((block.shape[0], X.shape[0]))
-            for i, x in enumerate(block):
-                d2[i] = sq_t - 2.0 * (X @ x) + x @ x
-            np.maximum(d2, 0.0, out=d2)
+        for start, d2 in data._sq_distance_blocks(values, self.X):
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
             near = d2 <= kth
             # exactly k neighbours and no zero distance: one vectorized vote
             regular = (near.sum(axis=1) == k) & ~(d2 == 0.0).any(axis=1)
             cols = near[regular].nonzero()[1].reshape(-1, k)
-            out[start:start + block.shape[0]][regular] = self._vote(
+            out[start:start + d2.shape[0]][regular] = self._vote(
                 np.take_along_axis(d2[regular], cols, axis=1), y.take(cols))
             for i in np.flatnonzero(~regular):
                 idx = np.flatnonzero(near[i])

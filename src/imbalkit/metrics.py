@@ -81,6 +81,13 @@ def confusion(labels, predictions) -> ConfusionMatrix:
     return ConfusionMatrix(tp, fp, tn, fn)
 
 
+def _scores(probs) -> np.ndarray:
+    probs = np.asarray(probs, dtype=float)
+    if not np.isfinite(probs).all():
+        raise MetricError("scores must be finite")
+    return probs
+
+
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
@@ -98,7 +105,7 @@ def evaluate(probs, labels, threshold: float = 0.5, alpha: float = 0.1,
     macro F1 is the harmonic mean of those two macro averages;
     macro_f1_mode="mean-of-class-f1" averages per-class F1 scores instead.
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = _scores(probs)
     y = np.asarray(labels)
     if probs.shape != y.shape:
         raise MetricError("probs and labels must have equal length")
@@ -136,7 +143,7 @@ def evaluate(probs, labels, threshold: float = 0.5, alpha: float = 0.1,
 
 def roc_curve(probs, labels) -> RocCurve:
     """ROC points from (0,0) to (1,1), one step per distinct score."""
-    probs = np.asarray(probs, dtype=float)
+    probs = _scores(probs)
     y = np.asarray(labels)
     if len(np.unique(y)) < 2:
         raise MetricError("labels contain a single class")
@@ -146,7 +153,7 @@ def roc_curve(probs, labels) -> RocCurve:
     tps = np.cumsum(y_sorted == 1)
     fps = np.cumsum(y_sorted == 0)
     # collapse ties: keep the last index of each distinct score
-    distinct = np.flatnonzero(np.diff(p_sorted)) if p_sorted.size > 1 else np.array([], int)
+    distinct = np.flatnonzero(np.diff(p_sorted))
     keep = np.r_[distinct, p_sorted.size - 1]
     tpr = np.r_[0.0, tps[keep] / tps[-1]]
     fpr = np.r_[0.0, fps[keep] / fps[-1]]
@@ -156,7 +163,7 @@ def roc_curve(probs, labels) -> RocCurve:
 
 def roc_auc(probs, labels) -> float:
     """Rank-based AUC with midrank tie handling (Mann-Whitney identity)."""
-    probs = np.asarray(probs, dtype=float)
+    probs = _scores(probs)
     y = np.asarray(labels)
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
@@ -168,14 +175,11 @@ def roc_auc(probs, labels) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; each run of equal values shares its mean rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=float)
-    i = 0
     sx = x[order]
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])  # each run's first index
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from imbalkit.data import (
     smote,
     stratified_split,
 )
+from imbalkit import data as data_module
 from imbalkit.data import _NN_BLOCK, _nearest_neighbors
 from imbalkit.synth import synthetic_dataset, write_dataset_csv, write_schema_json
 from imbalkit import load_schema
@@ -342,6 +344,9 @@ def _reference_smote(train, k_neighbors, seed):
     return X[base] + u[:, None] * (X[nn[base, pick]] - X[base])
 
 
+_BLOCK_SIZES = (_NN_BLOCK, 1, 3)  # the default, one row, and blocks with a ragged tail
+
+
 @st.composite
 def _tied_minorities(draw, max_rows):
     """Small-integer matrices: many equal distances, and duplicate rows."""
@@ -359,11 +364,27 @@ class TestNeighbourSearch:
     @settings(max_examples=40, deadline=None)
     def test_matches_stable_argsort(self, X, k):
         k = min(k, X.shape[0] - 1)
-        assert np.array_equal(_nearest_neighbors(X, k), _reference_neighbors(X, k))
+        for block in _BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data_module, "_NN_BLOCK", block)
+                assert np.array_equal(_nearest_neighbors(X, k), _reference_neighbors(X, k))
 
-    def test_spans_several_blocks(self):
+    def test_spans_several_blocks(self, monkeypatch):
         X = np.random.default_rng(0).integers(0, 3, size=(2 * _NN_BLOCK + 7, 2)).astype(float)
-        assert np.array_equal(_nearest_neighbors(X, 5), _reference_neighbors(X, 5))
+        for block in _BLOCK_SIZES:
+            monkeypatch.setattr(data_module, "_NN_BLOCK", block)
+            assert np.array_equal(_nearest_neighbors(X, 5), _reference_neighbors(X, 5))
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_NN_BLOCK", 16)
+        X = np.random.default_rng(0).normal(size=(600, 4))
+        tracemalloc.start()
+        try:
+            _nearest_neighbors(X, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] ** 2 * 8 / 4  # a quarter of the n x n float matrix
 
     @given(_tied_minorities(max_rows=30), st.integers(1, 8), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)

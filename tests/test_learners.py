@@ -875,6 +875,15 @@ class TestKnn:
         model = fit_model(ModelSpec("knn", {"n_neighbors": 50}), m)
         assert model.n_neighbors == 6
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_distance_overflow_rejected(self):
+        X = np.array([[1e200, 0.5], [0.0, 0.5], [1.0, 0.0]])
+        m = EncodedMatrix(X, np.array([1, 0, 0]), ("a", "b"), np.arange(3))
+        model = fit_model(ModelSpec("knn", {"n_neighbors": 2}), m)
+        # the first query's distance to the first row is inf - inf
+        with pytest.raises(data_module.DataError, match="overflow"):
+            model.predict_proba_values(np.array([[1e200, 0.5], [0.0, 0.5]]))
+
     @pytest.mark.parametrize("block", [None, 3])
     @pytest.mark.parametrize("weights", ["uniform", "distance"])
     @pytest.mark.parametrize("k", [1, 3, 9, 40])

@@ -104,6 +104,13 @@ class TestEvaluate:
         with pytest.raises(MetricError):
             evaluate([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [evaluate, roc_auc, roc_curve])
+    def test_non_finite_scores_rejected(self, metric, score):
+        # a NaN passes the range check and would sort to the top rank
+        with pytest.raises(MetricError, match="finite"):
+            metric([score, 0.2, 0.9, 0.7], [1, 0, 1, 0])
+
     def test_to_dict_confusion_keys(self):
         y = np.array([1, 0, 1, 0])
         d = evaluate(np.array([0.9, 0.1, 0.4, 0.6]), y).to_dict()
