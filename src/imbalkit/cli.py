@@ -104,9 +104,9 @@ def eda(config_path, seed, resample_test, out_dir):
             labels, codes = np.unique(np.asarray(columns[col.name]), return_inverse=True)
             labels = labels.tolist()
         coded[col.name] = (labels, codes)
-    target_labels, target_codes = coded[config.target]
+    target_labels, target_codes = coded[dataset.target]
 
-    feature_cols = [c for c in dataset.schema if c.name != config.target]
+    feature_cols = [c for c in dataset.schema if c.name != dataset.target]
     for col in feature_cols:
         labels, codes = coded[col.name]
         table = contingency_table(codes, target_codes)

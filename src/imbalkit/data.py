@@ -302,7 +302,8 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     """Seeded stratified train/test split.
 
     Per-class test counts are round(class_count * test_fraction); the shuffle
-    is driven only by the seed.
+    is driven only by the seed. A class left without test or training rows is
+    a DataError.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must lie strictly between 0 and 1")
@@ -310,9 +311,10 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     test_idx, train_idx = [], []
     for cls in (0, 1):
         cls_idx = np.flatnonzero(matrix.target == cls)
-        if cls_idx.size < 2:
-            raise DataError(f"class {cls} has fewer than 2 rows")
         n_test = int(np.floor(cls_idx.size * test_fraction + 0.5))
+        if not 0 < n_test < cls_idx.size:
+            raise DataError(f"test_fraction {test_fraction} leaves class {cls} "
+                            f"with no {'test' if n_test == 0 else 'training'} rows")
         perm = rng.permutation(cls_idx)
         test_idx.append(perm[:n_test])
         train_idx.append(perm[n_test:])

@@ -15,10 +15,11 @@ class RandomForestModel(TrainedModel):
 
     algorithm = "random-forest"
 
-    def __init__(self, trees: list[TreeNode], feature_names):
+    def __init__(self, trees: list[dict], feature_names):
         super().__init__(feature_names)
-        self.trees = trees
-        self._flat = flatten_trees([t.to_dict() for t in trees])
+        self._docs = trees
+        self.trees = [TreeNode(t) for t in trees]
+        self._flat = flatten_trees(trees)
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "RandomForestModel":
@@ -47,8 +48,8 @@ class RandomForestModel(TrainedModel):
         return acc / len(self.trees)
 
     def params_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
+        return {"trees": self._docs}
 
     @classmethod
     def from_params_dict(cls, d, feature_names):
-        return cls([TreeNode.from_dict(t) for t in d["trees"]], feature_names)
+        return cls(d["trees"], feature_names)

@@ -4,8 +4,6 @@ gradient-boosted trees) predicts through."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .base import LearnerError, ModelSpec, TrainedModel
@@ -37,36 +35,27 @@ def _entropy_vec(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n > 0, h, 0.0)
 
 
-@dataclass
 class TreeNode:
-    n_samples: int
-    impurity: float
-    value: float                      # class-1 fraction at this node
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    """Read-only view of a tree document: {"n", "impurity", "value"} (value is
+    the class-1 fraction), plus "feature", "threshold", "left" and "right" at
+    a split. A leaf's feature, threshold, left and right are None."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    __slots__ = ("_doc",)
+
+    def __init__(self, doc: dict):
+        self._doc = doc
+
+    n_samples = property(lambda self: self._doc["n"])
+    impurity = property(lambda self: self._doc["impurity"])
+    value = property(lambda self: self._doc["value"])
+    feature = property(lambda self: self._doc.get("feature"))
+    threshold = property(lambda self: self._doc.get("threshold"))
+    left = property(lambda self: None if self.is_leaf else TreeNode(self._doc["left"]))
+    right = property(lambda self: None if self.is_leaf else TreeNode(self._doc["right"]))
+    is_leaf = property(lambda self: "feature" not in self._doc)
 
     def to_dict(self) -> dict:
-        d = {"n": self.n_samples, "impurity": self.impurity, "value": self.value}
-        if not self.is_leaf:
-            d.update(feature=self.feature, threshold=self.threshold,
-                     left=self.left.to_dict(), right=self.right.to_dict())
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(n_samples=d["n"], impurity=d["impurity"], value=d["value"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
+        return self._doc
 
 
 def best_entropy_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
@@ -104,14 +93,15 @@ def best_entropy_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float]
 
 def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: int,
                depth: int = 0, max_features: int | None = None,
-               rng: np.random.Generator | None = None) -> TreeNode:
-    """Grow an entropy tree depth-first. Without rng every node searches all
-    columns; with rng (a random-forest member) each node that may split first
-    draws max_features columns, in left-before-right node order."""
+               rng: np.random.Generator | None = None) -> dict:
+    """Grow an entropy tree depth-first and return its document (see TreeNode).
+    Without rng every node searches all columns; with rng (a random-forest
+    member) each node that may split first draws max_features columns, in
+    left-before-right node order."""
     n = y.size
     pos = int(y.sum())
-    node = TreeNode(n_samples=n, impurity=entropy_impurity((n - pos, pos)), value=pos / n)
-    if depth >= max_depth or n < min_samples_split or node.impurity == 0.0:
+    node = {"n": n, "impurity": entropy_impurity((n - pos, pos)), "value": pos / n}
+    if depth >= max_depth or n < min_samples_split or node["impurity"] == 0.0:
         return node
     if rng is None:
         split = best_entropy_split(X, y)
@@ -125,12 +115,11 @@ def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: 
         return node
     j, thr, _ = split
     mask = X[:, j] <= thr
-    node.feature = j
-    node.threshold = thr
-    node.left = build_tree(X[mask], y[mask], max_depth, min_samples_split, depth + 1,
-                           max_features, rng)
-    node.right = build_tree(X[~mask], y[~mask], max_depth, min_samples_split, depth + 1,
-                            max_features, rng)
+    node.update(feature=j, threshold=thr,
+                left=build_tree(X[mask], y[mask], max_depth, min_samples_split, depth + 1,
+                                max_features, rng),
+                right=build_tree(X[~mask], y[~mask], max_depth, min_samples_split, depth + 1,
+                                 max_features, rng))
     return node
 
 
@@ -184,10 +173,11 @@ def leaf_values(flat, values: np.ndarray) -> np.ndarray:
 class DecisionTreeModel(TrainedModel):
     algorithm = "decision-tree"
 
-    def __init__(self, root: TreeNode, feature_names):
+    def __init__(self, root: dict, feature_names):
         super().__init__(feature_names)
-        self.root = root
-        self._flat = flatten_trees([root.to_dict()])
+        self._doc = root
+        self.root = TreeNode(root)
+        self._flat = flatten_trees([root])
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":
@@ -199,8 +189,8 @@ class DecisionTreeModel(TrainedModel):
         return leaf_values(self._flat, values)[0]
 
     def params_dict(self) -> dict:
-        return {"root": self.root.to_dict()}
+        return {"root": self._doc}
 
     @classmethod
     def from_params_dict(cls, d, feature_names):
-        return cls(TreeNode.from_dict(d["root"]), feature_names)
+        return cls(d["root"], feature_names)

@@ -153,6 +153,9 @@ def load_config(path, seed_override: int | None = None,
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    for key in ("dataset", "schema", "target", "output_dir"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigError(f"{key!r} must be a string")
     if raw.get("dataset", "synthetic") != "synthetic" and not raw.get("schema"):
         raise ConfigError("a CSV dataset requires a schema path")
     try:

@@ -89,6 +89,16 @@ class TestEda:
         assert bal["class0"] + bal["class1"] == 240
         assert bal["class0"] > bal["class1"]
 
+    def test_target_comes_from_the_dataset(self, tmp_path):
+        """The synthetic dataset names its own target, as in every command."""
+        cfg, out = write_config(tmp_path)
+        odd_out = tmp_path / "odd-out"
+        odd, _ = write_config(tmp_path, name="odd.json", target="nope", output_dir=str(odd_out))
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        result = run_cli("eda", "--config", odd)
+        assert result.exit_code == 0, result.output
+        assert read_manifest(odd_out)["artifacts"] == read_manifest(out)["artifacts"]
+
     def test_byte_identical_across_reruns(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert run_cli("eda", "--config", cfg).exit_code == 0
@@ -615,6 +625,11 @@ class TestErrorPaths:
                                                      "algorithm": "naive-bayes"}]},
         {"models": base_config("out")["models"] + [{"name": "extra",
                                                      "algorithm": ["naive-bayes"]}]},
+        {"output_dir": 5},
+        # an integer path is a file descriptor to open(); this one is never open
+        {"dataset": "survey.csv", "schema": 999999},
+        {"dataset": 7, "schema": "schema.json"},
+        {"target": 3},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -632,7 +647,8 @@ class TestErrorPaths:
             "depth-bool", "seed-numeric-string", "synthetic-rows-bool", "fractional-cv-folds",
             "fractional-lime-samples", "uniform-over-integer-key", "randint-over-real-key",
             "csv-without-schema", "uniform-over-choice-key", "reference-model-list",
-            "model-name-list", "algorithm-list"])
+            "model-name-list", "algorithm-list", "output-dir-number", "schema-number",
+            "dataset-number", "target-number"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):
@@ -641,6 +657,19 @@ class TestErrorPaths:
             assert isinstance(result.exception, SystemExit)
             assert "config error" in result.output
             assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, test_fraction", [
+        (["benchmark"], 0.05), (["benchmark"], 0.9), (["explain", "--model", "nb"], 0.9)])
+    def test_split_leaving_a_class_empty_exits_3(self, tmp_path, command, test_fraction):
+        """30 rows at imbalance 5 hold 5 minority rows: a fraction of 0.05
+        puts none of them in the test split, 0.9 all of them."""
+        cfg, _ = write_config(tmp_path, synthetic={"n": 30, "imbalance": 5.0},
+                              smote={"enabled": False}, test_fraction=test_fraction)
+        result = run_cli(*command, "--config", cfg)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "data error: test_fraction" in result.output
+        assert "failed" not in result.output
 
     @pytest.mark.parametrize("command, overrides", [
         (["benchmark"], {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),

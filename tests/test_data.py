@@ -201,6 +201,14 @@ class TestStratifiedSplit:
             with pytest.raises(DataError):
                 stratified_split(small_matrix, frac, seed=0)
 
+    @pytest.mark.parametrize("frac, side", [(0.05, "test"), (0.95, "training")])
+    def test_rejects_a_class_left_empty(self, frac, side):
+        # 4 class-1 rows: round(4 * 0.05) = 0 test rows, round(4 * 0.95) = 4
+        target = np.r_[np.zeros(36, int), np.ones(4, int)]
+        m = EncodedMatrix(np.arange(40.0).reshape(-1, 1), target, ("x",), np.arange(40))
+        with pytest.raises(DataError, match=f"class 1 with no {side} rows"):
+            stratified_split(m, frac, seed=0)
+
 
 def imbalanced_matrix(n_min=20, n_maj=80, d=4, seed=2):
     rng = np.random.default_rng(seed)

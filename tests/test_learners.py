@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from imbalkit import data as data_module
 from imbalkit.data import EncodedMatrix
+from imbalkit.explain import impurity_importance
 from imbalkit.learners import fit_model, predict_proba, tune_random_search
 from imbalkit.learners.base import (
     ALGORITHMS,
@@ -35,6 +36,7 @@ from imbalkit.learners import svm as svm_module
 from imbalkit.learners.svm import _kernel_matrix, _smo
 from imbalkit.learners import tree as tree_module
 from imbalkit.learners.tree import (
+    TreeNode,
     _entropy_vec,
     best_entropy_split,
     build_tree,
@@ -267,7 +269,7 @@ class TestEntropyTree:
         X = np.tile(base, (8, 1))
         y = np.tile(np.array([0, 0, 0, 1]), 8)
         root = build_tree(X, y, max_depth=2, min_samples_split=2)
-        preds = _walk(root.to_dict(), base)
+        preds = _walk(root, base)
         assert preds.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_xor_root_stays_leaf(self):
@@ -277,7 +279,7 @@ class TestEntropyTree:
         X = np.tile(base, (8, 1))
         y = np.tile(np.array([0, 1, 1, 0]), 8)
         root = build_tree(X, y, max_depth=4, min_samples_split=2)
-        assert _walk(root.to_dict(), base).tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert _walk(root, base).tolist() == [0.5, 0.5, 0.5, 0.5]
 
     def test_every_internal_node_reduces_impurity(self):
         m = two_class_matrix(60, 40, d=5, seed=5)
@@ -492,6 +494,42 @@ class TestFlatTreePredict:
         for v in (values, *_strided_copies(values)):
             assert np.array_equal(model.predict_proba_values(v), expected)
             assert np.array_equal(restored.predict_proba_values(v), expected)
+
+
+def _count_nodes(node):
+    return 0 if node is None else 1 + _count_nodes(node.left) + _count_nodes(node.right)
+
+
+class TestTreeDocuments:
+    """Tree models hold the documents they serialize; TreeNode views read them."""
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("decision-tree", {"max_depth": 8, "min_samples_split": 4}),
+        ModelSpec("random-forest", {"n_estimators": 5, "max_depth": 6}, seed=3),
+    ])
+    def test_json_round_trip_keeps_the_documents(self, spec):
+        model = fit_model(spec, _tie_heavy_matrix())
+        restored = deserialize_model(json.loads(json.dumps(serialize_model(model))))
+        assert restored.params_dict() == model.params_dict()
+        roots = [restored.root] if spec.algorithm == "decision-tree" else restored.trees
+        docs = [root.to_dict() for root in roots]
+        (feature, _, _, _), _, _ = flatten_trees(docs)
+        assert sum(_count_nodes(root) for root in roots) == feature.size > len(roots)
+        if spec.algorithm == "random-forest":
+            assert np.array_equal(impurity_importance(restored).scores,
+                                  impurity_importance(model).scores)
+
+    def test_view_reads_the_document(self):
+        doc = build_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 0, 1, 1]),
+                         max_depth=3, min_samples_split=2)
+        root = TreeNode(doc)
+        assert root.to_dict() is doc
+        assert (root.n_samples, root.impurity, root.value) == (4, 1.0, 0.5)
+        assert (root.feature, root.threshold, root.is_leaf) == (0, 0.5, False)
+        assert root.left.to_dict() is doc["left"] and root.right.value == 1.0
+        leaf = root.left
+        assert leaf.is_leaf
+        assert (leaf.feature, leaf.threshold, leaf.left, leaf.right) == (None, None, None, None)
 
 
 def _reference_tree(X, g, h, candidates, lam, max_depth, records, t, depth=0):
