@@ -13,6 +13,7 @@ from .data import (
     SchemaError,
     class_distribution,
     label_encode,
+    positive_category,
     stratified_split,
 )
 from .learners.base import fit_model, predict_proba
@@ -24,7 +25,7 @@ from .report import ArtifactWriter, ConfigError, RunConfig, load_config
 from .stats import (
     StatsError,
     bonferroni_adjust,
-    chi_square_association,
+    chi_square,
     contingency_table,
     cramers_v,
     paired_t_test,
@@ -87,52 +88,41 @@ def eda(config_path, seed, resample_test, out_dir):
     """Frequency tables, Cramer's V matrix + heatmap, chi-square associations."""
     config = load_config(config_path, seed, out_dir, resample_test)
     dataset = config.load()
-    matrix, _ = label_encode(dataset)
+    matrix, encoder = label_encode(dataset)
     writer = ArtifactWriter(config.output_dir, config)
+    tcol = dataset.column(dataset.target)
+    target_labels = sorted(tcol.categories)
+    # matrix.target is 1 for the positive class; the tables order the target by label
+    target = matrix.target if positive_category(tcol) == target_labels[1] else 1 - matrix.target
 
-    # every column once as (sorted observed labels, integer code per row);
-    # continuous columns are tabulated by their equal-width bin, whose single
-    # digit makes numeric and label order agree
-    columns = dict(zip((c.name for c in dataset.schema), zip(*dataset.rows)))
-    coded = {}
-    for col in dataset.schema:
-        if col.kind == "continuous":
-            bins, codes = np.unique(_equal_width_bins(np.array(columns[col.name], dtype=float)),
-                                    return_inverse=True)
-            labels = [f"bin_{b}" for b in bins.tolist()]
+    # a frequency table and a chi-square association per feature over its
+    # observed values; a continuous column is tabulated by its equal-width
+    # bin, whose single digit makes numeric and label order agree
+    assoc_rows, categorical = [], {}
+    for name, column in zip(matrix.column_names, matrix.values.T):
+        if name not in encoder.mappings:  # a continuous column
+            table = contingency_table(_equal_width_bins(column), target)
+            labels = [f"bin_{b}" for b in table.row_labels]
         else:
-            labels, codes = np.unique(np.asarray(columns[col.name]), return_inverse=True)
-            labels = labels.tolist()
-        coded[col.name] = (labels, codes)
-    target_labels, target_codes = coded[dataset.target]
-
-    feature_cols = [c for c in dataset.schema if c.name != dataset.target]
-    for col in feature_cols:
-        labels, codes = coded[col.name]
-        table = contingency_table(codes, target_codes)
-        writer.write_csv(f"frequencies/{col.name}.csv",
-                         ["feature", "value", "target", "count"],
-                         [[col.name, v, t, int(n)]
+            categorical[name] = column
+            table = contingency_table(column, target)
+            labels = [encoder.decode(name, int(code)) for code in table.row_labels]
+        writer.write_csv(f"frequencies/{name}.csv", ["feature", "value", "target", "count"],
+                         [[name, v, target_labels[t], int(n)]
                           for v, counts in zip(labels, table.counts)
-                          for t, n in zip(target_labels, counts)])
-
-    # associations against the target at the EDA significance level
-    assoc_rows = []
-    for col in feature_cols:
-        res = chi_square_association(coded[col.name][1], target_codes, alpha=0.10)
-        assoc_rows.append([col.name, f"{res.chi2:.6f}", f"{res.p_value:.6g}",
-                           "significant" if res.significant else "not-significant"])
+                          for t, n in zip(table.col_labels, counts)])
+        chi2, _, p_value = chi_square(table)
+        assoc_rows.append([name, f"{chi2:.6f}", f"{p_value:.6g}",
+                           "significant" if p_value < 0.10 else "not-significant"])
     writer.write_csv("associations.csv", ["feature", "chi2", "p_value", "decision"],
                      assoc_rows)
 
-    cat_cols = [c for c in feature_cols if c.kind != "continuous"]
-    k = len(cat_cols)
+    labels = list(categorical)
+    k = len(labels)
     V = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            v = cramers_v(coded[cat_cols[i].name][1], coded[cat_cols[j].name][1])
-            V[i, j] = V[j, i] = v
-    labels = [c.name for c in cat_cols]
+            V[i, j] = V[j, i] = cramers_v(categorical[labels[i]], categorical[labels[j]])
     writer.write_csv("cramers_v.csv", ["feature"] + labels,
                      [[labels[i]] + [f"{V[i, j]:.6f}" for j in range(k)] for i in range(k)])
     writer.write_text("heatmap.svg", heatmap_svg(V, labels, "Cramer's V association"))

@@ -7,6 +7,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "dataset_from_rows",
     "label_encode",
     "decode_row",
+    "positive_category",
     "stratified_split",
     "smote",
     "class_distribution",
@@ -31,7 +33,11 @@ __all__ = [
 
 
 class DataError(ValueError):
-    """Raised for malformed input data."""
+    """Raised for malformed input data; `row` is the table row at fault, if any."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class SchemaError(ValueError):
@@ -93,14 +99,6 @@ class Dataset:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def class_counts(self) -> dict[str, int]:
-        tcol = self.column(self.target)
-        idx = [c.name for c in self.schema].index(self.target)
-        counts = {cat: 0 for cat in tcol.categories}
-        for row in self.rows:
-            counts[row[idx]] += 1
-        return counts
-
 
 @dataclass(frozen=True)
 class EncoderMap:
@@ -159,77 +157,122 @@ class ClassBalance:
         return self.count_class0 + self.count_class1
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def load_schema(path) -> list[ColumnSchema]:
-    """Read a schema JSON document: a list of {name, kind, categories} objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read a schema JSON document (UTF-8, with or without a BOM): a list of
+    {name, kind, categories} objects."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"schema {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise SchemaError("schema document must be a JSON list")
-    return [
-        ColumnSchema(entry["name"], entry["kind"], tuple(entry.get("categories", ())))
-        for entry in raw
-    ]
+    columns = []
+    for entry in raw:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("kind"), str)):
+            raise SchemaError(f"schema entry {entry!r} needs 'name' and 'kind' strings")
+        categories = entry.get("categories", [])
+        if not (isinstance(categories, list) and all(isinstance(c, str) for c in categories)):
+            raise SchemaError(f"categories of column {entry['name']!r} must be a list of strings")
+        columns.append(ColumnSchema(entry["name"], entry["kind"], tuple(categories)))
+    return columns
 
 
 def _validate_cell(col: ColumnSchema, value: str, row_idx: int):
-    if col.kind == CONTINUOUS:
-        try:
-            number = float(value)
-        except ValueError:
-            raise DataError(
-                f"row {row_idx}: non-numeric value {value!r} in continuous column {col.name!r}"
-            ) from None
-        if not math.isfinite(number):
-            raise DataError(
-                f"row {row_idx}: non-finite value {value!r} in continuous column {col.name!r}"
-            )
+    if value == "":
+        fault = "missing value in column"
+    elif col.kind != CONTINUOUS:
+        fault = None if value in col.categories else f"unknown category {value!r} in column"
     else:
-        if value not in col.categories:
-            raise DataError(
-                f"row {row_idx}: unknown category {value!r} in column {col.name!r}"
-            )
+        try:
+            finite = math.isfinite(float(value))
+        except ValueError:
+            fault = f"non-numeric value {value!r} in continuous column"
+        else:
+            fault = None if finite else f"non-finite value {value!r} in continuous column"
+    if fault:
+        raise DataError(f"row {row_idx}: {fault} {col.name!r}", row_idx)
+
+
+def _parse_column(col: ColumnSchema, cells) -> np.ndarray:
+    """One column of cells as float64: a continuous cell is its float, any
+    other cell its index in sorted(col.categories). The first bad cell raises
+    the DataError that _validate_cell words for it."""
+    try:
+        if col.kind == CONTINUOUS:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        else:  # "" is a missing value even where it is a declared category
+            codes = {cat: i for i, cat in enumerate(sorted(col.categories)) if cat != ""}
+            values = np.fromiter(map(codes.__getitem__, cells), np.float64, len(cells))
+        if np.isfinite(values).all():
+            return values
+    except (KeyError, TypeError, ValueError):
+        pass
+    for i, cell in enumerate(cells):
+        _validate_cell(col, cell, i)
 
 
 def dataset_from_rows(schema, rows, target: str) -> Dataset:
-    """Build and validate a Dataset from already-parsed string rows."""
+    """Build and validate a Dataset from already-parsed string rows, a column
+    at a time. Of several faults the one in the lowest row is reported, and
+    of several in that row the leftmost."""
     schema = tuple(schema)
-    checked = []
-    for i, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != len(schema):
-            raise DataError(f"row {i}: expected {len(schema)} cells, got {len(row)}")
-        for col, cell in zip(schema, row):
-            if cell == "":
-                raise DataError(f"row {i}: missing value in column {col.name!r}")
-            _validate_cell(col, cell, i)
-        checked.append(row)
-    if not checked:
+    rows = tuple(map(tuple, rows))
+    n_whole = next((i for i, row in enumerate(rows) if len(row) != len(schema)), len(rows))
+    whole, faults = rows[:n_whole], []
+    for j, col in enumerate(schema):
+        try:
+            _parse_column(col, tuple(map(itemgetter(j), whole)))
+        except DataError as fault:
+            faults.append(fault)
+    if faults:
+        raise min(faults, key=lambda fault: fault.row)
+    if n_whole < len(rows):
+        raise DataError(f"row {n_whole}: expected {len(schema)} cells, got {len(rows[n_whole])}")
+    if not rows:
         raise DataError("empty dataset")
-    return Dataset(schema, tuple(checked), target)
+    return Dataset(schema, rows, target)
 
 
 def load_dataset(path, schema, target: str) -> Dataset:
-    """Load a CSV file (UTF-8, RFC 4180, header row) under a declared schema.
+    """Load a CSV file (UTF-8 with or without a BOM, RFC 4180, header row)
+    under a declared schema.
 
-    The header must contain exactly the schema's column names; column order in
-    the file is free and gets normalized to schema order.
+    The header must name each of the schema's columns exactly once; column
+    order in the file is free and gets normalized to schema order.
     """
     schema = tuple(schema)
     names = [c.name for c in schema]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file") from None
-        missing = set(names) - set(header)
-        if missing:
-            raise DataError(f"missing columns in header: {sorted(missing)}")
-        extra = set(header) - set(names)
-        if extra:
-            raise DataError(f"unexpected columns in header: {sorted(extra)}")
-        order = [header.index(n) for n in names]
-        rows = [tuple(raw[j] for j in order) for raw in reader if raw]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty file")
+            repeated = {n for n in header if header.count(n) > 1}
+            if repeated:
+                raise DataError(f"repeated columns in header: {sorted(repeated)}")
+            missing = set(names) - set(header)
+            if missing:
+                raise DataError(f"missing columns in header: {sorted(missing)}")
+            extra = set(header) - set(names)
+            if extra:
+                raise DataError(f"unexpected columns in header: {sorted(extra)}")
+            order = [header.index(n) for n in names]
+            # a row of the wrong length stays as read, for dataset_from_rows to report
+            rows = [tuple(map(raw.__getitem__, order)) if len(raw) == len(order) else tuple(raw)
+                    for raw in reader if raw]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path} is not a CSV file: {exc}") from None
     return dataset_from_rows(schema, rows, target)
 
 
@@ -239,42 +282,33 @@ def label_encode(dataset: Dataset) -> tuple[EncodedMatrix, EncoderMap]:
     Codes follow lexicographic category order. The target maps to {0,1}; the
     positive class is the category matching a recognized "positive" word
     (abused/yes/true/...) or, failing that, the lexicographically larger one.
+    Each column goes through the parser that validates it, so a bad cell
+    raises the same DataError as in dataset_from_rows.
     """
-    mappings = {}
-    feature_cols = [c for c in dataset.schema if c.name != dataset.target]
+    mappings = {col.name: {cat: i for i, cat in enumerate(sorted(col.categories))}
+                for col in dataset.schema if col.kind != CONTINUOUS}
     tcol = dataset.column(dataset.target)
-    tidx = [c.name for c in dataset.schema].index(dataset.target)
-
-    for col in dataset.schema:
-        if col.kind != CONTINUOUS:
-            mappings[col.name] = {cat: i for i, cat in enumerate(sorted(col.categories))}
-
-    positive = _positive_category(tcol)
-    target_map = {cat: (1 if cat == positive else 0) for cat in tcol.categories}
-
-    n, d = dataset.n_rows, len(feature_cols)
-    values = np.empty((n, d), dtype=np.float64)
-    target = np.empty(n, dtype=np.int64)
-    col_positions = [[c.name for c in dataset.schema].index(c.name) for c in feature_cols]
-    for i, row in enumerate(dataset.rows):
-        for j, (col, pos) in enumerate(zip(feature_cols, col_positions)):
-            cell = row[pos]
-            if col.kind == CONTINUOUS:
-                values[i, j] = float(cell)
-            else:
-                values[i, j] = mappings[col.name][cell]
-        target[i] = target_map[row[tidx]]
-
-    matrix = EncodedMatrix(
-        values, target, tuple(c.name for c in feature_cols), np.arange(n, dtype=np.int64)
-    )
+    positive = mappings[tcol.name][positive_category(tcol)]
+    names = tuple(c.name for c in dataset.schema if c is not tcol)
+    values = np.empty((dataset.n_rows, len(names)), dtype=np.float64)
+    target = np.empty(dataset.n_rows, dtype=np.int64)
+    features = iter(values.T)  # the feature columns, in schema order
+    for j, col in enumerate(dataset.schema):
+        # one column's cells at a time; zip(*rows) would also hold an iterator per row
+        cells = tuple(map(itemgetter(j), dataset.rows))
+        if col is tcol:
+            target[:] = _parse_column(col, cells) == positive
+        else:
+            next(features)[:] = _parse_column(col, cells)
+    matrix = EncodedMatrix(values, target, names, np.arange(dataset.n_rows, dtype=np.int64))
     return matrix, EncoderMap(mappings)
 
 
 _POSITIVE_WORDS = {"abused", "yes", "positive", "true", "1"}
 
 
-def _positive_category(tcol: ColumnSchema) -> str:
+def positive_category(tcol: ColumnSchema) -> str:
+    """The category of a target column that label_encode maps to class 1."""
     hits = [c for c in tcol.categories if c.strip().lower() in _POSITIVE_WORDS]
     if len(hits) == 1:
         return hits[0]

@@ -177,7 +177,6 @@ class LimeConfig:
     ridge: float = 1e-3
     column_kinds: tuple[str, ...] = ()        # "continuous" or "categorical" per column
     column_stds: np.ndarray | None = None
-    column_means: np.ndarray | None = None
     # per categorical column index: (codes, probabilities)
     categorical_marginals: dict = field(default_factory=dict)
 
@@ -202,8 +201,7 @@ class LimeConfig:
         if n_samples < d + 1:
             raise ExplainError("n_samples must be at least d + 1")
         return cls(sigma=sigma, n_samples=n_samples, ridge=ridge, column_kinds=kinds,
-                   column_stds=stds, column_means=X.mean(axis=0),
-                   categorical_marginals=marginals)
+                   column_stds=stds, categorical_marginals=marginals)
 
 
 def lime_explain(predict, x, config: LimeConfig, seed: int = 0) -> SurrogateFit:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -61,9 +60,6 @@ class EvaluationReport:
         d["confusion"] = {"tp": self.confusion.tp, "fp": self.confusion.fp,
                           "tn": self.confusion.tn, "fn": self.confusion.fn}
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def confusion(labels, predictions) -> ConfusionMatrix:

@@ -86,6 +86,28 @@ _SETTINGS = {
 }
 
 
+# the keys of each part of a config ("" is the top level) that are not the run
+# settings _SETTINGS puts there; model entries hold no section of _SETTINGS,
+# and its `oof_folds` row is a key of stacking entries, not of the top level
+_KEYS = {
+    "": {"dataset", "schema", "target", "output_dir", "models", "reference_model", "smote",
+         "tuning", "synthetic", "explain"},
+    "tuning": {"spaces"},
+    "model": {"name", "algorithm", "hyperparameters", "seed"},
+    "stacking": {"name", "algorithm", "bases", "meta", "oof_folds", "seed"},
+    "meta": {"hyperparameters", "seed"},
+}
+
+
+def _check_keys(raw: dict, part: str, where: str):
+    """A key of raw that this part of a config does not hold is a ConfigError."""
+    settings = {key.rpartition(".")[2] for key in _SETTINGS
+                if key.rpartition(".")[0] == part and key != "oof_folds"}
+    unknown = sorted(set(raw) - _KEYS.get(part, set()) - settings)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+
+
 def _setting(raw: dict, key: str, default=None):
     """Run setting key (dotted: section.name) from raw, checked against its rule;
     a missing one is default, or the table's default if that is None."""
@@ -113,6 +135,7 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
             raise ConfigError("every model entry needs 'name' and 'algorithm' strings")
         if name in specs or name in [d[0] for d in deferred]:
             raise ConfigError(f"duplicate model name {name!r}")
+        _check_keys(entry, "stacking" if algo == "stacking" else "model", f"model {name!r}")
         order.append(name)
         if algo == "stacking":
             deferred.append((name, entry))
@@ -127,6 +150,7 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
         if missing:
             raise ConfigError(f"stacking model {name!r} references unknown bases {missing}")
         meta_entry = _section(entry, "meta")
+        _check_keys(meta_entry, "meta", f"the meta entry of {name!r}")
         meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
                          _setting(meta_entry, "seed", seed))
         specs[name] = StackingSpec(
@@ -145,14 +169,17 @@ def load_config(path, seed_override: int | None = None,
     """The run configuration at path; every fault in it, a value that the rule
     of a run setting or hyperparameter rejects included, is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(raw, "", "the config")
+    for section in ("smote", "tuning", "synthetic", "explain"):
+        _check_keys(_section(raw, section), section, repr(section))
     for key in ("dataset", "schema", "target", "output_dir"):
         if not isinstance(raw.get(key, ""), str):
             raise ConfigError(f"{key!r} must be a string")

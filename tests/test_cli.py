@@ -630,6 +630,16 @@ class TestErrorPaths:
         {"dataset": "survey.csv", "schema": 999999},
         {"dataset": 7, "schema": "schema.json"},
         {"target": 3},
+        {"models": base_config("out")["models"] + [
+            {"name": "extra", "algorithm": "gbt", "hyperparameter": {"n_estimators": 3}}]},
+        {"tuning": {"space": {"nb": {"var_smoothing": [1e-9]}}}},
+        {"cv_fold": 3},
+        {"smote": {"enabled": True, "k_neighbour": 3}},
+        {"explain": {"n_permutation": 5}},
+        {"synthetic": {"n": 240, "imbalence": 5.0}},
+        {"oof_folds": 3},
+        with_stack(oof_fold=3),
+        with_stack(meta={"hyperparameter": {"C": 0.5}}),
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -648,7 +658,10 @@ class TestErrorPaths:
             "fractional-lime-samples", "uniform-over-integer-key", "randint-over-real-key",
             "csv-without-schema", "uniform-over-choice-key", "reference-model-list",
             "model-name-list", "algorithm-list", "output-dir-number", "schema-number",
-            "dataset-number", "target-number"])
+            "dataset-number", "target-number", "model-hyperparameter-singular",
+            "tuning-space-singular", "cv-fold-singular", "smote-k-neighbour",
+            "explain-n-permutation-singular", "synthetic-misspelt-key", "oof-folds-at-top-level",
+            "stack-oof-fold-singular", "meta-hyperparameter-singular"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):
@@ -730,6 +743,20 @@ class TestErrorPaths:
         result = run_cli("benchmark", "--config", tmp_path / "absent.json")
         assert result.exit_code == 2
 
+    def test_config_with_a_bom_loads(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        result = run_cli("eda", "--config", cfg)
+        assert result.exit_code == 0, result.output
+
+    def test_undecodable_config_exits_2_without_traceback(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"seed"', b'"s\xffeed"'))
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error" in result.output and "Traceback" not in result.output
+
     def test_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -753,3 +780,74 @@ class TestErrorPaths:
                               schema=str(schema), target="outcome")
         result = run_cli("benchmark", "--config", cfg)
         assert result.exit_code == 3
+
+
+class TestInputFiles:
+    """Faults in the CSV or schema file exit 3 with a data error, never a traceback."""
+
+    def assert_data_error(self, cfg, message):
+        for command in ("eda", "benchmark"):
+            result = run_cli(command, "--config", cfg)
+            assert result.exit_code == 3, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "data error" in result.output and message in result.output, result.output
+            assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("schema, message", [
+        ("{not json", "is not valid JSON"),
+        (["color"], "needs 'name' and 'kind' strings"),
+        ([{"name": "color", "categories": ["red"]}], "needs 'name' and 'kind' strings"),
+        ([{"kind": "continuous"}], "needs 'name' and 'kind' strings"),
+        ([{"name": 5, "kind": "continuous"}], "needs 'name' and 'kind' strings"),
+        ([{"name": "age", "kind": ["continuous"]}], "needs 'name' and 'kind' strings"),
+        ([{"name": "employed", "kind": "binary", "categories": "ny"}],
+         "categories of column 'employed' must be a list of strings"),
+        ([{"name": "employed", "kind": "binary", "categories": [0, 1]}],
+         "categories of column 'employed' must be a list of strings"),
+    ], ids=["not-json", "entry-not-an-object", "entry-without-kind", "entry-without-name",
+            "name-not-a-string", "kind-not-a-string", "categories-a-string",
+            "categories-not-strings"])
+    def test_schema_fault_exits_3_without_traceback(self, tmp_path, schema, message):
+        cfg, _, _ = write_survey(tmp_path)
+        text = schema if isinstance(schema, str) else json.dumps(SURVEY_SCHEMA[:2] + schema)
+        (tmp_path / "schema.json").write_text(text, encoding="utf-8")
+        self.assert_data_error(cfg, message)
+
+    @pytest.mark.parametrize("name", ["survey.csv", "schema.json"])
+    def test_a_bom_is_read_as_utf8(self, tmp_path, name):
+        cfg, out, _ = write_survey(tmp_path)
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        plain = read_manifest(out)["artifacts"]
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        result = run_cli("eda", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        assert read_manifest(out)["artifacts"] == plain
+
+    @pytest.mark.parametrize("name", ["survey.csv", "schema.json"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, name):
+        cfg, _, _ = write_survey(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"red", b"r\xe9d", 1))
+        self.assert_data_error(cfg, f"{path} is not UTF-8 text")
+
+    def test_csv_reader_fault_names_the_file(self, tmp_path):
+        cfg, _, _ = write_survey(tmp_path)
+        with open(tmp_path / "survey.csv", "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(["red", "north", "no", "2" * 200_000, "abused"])
+        self.assert_data_error(cfg, f"{tmp_path / 'survey.csv'} is not a CSV file: field larger")
+
+    def test_repeated_header_column_exits_3(self, tmp_path):
+        cfg, _, _ = write_survey(tmp_path)
+        lines = (tmp_path / "survey.csv").read_text(encoding="utf-8").split("\n")
+        (tmp_path / "survey.csv").write_text(
+            "\n".join(line and line + "," + line.split(",")[3] for line in lines),
+            encoding="utf-8")
+        self.assert_data_error(cfg, "repeated columns in header: ['age']")
+
+    @pytest.mark.parametrize("cells", [["red", "north"], ["red", "north", "no", "25", "abused", "x"]],
+                             ids=["short-row", "long-row"])
+    def test_csv_row_of_the_wrong_length_exits_3(self, tmp_path, cells):
+        cfg, _, rows = write_survey(tmp_path)
+        with open(tmp_path / "survey.csv", "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(cells)
+        self.assert_data_error(cfg, f"row {len(rows)}: expected 5 cells, got {len(cells)}")

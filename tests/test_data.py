@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -407,3 +408,137 @@ class TestNeighbourSearch:
             warnings.simplefilter("ignore")  # the k clamp warns when k_neighbors >= n_min
             out = smote(m, k_neighbors=k_neighbors, seed=seed)
         assert np.array_equal(out.values[m.n_rows:], _reference_smote(m, k_neighbors, seed))
+
+
+def _reference_validate_cell(col, value, row_idx):
+    if col.kind == "continuous":
+        try:
+            number = float(value)
+        except ValueError:
+            raise DataError(
+                f"row {row_idx}: non-numeric value {value!r} in continuous column {col.name!r}"
+            ) from None
+        if not math.isfinite(number):
+            raise DataError(
+                f"row {row_idx}: non-finite value {value!r} in continuous column {col.name!r}")
+    elif value not in col.categories:
+        raise DataError(f"row {row_idx}: unknown category {value!r} in column {col.name!r}")
+
+
+def _reference_dataset_from_rows(schema, rows, target):
+    """dataset_from_rows as a row-by-row, cell-by-cell loop."""
+    schema = tuple(schema)
+    checked = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != len(schema):
+            raise DataError(f"row {i}: expected {len(schema)} cells, got {len(row)}")
+        for col, cell in zip(schema, row):
+            if cell == "":
+                raise DataError(f"row {i}: missing value in column {col.name!r}")
+            _reference_validate_cell(col, cell, i)
+        checked.append(row)
+    if not checked:
+        raise DataError("empty dataset")
+    return data_module.Dataset(schema, tuple(checked), target)
+
+
+def _reference_label_encode(dataset):
+    """label_encode as a loop over rows and cells."""
+    mappings = {c.name: {cat: i for i, cat in enumerate(sorted(c.categories))}
+                for c in dataset.schema if c.kind != "continuous"}
+    names = [c.name for c in dataset.schema]
+    feature_cols = [c for c in dataset.schema if c.name != dataset.target]
+    tcol = dataset.column(dataset.target)
+    positive = data_module.positive_category(tcol)
+    values = np.empty((dataset.n_rows, len(feature_cols)))
+    target = np.empty(dataset.n_rows, dtype=np.int64)
+    for i, row in enumerate(dataset.rows):
+        for j, col in enumerate(feature_cols):
+            cell = row[names.index(col.name)]
+            values[i, j] = float(cell) if col.kind == "continuous" else mappings[col.name][cell]
+        target[i] = 1 if row[names.index(dataset.target)] == positive else 0
+    return values, target, tuple(c.name for c in feature_cols), mappings
+
+
+_NUMBERS = ["1e3", " 12 ", "1_000", "-0.0", "0", "3.25", "-7", "+.5", "\t5\n", "1e-320"]
+_NOT_NUMBERS = ["nan", "", "-inf", "Infinity", "1e400", "abc", "1__0", "0x10", "1,5"]
+_CATEGORIES = ["a", "b", "B", " a", "é", "10", "yes", ""]
+_NOT_CATEGORIES = ["", "zz", "A", "a "]
+
+
+@st.composite
+def _tables(draw):
+    """A schema and string rows: categorical and binary columns whose declared
+    categories may go unobserved (or be ""), continuous cells in the forms
+    float() accepts, and up to three bad cells of any kind and a row of the
+    wrong length."""
+    schema = []
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["categorical", "binary", "continuous"]))
+        size = 2 if kind == "binary" else draw(st.integers(1, 4))
+        categories = () if kind == "continuous" else tuple(draw(st.lists(
+            st.sampled_from(_CATEGORIES), min_size=size, max_size=size, unique=True)))
+        schema.append(ColumnSchema(f"f{j}", kind, categories))
+    labels = draw(st.sampled_from([("not abused", "abused"), ("no", "yes"), ("beta", "alpha")]))
+    schema.insert(draw(st.integers(0, len(schema))), ColumnSchema("t", "binary", labels))
+    rows = [[draw(st.sampled_from(col.categories or _NUMBERS)) for col in schema]
+            for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):  # bad cells
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(schema) - 1))
+        rows[i][j] = draw(st.sampled_from(
+            _NOT_NUMBERS if schema[j].kind == "continuous" else _NOT_CATEGORIES))
+    if draw(st.integers(0, 3)) == 0:  # a row of the wrong length
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["x"]
+    return schema, rows
+
+
+def _outcome(build, encode, schema, rows):
+    """What validating and encoding a table gives: the error message, or the
+    dataset and the encoded bits."""
+    try:
+        dataset = build(schema, rows, "t")
+    except DataError as exc:
+        return str(exc)
+    return dataset, encode(dataset)
+
+
+def _encoded(dataset):
+    matrix, encoder = label_encode(dataset)
+    assert np.array_equal(matrix.row_ids, np.arange(dataset.n_rows))
+    return matrix.values.tobytes(), matrix.target.tolist(), matrix.column_names, encoder.mappings
+
+
+def _reference_encoded(dataset):
+    values, target, names, mappings = _reference_label_encode(dataset)
+    return values.tobytes(), target.tolist(), names, mappings
+
+
+class TestColumnParser:
+    @given(_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_cell_code(self, table):
+        """Column-at-a-time validation and encoding accept and reject the
+        tables the per-cell loops do, with the same message, and give the
+        same bits (-0.0 and 1e-320 included)."""
+        schema, rows = table
+        assert _outcome(dataset_from_rows, _encoded, schema, rows) == _outcome(
+            _reference_dataset_from_rows, _reference_encoded, schema, rows)
+
+    def test_several_faults_report_the_lowest_row_then_the_leftmost_column(self):
+        rows = tiny_rows()
+        rows[1] = ("blue", "no", "old", "")            # non-numeric age, missing target
+        rows[2] = ("purple", "maybe", "nan", "abused")  # three faults, lower row first
+        rows[3] = ("red", "no")                         # too short
+        with pytest.raises(DataError) as caught:
+            dataset_from_rows(tiny_schema(), rows, "abuse")
+        assert str(caught.value) == "row 1: non-numeric value 'old' in continuous column 'age'"
+        assert caught.value.row == 1
+        rows[1] = tiny_rows()[1]
+        with pytest.raises(DataError, match=r"^row 2: unknown category 'purple' in column 'color'$"):
+            dataset_from_rows(tiny_schema(), rows, "abuse")
+        rows[2] = ("red", "maybe", "nan", "abused")
+        rows[0] = ("red", "yes", "25.5", "abused", "extra")  # a long row above every cell fault
+        with pytest.raises(DataError, match=r"^row 0: expected 4 cells, got 5$"):
+            dataset_from_rows(tiny_schema(), rows, "abuse")
