@@ -1,15 +1,16 @@
 """Exit codes and artifact hashes of every benchmark workload's CLI invocations.
 
-    python3 tools/artifact_hashes.py [--seeds 1,2] [--size full|tiny] [WORKLOAD ...]
+    python3 tools/artifact_hashes.py [--seeds 1,2]
 
-Run from the root of a checkout. For each workload (all four by default) and
-seed, it writes the workload's inputs with perfbench's `workloads.prepare`
-into a temporary directory, runs each of its invocations as
-`python3 -m imbalkit.cli ... --out DIR` on this checkout's src/ (BLAS pinned
-to one thread, as in the benchmark), and prints one JSON document: per
-workload and seed, each invocation with its exit code and the artifact
-hashes of its run-manifest.json. Two checkouts write the same artifacts
-exactly when their documents are equal:
+Run from the root of a checkout. For each of the four workloads and each
+seed, it writes the workload's full-size inputs with perfbench's
+`workloads.prepare` into a temporary directory, runs its invocations with
+perfbench's `run_rep` on this checkout's src/ (BLAS pinned to one thread, as
+in the benchmark), and prints one JSON document: per workload and seed, the
+artifact hashes of each run-manifest.json, and a failure line (with its exit
+code) for each invocation that exits non-zero or writes an artifact that does
+not match its hash. Two checkouts write the same artifacts exactly when their
+documents are equal:
 
     python3 tools/artifact_hashes.py > new.json
     (cd ../parent && python3 tools/artifact_hashes.py) > old.json
@@ -18,51 +19,30 @@ exactly when their documents are equal:
 
 import argparse
 import json
-import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import run as perfbench  # noqa: E402  pins BLAS to 1 thread; child_env puts src/ first
+import run as perfbench  # noqa: E402  pins BLAS to 1 thread; children run on src/
 import workloads  # noqa: E402
-
-
-def invocation_hashes(name: str, seed: int, size: str, work: Path) -> list[dict]:
-    workload = workloads.prepare(name, seed, work / "inputs", size)
-    results = []
-    for k, args in enumerate(workload.invocations):
-        out = work / f"out{k}"
-        child = subprocess.run([sys.executable, "-m", "imbalkit.cli", *args, "--out", str(out)],
-                               cwd=perfbench.ROOT, env=perfbench.child_env(),
-                               capture_output=True, text=True)
-        manifest = out / "run-manifest.json"
-        results.append({
-            # the config's path differs from run to run; its name does not
-            "args": [workload.config.name if a == str(workload.config) else a for a in args],
-            "exit": child.returncode,
-            "artifacts": (json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]
-                          if manifest.is_file() else None),
-        })
-    return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                        help=f"any of {', '.join(workloads.NAMES)} (default: all)")
     parser.add_argument("--seeds", default="1,2", help="comma-separated seeds (default 1,2)")
-    parser.add_argument("--size", default="full", choices=sorted(workloads.SIZES))
-    args = parser.parse_args(argv)
-    if set(args.workloads) - set(workloads.NAMES):
-        parser.error(f"unknown workload in {args.workloads}")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [int(s) for s in parser.parse_args(argv).seeds.split(",")]
     report = {}
     with tempfile.TemporaryDirectory(prefix="artifact-hashes-") as tmp:
-        for name in args.workloads or workloads.NAMES:
-            report[name] = {str(seed): invocation_hashes(name, seed, args.size,
-                                                         Path(tmp) / name / str(seed))
-                            for seed in seeds}
+        for name in workloads.NAMES:
+            report[name] = {}
+            for seed in seeds:
+                work = Path(tmp) / name / str(seed)
+                wl = workloads.prepare(name, seed, work / "inputs")
+                rep = perfbench.run_rep(wl, work / "rep", time.monotonic() + perfbench.RUN_LIMIT_S,
+                                        traced=False)
+                report[name][str(seed)] = {"hashes": rep["hashes"], "failures": rep["failures"]}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
