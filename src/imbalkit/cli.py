@@ -13,7 +13,6 @@ from .data import (
     SchemaError,
     class_distribution,
     label_encode,
-    positive_category,
     stratified_split,
 )
 from .learners.base import fit_model, predict_proba
@@ -92,8 +91,8 @@ def eda(config_path, seed, resample_test, out_dir):
     writer = ArtifactWriter(config.output_dir, config)
     tcol = dataset.column(dataset.target)
     target_labels = sorted(tcol.categories)
-    # matrix.target is 1 for the positive class; the tables order the target by label
-    target = matrix.target if positive_category(tcol) == target_labels[1] else 1 - matrix.target
+    # the tables order the target by label, so they take its codes, not matrix.target
+    target = dataset.parsed[:, dataset.schema.index(tcol)].astype(np.int64)
 
     # a frequency table and a chi-square association per feature over its
     # observed values; a continuous column is tabulated by its equal-width

@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -21,14 +21,12 @@ __all__ = [
     "SchemaError",
     "load_schema",
     "load_dataset",
-    "dataset_from_rows",
     "label_encode",
     "decode_row",
     "positive_category",
     "stratified_split",
     "smote",
     "class_distribution",
-    "ROUNDING_MODES",
 ]
 
 
@@ -48,7 +46,6 @@ CATEGORICAL = "categorical"
 BINARY = "binary"
 CONTINUOUS = "continuous"
 _KINDS = (CATEGORICAL, BINARY, CONTINUOUS)
-ROUNDING_MODES = ("continuous", "nearest-code")  # how smote treats categorical codes
 
 
 @dataclass(frozen=True)
@@ -68,16 +65,50 @@ class ColumnSchema:
             raise SchemaError(f"categorical column {self.name!r} declares no categories")
         if len(set(self.categories)) != len(self.categories):
             raise SchemaError(f"duplicate categories in column {self.name!r}")
+        if "" in self.categories:  # an empty cell is a missing value
+            raise SchemaError(f"empty category in column {self.name!r}")
         object.__setattr__(self, "categories", tuple(self.categories))
+
+    @property
+    def codes(self) -> dict[str, int]:
+        """Each category's integer code: its index in lexicographic order, so
+        that encoding is the same on every run and platform."""
+        return {cat: i for i, cat in enumerate(sorted(self.categories))}
 
 
 @dataclass(frozen=True)
 class Dataset:
+    """String rows validated against a schema and parsed once, a column at a
+    time: parsed[i, j] is a continuous cell's float, any other cell's code in
+    ColumnSchema.codes. Of several faults the one in the lowest row is
+    reported, and of several in that row the leftmost."""
+
     schema: tuple[ColumnSchema, ...]
     rows: tuple[tuple[str, ...], ...]
     target: str
+    parsed: np.ndarray = field(init=False, repr=False, compare=False)  # read-only (n, d)
 
     def __post_init__(self):
+        schema, rows = tuple(self.schema), tuple(map(tuple, self.rows))
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "rows", rows)
+        n_whole = next((i for i, row in enumerate(rows) if len(row) != len(schema)), len(rows))
+        whole, faults = rows[:n_whole], []
+        parsed = np.empty((n_whole, len(schema)))
+        for j, col in enumerate(schema):
+            try:
+                parsed[:, j] = _parse_column(col, tuple(map(itemgetter(j), whole)))
+            except DataError as fault:
+                faults.append(fault)
+        if faults:
+            raise min(faults, key=lambda fault: fault.row)
+        if n_whole < len(rows):
+            raise DataError(f"row {n_whole}: expected {len(schema)} cells, "
+                            f"got {len(rows[n_whole])}", n_whole)
+        if not rows:
+            raise DataError("empty dataset")
+        parsed.flags.writeable = False
+        object.__setattr__(self, "parsed", parsed)
         names = [c.name for c in self.schema]
         if len(set(names)) != len(names):
             raise SchemaError("column names must be unique")
@@ -102,11 +133,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EncoderMap:
-    """Per categorical/binary column, bijective category -> integer code maps.
-
-    Codes are assigned by lexicographic order of the category strings so
-    encoding is deterministic across runs and platforms.
-    """
+    """Per categorical/binary column, its ColumnSchema.codes."""
 
     mappings: dict[str, dict[str, int]]
 
@@ -203,42 +230,17 @@ def _validate_cell(col: ColumnSchema, value: str, row_idx: int):
 
 def _parse_column(col: ColumnSchema, cells) -> np.ndarray:
     """One column of cells as float64: a continuous cell is its float, any
-    other cell its index in sorted(col.categories). The first bad cell raises
-    the DataError that _validate_cell words for it."""
+    other cell its code in col.codes. The first bad cell raises the DataError
+    that _validate_cell words for it."""
     try:
-        if col.kind == CONTINUOUS:
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-        else:  # "" is a missing value even where it is a declared category
-            codes = {cat: i for i, cat in enumerate(sorted(col.categories)) if cat != ""}
-            values = np.fromiter(map(codes.__getitem__, cells), np.float64, len(cells))
+        parse = float if col.kind == CONTINUOUS else col.codes.__getitem__
+        values = np.fromiter(map(parse, cells), np.float64, len(cells))
         if np.isfinite(values).all():
             return values
     except (KeyError, TypeError, ValueError):
         pass
     for i, cell in enumerate(cells):
         _validate_cell(col, cell, i)
-
-
-def dataset_from_rows(schema, rows, target: str) -> Dataset:
-    """Build and validate a Dataset from already-parsed string rows, a column
-    at a time. Of several faults the one in the lowest row is reported, and
-    of several in that row the leftmost."""
-    schema = tuple(schema)
-    rows = tuple(map(tuple, rows))
-    n_whole = next((i for i, row in enumerate(rows) if len(row) != len(schema)), len(rows))
-    whole, faults = rows[:n_whole], []
-    for j, col in enumerate(schema):
-        try:
-            _parse_column(col, tuple(map(itemgetter(j), whole)))
-        except DataError as fault:
-            faults.append(fault)
-    if faults:
-        raise min(faults, key=lambda fault: fault.row)
-    if n_whole < len(rows):
-        raise DataError(f"row {n_whole}: expected {len(schema)} cells, got {len(rows[n_whole])}")
-    if not rows:
-        raise DataError("empty dataset")
-    return Dataset(schema, rows, target)
 
 
 def load_dataset(path, schema, target: str) -> Dataset:
@@ -266,40 +268,27 @@ def load_dataset(path, schema, target: str) -> Dataset:
             if extra:
                 raise DataError(f"unexpected columns in header: {sorted(extra)}")
             order = [header.index(n) for n in names]
-            # a row of the wrong length stays as read, for dataset_from_rows to report
+            # a row of the wrong length stays as read, for Dataset to report
             rows = [tuple(map(raw.__getitem__, order)) if len(raw) == len(order) else tuple(raw)
                     for raw in reader if raw]
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     except csv.Error as exc:
         raise DataError(f"{path} is not a CSV file: {exc}") from None
-    return dataset_from_rows(schema, rows, target)
+    return Dataset(schema, rows, target)
 
 
 def label_encode(dataset: Dataset) -> tuple[EncodedMatrix, EncoderMap]:
-    """Encode categorical/binary cells to integer codes, parse continuous cells.
-
-    Codes follow lexicographic category order. The target maps to {0,1}; the
-    positive class is the category matching a recognized "positive" word
-    (abused/yes/true/...) or, failing that, the lexicographically larger one.
-    Each column goes through the parser that validates it, so a bad cell
-    raises the same DataError as in dataset_from_rows.
-    """
-    mappings = {col.name: {cat: i for i, cat in enumerate(sorted(col.categories))}
-                for col in dataset.schema if col.kind != CONTINUOUS}
+    """The dataset's parsed cells as a feature matrix, in schema order, and a
+    {0,1} target. The positive class is the category matching a recognized
+    "positive" word (abused/yes/true/...) or, failing that, the
+    lexicographically larger one."""
     tcol = dataset.column(dataset.target)
-    positive = mappings[tcol.name][positive_category(tcol)]
+    t = dataset.schema.index(tcol)
+    values = np.delete(dataset.parsed, t, axis=1)
+    target = dataset.parsed[:, t] == tcol.codes[positive_category(tcol)]
     names = tuple(c.name for c in dataset.schema if c is not tcol)
-    values = np.empty((dataset.n_rows, len(names)), dtype=np.float64)
-    target = np.empty(dataset.n_rows, dtype=np.int64)
-    features = iter(values.T)  # the feature columns, in schema order
-    for j, col in enumerate(dataset.schema):
-        # one column's cells at a time; zip(*rows) would also hold an iterator per row
-        cells = tuple(map(itemgetter(j), dataset.rows))
-        if col is tcol:
-            target[:] = _parse_column(col, cells) == positive
-        else:
-            next(features)[:] = _parse_column(col, cells)
+    mappings = {c.name: c.codes for c in dataset.schema if c.kind != CONTINUOUS}
     matrix = EncodedMatrix(values, target, names, np.arange(dataset.n_rows, dtype=np.int64))
     return matrix, EncoderMap(mappings)
 
@@ -405,23 +394,16 @@ def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
-def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
-          rounding: str = "continuous",
-          categorical_columns: tuple[int, ...] | None = None,
-          category_sizes: dict[int, int] | None = None) -> EncodedMatrix:
+def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedMatrix:
     """Oversample the minority class to a 1:1 ratio by neighbor interpolation.
 
     Each synthetic row is x_i + u * (x_nn - x_i) with u ~ Uniform(0,1) and
     x_nn one of the k Euclidean nearest minority neighbors of x_i. Majority
     rows pass through untouched; synthetic rows get fresh negative row ids.
-
-    rounding="nearest-code" snaps the listed categorical columns back to the
-    nearest valid integer code (clipped to [0, n_categories) when sizes are
-    given); the default leaves fractional codes in place. A non-finite
-    feature value raises DataError.
+    Categorical codes are interpolated like any other feature, so synthetic
+    rows may carry fractional codes. A non-finite feature value raises
+    DataError.
     """
-    if rounding not in ROUNDING_MODES:
-        raise DataError(f"unknown rounding mode {rounding!r}")
     if not np.isfinite(train.values).all():
         raise DataError("SMOTE needs finite feature values")
     counts = np.bincount(train.target, minlength=2)
@@ -450,14 +432,6 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0,
     pick = rng.integers(0, k, size=n_new)
     u = rng.uniform(0.0, 1.0, size=n_new)
     synth = X[base] + u[:, None] * (X[nn[base, pick]] - X[base])
-
-    if rounding == "nearest-code" and categorical_columns:
-        for j in categorical_columns:
-            col = np.rint(synth[:, j])
-            if category_sizes and j in category_sizes:
-                col = np.clip(col, 0, category_sizes[j] - 1)
-            synth[:, j] = col
-
     values = np.vstack([train.values, synth])
     target = np.concatenate([train.target, np.full(n_new, minority, dtype=np.int64)])
     new_ids = -(np.arange(n_new, dtype=np.int64) + 1)

@@ -68,8 +68,7 @@ _SETTINGS = {
     "seed": (0, Rule(kind=numbers.Integral, high=2**63 - 1)),
     "test_fraction": (0.2, Rule(kind=numbers.Real, high=1.0, strict=True)),
     "smote.k_neighbors": (5, count(1)),
-    # a run does not tell SMOTE which columns are categorical, so no other
-    # rounding mode would change its output
+    # SMOTE has no other rounding mode; the key stays so that configs naming it load
     "smote.rounding": ("continuous", Rule(("continuous",))),
     "smote.enabled": (True, Rule((True, False))),
     "resample_test": (False, Rule((True, False))),
@@ -254,10 +253,11 @@ class ArtifactWriter:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-        self.artifacts[rel] = _sha256_bytes(data)
 
     def write_text(self, rel: str, text: str):
-        self._write_atomic(rel, text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self._write_atomic(rel, data)
+        self.artifacts[rel] = _sha256_bytes(data)
 
     def write_json(self, rel: str, obj):
         self.write_text(rel, json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -279,12 +279,9 @@ class ArtifactWriter:
             "artifacts": dict(sorted(self.artifacts.items())),
             "model_status": dict(sorted(self.model_status.items())),
         }
-        data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
-        path = self.out_dir / "run-manifest.json"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        # the manifest is not among the artifacts it hashes
+        self._write_atomic("run-manifest.json",
+                           (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
         return manifest
 
 

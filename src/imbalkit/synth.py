@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, dataset_from_rows
+from .data import ColumnSchema, Dataset
 from .learners.base import child_rng
 
 __all__ = ["synthetic_dataset", "write_dataset_csv", "write_schema_json"]
@@ -72,7 +72,7 @@ def synthetic_dataset(n: int = 2000, seed: int = 7, imbalance: float = 5.0) -> D
     columns += [[f"{v:.6f}" for v in cont[:, i].tolist()] for i in range(4)]
     columns.append([("absent", "present")[c] for c in y.tolist()])
     rows = list(zip(*columns))
-    return dataset_from_rows(schema, rows, TARGET)
+    return Dataset(schema, rows, TARGET)
 
 
 def write_dataset_csv(dataset: Dataset, path):

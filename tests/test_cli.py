@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from hypothesis import strategies as st
 
 import imbalkit
 from imbalkit.cli import main
+from imbalkit.data import DataError, Dataset
 from imbalkit.report import ConfigError, load_config
 from imbalkit.special import chi2_sf
+from imbalkit.synth import write_schema_json
+from test_data import _tables
 
 
 def base_config(out_dir, n=240, seed=5, **overrides):
@@ -254,6 +259,8 @@ class TestBenchmark:
         manifest = read_manifest(out)
         assert manifest["seed"] == 5
         assert len(manifest["config_hash"]) == 64
+        assert "run-manifest.json" not in manifest["artifacts"]
+        assert not list(out.rglob("*.tmp"))
         for rel, digest in manifest["artifacts"].items():
             actual = hashlib.sha256((out / rel).read_bytes()).hexdigest()
             assert actual == digest, f"hash mismatch for {rel}"
@@ -804,9 +811,11 @@ class TestInputFiles:
          "categories of column 'employed' must be a list of strings"),
         ([{"name": "employed", "kind": "binary", "categories": [0, 1]}],
          "categories of column 'employed' must be a list of strings"),
+        ([{"name": "employed", "kind": "binary", "categories": ["", "yes"]}],
+         "empty category in column 'employed'"),
     ], ids=["not-json", "entry-not-an-object", "entry-without-kind", "entry-without-name",
             "name-not-a-string", "kind-not-a-string", "categories-a-string",
-            "categories-not-strings"])
+            "categories-not-strings", "empty-category"])
     def test_schema_fault_exits_3_without_traceback(self, tmp_path, schema, message):
         cfg, _, _ = write_survey(tmp_path)
         text = schema if isinstance(schema, str) else json.dumps(SURVEY_SCHEMA[:2] + schema)
@@ -843,6 +852,33 @@ class TestInputFiles:
             "\n".join(line and line + "," + line.split(",")[3] for line in lines),
             encoding="utf-8")
         self.assert_data_error(cfg, "repeated columns in header: ['age']")
+
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tables_exit_0_or_3_with_the_datasets_own_message(self, table):
+        """eda on a drawn schema and CSV exits 0 exactly when Dataset accepts
+        the rows, and otherwise 3 with the message Dataset raises for them."""
+        schema, rows = table
+        try:
+            Dataset(schema, rows, "t")
+            expected = None
+        except DataError as exc:
+            expected = f"data error: {exc}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            data, schema_path = Path(tmp) / "table.csv", Path(tmp) / "schema.json"
+            with open(data, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([[c.name for c in schema]] + rows)
+            write_schema_json(schema, schema_path)
+            cfg, _ = write_config(Path(tmp), dataset=str(data), schema=str(schema_path),
+                                  target="t")
+            result = run_cli("eda", "--config", cfg)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exc_info)
+        assert "Traceback" not in result.output
+        if expected is None:
+            assert result.exit_code == 0, result.output
+        else:
+            assert result.exit_code == 3 and expected in result.output, result.output
 
     @pytest.mark.parametrize("cells", [["red", "north"], ["red", "north", "no", "25", "abused", "x"]],
                              ids=["short-row", "long-row"])

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import tracemalloc
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from imbalkit.data import (
     ColumnSchema,
     DataError,
+    Dataset,
     EncodedMatrix,
     SchemaError,
     class_distribution,
-    dataset_from_rows,
     decode_row,
     label_encode,
     load_dataset,
@@ -62,32 +63,38 @@ class TestSchema:
         with pytest.raises(SchemaError):
             ColumnSchema("x", "categorical", ("a", "a"))
 
+    @pytest.mark.parametrize("kind, categories", [("categorical", ("a", "")), ("binary", ("", "b"))])
+    def test_empty_category(self, kind, categories):
+        # an empty cell is a missing value, so "" cannot name a category
+        with pytest.raises(SchemaError, match="empty category in column 'x'"):
+            ColumnSchema("x", kind, categories)
+
 
 class TestLoading:
     def test_unknown_category_names_row_and_column(self):
         rows = tiny_rows()
         rows[2] = ("purple", "yes", "31", "not abused")
         with pytest.raises(DataError, match=r"row 2.*'purple'.*'color'"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
 
     def test_missing_value_reported(self):
         rows = tiny_rows()
         rows[1] = ("blue", "", "40", "not abused")
         with pytest.raises(DataError, match=r"row 1.*'employed'"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
 
     def test_non_numeric_continuous(self):
         rows = tiny_rows()
         rows[0] = ("red", "yes", "old", "abused")
         with pytest.raises(DataError, match="non-numeric"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_continuous(self, cell):
         rows = tiny_rows()
         rows[3] = ("red", "no", cell, "abused")
         with pytest.raises(DataError, match=r"row 3: non-finite .*'age'"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
 
     def test_header_order_insensitive(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -114,6 +121,24 @@ class TestLoading:
         with pytest.raises(DataError, match="unexpected columns"):
             load_dataset(p, tiny_schema(), "abuse")
 
+    @pytest.mark.parametrize("rows", [
+        tiny_rows() + [("purple", "yes", "31", "abused")],
+        tiny_rows() + [("red", "", "31", "abused")],
+        tiny_rows() + [("red", "yes", "inf", "abused")],
+        tiny_rows() + [("red", "yes")],
+        [],
+    ], ids=["unknown-category", "missing-value", "non-finite", "short-row", "no-rows"])
+    def test_a_dataset_built_directly_is_validated_like_a_csv(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[c.name for c in tiny_schema()]] + rows)
+        with pytest.raises(DataError) as from_csv:
+            load_dataset(path, tiny_schema(), "abuse")
+        with pytest.raises(DataError) as direct:
+            Dataset(tiny_schema(), rows, "abuse")
+        assert str(direct.value) == str(from_csv.value)
+        assert direct.value.row == from_csv.value.row == (len(rows) - 1 if rows else None)
+
     def test_synth_roundtrip_through_files(self, tmp_path):
         ds = synthetic_dataset(60, seed=5)
         csv_path = tmp_path / "synth.csv"
@@ -133,13 +158,13 @@ class TestLoading:
 
 class TestEncoding:
     def test_lexicographic_codes(self):
-        ds = dataset_from_rows(tiny_schema(), tiny_rows(), "abuse")
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
         _, enc = label_encode(ds)
         assert enc.mappings["color"] == {"blue": 0, "green": 1, "red": 2}
         assert enc.mappings["employed"] == {"no": 0, "yes": 1}
 
     def test_positive_target_class(self):
-        ds = dataset_from_rows(tiny_schema(), tiny_rows(), "abuse")
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
         matrix, _ = label_encode(ds)
         # "abused" is the positive class even though it sorts first
         assert matrix.target.tolist() == [1, 0, 0, 1]
@@ -150,11 +175,11 @@ class TestEncoding:
             ColumnSchema("grp", "binary", ("alpha", "beta")),
         )
         rows = [("1", "alpha"), ("2", "beta")]
-        matrix, _ = label_encode(dataset_from_rows(schema, rows, "grp"))
+        matrix, _ = label_encode(Dataset(schema, rows, "grp"))
         assert matrix.target.tolist() == [0, 1]
 
     def test_roundtrip_decode(self):
-        ds = dataset_from_rows(tiny_schema(), tiny_rows(), "abuse")
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
         matrix, enc = label_encode(ds)
         decoded = decode_row(matrix, enc, 0, ds.schema)
         assert decoded["color"] == "red"
@@ -168,8 +193,29 @@ class TestEncoding:
         assert np.array_equal(m1.values, m2.values)
         assert np.array_equal(m1.target, m2.target)
 
+    def test_each_column_is_parsed_once_when_the_dataset_is_built(self, monkeypatch):
+        calls = []
+        parse = data_module._parse_column
+
+        def counted(col, cells):
+            calls.append(col.name)
+            return parse(col, cells)
+
+        monkeypatch.setattr(data_module, "_parse_column", counted)
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
+        assert calls == ["color", "employed", "age", "abuse"]
+        matrix, _ = label_encode(ds)
+        assert len(calls) == 4  # label_encode parses nothing
+        assert np.array_equal(matrix.values, [[2, 1, 25.5], [0, 0, 40], [1, 1, 31], [2, 0, 29]])
+
+    def test_parsed_cells_are_read_only_and_not_compared(self):
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
+        assert ds.parsed.shape == (4, 4) and not ds.parsed.flags.writeable
+        assert ds == Dataset(tiny_schema(), [list(row) for row in tiny_rows()], "abuse")
+        assert "parsed" not in repr(ds)
+
     def test_row_ids_are_original_positions(self):
-        ds = dataset_from_rows(tiny_schema(), tiny_rows(), "abuse")
+        ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
         matrix, _ = label_encode(ds)
         assert matrix.row_ids.tolist() == [0, 1, 2, 3]
 
@@ -281,24 +327,9 @@ class TestSmote:
         with pytest.raises(DataError):
             smote(m, seed=0)
 
-    def test_nearest_code_rounding_gives_valid_codes(self):
-        rng = np.random.default_rng(4)
-        cats = rng.integers(0, 4, size=(40, 2)).astype(float)
-        cont = rng.normal(size=(40, 1))
-        values = np.hstack([cats, cont])
-        target = np.r_[np.ones(10, int), np.zeros(30, int)]
-        m = EncodedMatrix(values, target, ("c0", "c1", "x"), np.arange(40))
-        out = smote(m, seed=5, rounding="nearest-code",
-                    categorical_columns=(0, 1), category_sizes={0: 4, 1: 4})
-        synth = out.values[40:]
-        for j in (0, 1):
-            col = synth[:, j]
-            assert np.array_equal(col, np.rint(col))
-            assert col.min() >= 0 and col.max() <= 3
-
     def test_continuous_mode_leaves_fractional_codes(self):
         m = imbalanced_matrix()
-        out = smote(m, seed=1, rounding="continuous")
+        out = smote(m, seed=1)
         synth = out.values[m.n_rows:]
         assert not np.array_equal(synth, np.rint(synth))
 
@@ -309,10 +340,6 @@ class TestSmote:
         assert np.array_equal(a.values, b.values)
         c = smote(m, seed=10)
         assert not np.array_equal(c.values, a.values)
-
-    def test_unknown_rounding_mode(self):
-        with pytest.raises(DataError):
-            smote(imbalanced_matrix(), rounding="floor")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, value):
@@ -463,14 +490,14 @@ def _reference_label_encode(dataset):
 
 _NUMBERS = ["1e3", " 12 ", "1_000", "-0.0", "0", "3.25", "-7", "+.5", "\t5\n", "1e-320"]
 _NOT_NUMBERS = ["nan", "", "-inf", "Infinity", "1e400", "abc", "1__0", "0x10", "1,5"]
-_CATEGORIES = ["a", "b", "B", " a", "é", "10", "yes", ""]
+_CATEGORIES = ["a", "b", "B", " a", "é", "10", "yes"]
 _NOT_CATEGORIES = ["", "zz", "A", "a "]
 
 
 @st.composite
 def _tables(draw):
     """A schema and string rows: categorical and binary columns whose declared
-    categories may go unobserved (or be ""), continuous cells in the forms
+    categories may go unobserved, continuous cells in the forms
     float() accepts, and up to three bad cells of any kind and a row of the
     wrong length."""
     schema = []
@@ -523,7 +550,7 @@ class TestColumnParser:
         tables the per-cell loops do, with the same message, and give the
         same bits (-0.0 and 1e-320 included)."""
         schema, rows = table
-        assert _outcome(dataset_from_rows, _encoded, schema, rows) == _outcome(
+        assert _outcome(Dataset, _encoded, schema, rows) == _outcome(
             _reference_dataset_from_rows, _reference_encoded, schema, rows)
 
     def test_several_faults_report_the_lowest_row_then_the_leftmost_column(self):
@@ -532,13 +559,13 @@ class TestColumnParser:
         rows[2] = ("purple", "maybe", "nan", "abused")  # three faults, lower row first
         rows[3] = ("red", "no")                         # too short
         with pytest.raises(DataError) as caught:
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
         assert str(caught.value) == "row 1: non-numeric value 'old' in continuous column 'age'"
         assert caught.value.row == 1
         rows[1] = tiny_rows()[1]
         with pytest.raises(DataError, match=r"^row 2: unknown category 'purple' in column 'color'$"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")
         rows[2] = ("red", "maybe", "nan", "abused")
         rows[0] = ("red", "yes", "25.5", "abused", "extra")  # a long row above every cell fault
         with pytest.raises(DataError, match=r"^row 0: expected 4 cells, got 5$"):
-            dataset_from_rows(tiny_schema(), rows, "abuse")
+            Dataset(tiny_schema(), rows, "abuse")

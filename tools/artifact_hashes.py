@@ -9,8 +9,8 @@ perfbench's `run_rep` on this checkout's src/ (BLAS pinned to one thread, as
 in the benchmark), and prints one JSON document: per workload and seed, the
 artifact hashes of each run-manifest.json, and a failure line (with its exit
 code) for each invocation that exits non-zero or writes an artifact that does
-not match its hash. Two checkouts write the same artifacts exactly when their
-documents are equal:
+not match its hash; it exits 1 if there is any such line. Two checkouts write
+the same artifacts exactly when their documents are equal:
 
     python3 tools/artifact_hashes.py > new.json
     (cd ../parent && python3 tools/artifact_hashes.py) > old.json
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
                                         traced=False)
                 report[name][str(seed)] = {"hashes": rep["hashes"], "failures": rep["failures"]}
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    return int(any(run["failures"] for runs in report.values() for run in runs.values()))
 
 
 if __name__ == "__main__":
