@@ -220,7 +220,7 @@ def _validate_cell(col: ColumnSchema, value: str, row_idx: int):
     else:
         try:
             finite = math.isfinite(float(value))
-        except ValueError:
+        except (TypeError, ValueError):
             fault = f"non-numeric value {value!r} in continuous column"
         else:
             fault = None if finite else f"non-finite value {value!r} in continuous column"

@@ -140,14 +140,29 @@ class ModelSpec:
         return ModelSpec(self.algorithm, merged, self.seed)
 
 
+def plain(value):
+    """value as JSON gives it back: arrays and tuples as lists, dict keys as
+    str, a TreeNode as its document."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
 class TrainedModel:
     """A fitted probabilistic classifier exposing class-1 probability.
 
-    fit_info describes how the fit went (for an iterative solver: its
-    iterations and whether it converged); it is not part of params_dict, so
-    it never reaches a serialized model."""
+    state names the attributes params_dict writes, in the order the
+    constructor takes them before feature_names; the constructor accepts each
+    as fitted or as plain() gives it back. fit_info describes how the fit went
+    (for an iterative solver: its iterations and whether it converged); it is
+    not part of params_dict, so it never reaches a serialized model."""
 
     algorithm: str = ""
+    state: tuple[str, ...] = ()
 
     def __init__(self, feature_names: tuple[str, ...]):
         self.feature_names = tuple(feature_names)
@@ -157,11 +172,11 @@ class TrainedModel:
         raise NotImplementedError
 
     def params_dict(self) -> dict:
-        raise NotImplementedError
+        return {key: plain(getattr(self, key)) for key in self.state}
 
     @classmethod
     def from_params_dict(cls, d: dict, feature_names) -> "TrainedModel":
-        raise NotImplementedError
+        return cls(*(d[key] for key in cls.state), feature_names)
 
 
 def child_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -278,12 +293,20 @@ def serialize_model(model: TrainedModel) -> dict:
 
 
 def deserialize_model(doc: dict) -> TrainedModel:
-    if doc.get("format") != MODEL_FORMAT:
+    """The model serialize_model wrote doc from. A document of another format
+    or version, or one with an unknown algorithm, a missing key or a value of
+    the wrong type, raises LearnerError."""
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise LearnerError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise LearnerError(f"unsupported model version {doc.get('version')!r}")
-    cls = _registry()[doc["algorithm"]]
-    return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))
+    try:
+        cls = _registry()[doc["algorithm"]]
+        return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))
+    except LearnerError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise LearnerError(f"malformed model document: {exc!r}") from exc
 
 
 def save_model(model: TrainedModel, path):

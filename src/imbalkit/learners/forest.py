@@ -14,10 +14,10 @@ class RandomForestModel(TrainedModel):
     """Probability = arithmetic mean of member-tree leaf probabilities."""
 
     algorithm = "random-forest"
+    state = ("trees",)
 
     def __init__(self, trees: list[dict], feature_names):
         super().__init__(feature_names)
-        self._docs = trees
         self.trees = [TreeNode(t) for t in trees]
         self._flat = flatten_trees(trees)
 
@@ -46,10 +46,3 @@ class RandomForestModel(TrainedModel):
         for leaf in leaf_values(self._flat, values):
             acc += leaf
         return acc / len(self.trees)
-
-    def params_dict(self) -> dict:
-        return {"trees": self._docs}
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(d["trees"], feature_names)

@@ -17,7 +17,7 @@ row and tree at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def ordered_target_statistics(column, target, permutation, prior: float,
     return out
 
 
-@dataclass
-class SplitRecord:
+class SplitRecord(NamedTuple):
     tree: int
     feature: int
     gain: float
@@ -167,20 +166,23 @@ class _Grower:
 
 class GbtModel(TrainedModel):
     algorithm = "gbt"
+    state = ("trees", "base_log_odds", "learning_rate", "l2_leaf_reg", "split_records",
+             "n_train", "cat_encoders")
 
     def __init__(self, trees, base_log_odds, learning_rate, l2_leaf_reg,
-                 split_records, n_train, feature_names,
-                 cat_encoders=None):
+                 split_records, n_train, cat_encoders, feature_names):
         super().__init__(feature_names)
         self.trees = trees  # nested dicts, as params_dict writes them
         self._flat = flatten_trees(trees)
         self.base_log_odds = base_log_odds
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
-        self.split_records = split_records
+        self.split_records = [SplitRecord(*r) for r in split_records]
         self.n_train = n_train
         # feature index -> {"prior": float, "stats": {code: stat}}
-        self.cat_encoders = cat_encoders or {}
+        self.cat_encoders = {
+            int(j): {"prior": e["prior"], "stats": {float(k): v for k, v in e["stats"].items()}}
+            for j, e in cat_encoders.items()}
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "GbtModel":
@@ -224,7 +226,7 @@ class GbtModel(TrainedModel):
             tree, leaf = grower.grow(g, hess, t, records)
             trees.append(tree)
             raw = raw + lr * leaf
-        return cls(trees, base, lr, lam, records, n, feature_names, cat_encoders)
+        return cls(trees, base, lr, lam, records, n, cat_encoders, feature_names)
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         if not self.cat_encoders:
@@ -247,32 +249,3 @@ class GbtModel(TrainedModel):
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_score(values))
-
-    def params_dict(self) -> dict:
-        return {
-            "trees": self.trees,
-            "base_log_odds": self.base_log_odds,
-            "learning_rate": self.learning_rate,
-            "l2_leaf_reg": self.l2_leaf_reg,
-            "n_train": self.n_train,
-            "split_records": [[r.tree, r.feature, r.gain] for r in self.split_records],
-            "cat_encoders": {
-                str(j): {"prior": e["prior"],
-                         "stats": {repr(k): v for k, v in e["stats"].items()}}
-                for j, e in self.cat_encoders.items()
-            },
-        }
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        encs = {
-            int(j): {"prior": e["prior"],
-                     "stats": {float(k): v for k, v in e["stats"].items()}}
-            for j, e in d.get("cat_encoders", {}).items()
-        }
-        return cls(
-            d["trees"],
-            d["base_log_odds"], d["learning_rate"], d["l2_leaf_reg"],
-            [SplitRecord(*r) for r in d["split_records"]],
-            d["n_train"], feature_names, encs,
-        )

@@ -12,10 +12,11 @@ __all__ = ["KnnModel"]
 
 class KnnModel(TrainedModel):
     algorithm = "knn"
+    state = ("X", "y", "n_neighbors", "weights")
 
     def __init__(self, X, y, n_neighbors, weights, feature_names):
         super().__init__(feature_names)
-        self.X = np.asarray(X, dtype=float)
+        self.X = np.asarray(X, dtype=float).reshape(-1, len(self.feature_names))
         self.y = np.asarray(y, dtype=float)
         self.n_neighbors = n_neighbors
         self.weights = weights
@@ -59,13 +60,3 @@ class KnnModel(TrainedModel):
             return yy.mean(axis=1)
         w = 1.0 / np.sqrt(dd)
         return np.sum(w * yy, axis=1) / np.sum(w, axis=1)
-
-    def params_dict(self) -> dict:
-        return {"X": self.X.tolist(), "y": self.y.tolist(),
-                "n_neighbors": self.n_neighbors, "weights": self.weights}
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(np.array(d["X"], dtype=float).reshape(-1, len(feature_names)),
-                   np.array(d["y"], dtype=float), d["n_neighbors"], d["weights"],
-                   feature_names)

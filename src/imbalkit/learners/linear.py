@@ -124,14 +124,11 @@ class LogisticModel(TrainedModel):
         return sigmoid(self.params.intercept + values @ self.params.weights)
 
     def params_dict(self) -> dict:
-        return {
-            "intercept": self.params.intercept,
-            "weights": self.params.weights.tolist(),
-            "penalty": self.params.penalty,
-            "C": self.params.C,
-        }
+        p = self.params
+        return {"intercept": p.intercept, "weights": p.weights.tolist(), "penalty": p.penalty,
+                "C": p.C}
 
     @classmethod
     def from_params_dict(cls, d, feature_names):
-        return cls(LinearParams(d["intercept"], np.array(d["weights"]),
-                                d["penalty"], d["C"]), feature_names)
+        return cls(LinearParams(d["intercept"], d["weights"], d["penalty"], d["C"]),
+                   feature_names)

@@ -56,10 +56,12 @@ def mlp_loss_and_grads(layers, activation, X, y):
 
 class MlpModel(TrainedModel):
     algorithm = "mlp"
+    state = ("layers", "activation")
 
     def __init__(self, layers, activation, feature_names):
         super().__init__(feature_names)
-        self.layers = layers
+        self.layers = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
+                       for W, b in layers]
         self.activation = activation
 
     @classmethod
@@ -111,15 +113,3 @@ class MlpModel(TrainedModel):
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return _forward(self.layers, self.activation, values)[-1][:, 0]
-
-    def params_dict(self) -> dict:
-        return {
-            "activation": self.activation,
-            "layers": [[W.tolist(), b.tolist()] for W, b in self.layers],
-        }
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        layers = [(np.array(W, dtype=float), np.array(b, dtype=float))
-                  for W, b in d["layers"]]
-        return cls(layers, d["activation"], feature_names)

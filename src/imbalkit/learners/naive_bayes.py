@@ -11,6 +11,7 @@ __all__ = ["NaiveBayesModel"]
 
 class NaiveBayesModel(TrainedModel):
     algorithm = "naive-bayes"
+    state = ("priors", "means", "variances")
 
     def __init__(self, priors, means, variances, feature_names):
         super().__init__(feature_names)
@@ -45,11 +46,3 @@ class NaiveBayesModel(TrainedModel):
         m = lj.max(axis=1, keepdims=True)
         w = np.exp(lj - m)
         return w[:, 1] / w.sum(axis=1)
-
-    def params_dict(self) -> dict:
-        return {"priors": self.priors.tolist(), "means": self.means.tolist(),
-                "variances": self.variances.tolist()}
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(d["priors"], d["means"], d["variances"], feature_names)

@@ -10,14 +10,24 @@ from .linear import newton_logistic, sigmoid
 __all__ = ["SvmModel"]
 
 _TAU = 1e-12  # floor on the curvature a of a two-variable step (LIBSVM's TAU)
-_KERNEL_BUDGET_BYTES = 1 << 30  # largest n x n float64 kernel a fit may hold
+_KERNEL_BUDGET_BYTES = 1 << 30  # most a fit may hold of its kernel and one block
+_KERNEL_BLOCK = 256  # rows of sq_a + sq_b held at once while the kernel is built
 
 
 def _kernel_matrix(A, B, gamma: float) -> np.ndarray:
+    """exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) for every row pair, built in
+    the buffer of A @ B.T; each entry takes the same operations in the same
+    order as the whole-matrix expression, so the bits are the same."""
     sq_a = np.sum(A * A, axis=1)[:, None]
     sq_b = np.sum(B * B, axis=1)[None, :]
-    d2 = np.maximum(sq_a + sq_b - 2.0 * (A @ B.T), 0.0)
-    return np.exp(-gamma * d2)
+    K = A @ B.T
+    for start in range(0, K.shape[0], _KERNEL_BLOCK):
+        block = K[start:start + _KERNEL_BLOCK]
+        np.multiply(block, 2.0, out=block)
+        np.subtract(sq_a[start:start + _KERNEL_BLOCK] + sq_b, block, out=block)
+    np.maximum(K, 0.0, out=K)
+    np.multiply(K, -gamma, out=K)
+    return np.exp(K, out=K)
 
 
 def _smo(K, t, C, tol, max_steps):
@@ -86,12 +96,14 @@ def _smo(K, t, C, tol, max_steps):
 
 class SvmModel(TrainedModel):
     algorithm = "svm"
+    state = ("support_vectors", "coef", "intercept", "gamma", "platt_a", "platt_b")
 
     def __init__(self, support_vectors, coef, intercept, gamma, platt_a, platt_b,
                  feature_names, slack=None, objective_history=None):
         super().__init__(feature_names)
-        self.support_vectors = support_vectors
-        self.coef = coef  # alpha_i * t_i for support vectors
+        self.support_vectors = np.asarray(support_vectors, dtype=float).reshape(
+            -1, len(self.feature_names))
+        self.coef = np.asarray(coef, dtype=float)  # alpha_i * t_i for support vectors
         self.intercept = intercept
         self.gamma = gamma
         self.platt_a = platt_a
@@ -111,9 +123,10 @@ class SvmModel(TrainedModel):
         else:
             gamma = float(h["gamma"])
         n = X.shape[0]
-        if n * n * 8 > _KERNEL_BUDGET_BYTES:
+        held = (n + min(n, _KERNEL_BLOCK)) * n * 8  # the float64 kernel and one block
+        if held > _KERNEL_BUDGET_BYTES:
             raise LearnerError(
-                f"svm: the {n} x {n} kernel matrix needs {n * n * 8 / 2**20:.0f} MiB, "
+                f"svm: building the {n} x {n} kernel matrix needs {held / 2**20:.0f} MiB, "
                 f"over the {_KERNEL_BUDGET_BYTES / 2**20:.0f} MiB budget")
         K = _kernel_matrix(X, X, gamma)
         # max_passes is a step cap: at most 100 * max_passes steps per training row
@@ -138,19 +151,3 @@ class SvmModel(TrainedModel):
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return sigmoid(self.platt_a * self.decision_values(values) + self.platt_b)
-
-    def params_dict(self) -> dict:
-        return {
-            "support_vectors": self.support_vectors.tolist(),
-            "coef": self.coef.tolist(),
-            "intercept": self.intercept,
-            "gamma": self.gamma,
-            "platt_a": self.platt_a,
-            "platt_b": self.platt_b,
-        }
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(np.array(d["support_vectors"], dtype=float).reshape(-1, len(feature_names)),
-                   np.array(d["coef"], dtype=float), d["intercept"], d["gamma"],
-                   d["platt_a"], d["platt_b"], feature_names)

@@ -172,10 +172,10 @@ def leaf_values(flat, values: np.ndarray) -> np.ndarray:
 
 class DecisionTreeModel(TrainedModel):
     algorithm = "decision-tree"
+    state = ("root",)
 
     def __init__(self, root: dict, feature_names):
         super().__init__(feature_names)
-        self._doc = root
         self.root = TreeNode(root)
         self._flat = flatten_trees([root])
 
@@ -187,10 +187,3 @@ class DecisionTreeModel(TrainedModel):
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return leaf_values(self._flat, values)[0]
-
-    def params_dict(self) -> dict:
-        return {"root": self._doc}
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(d["root"], feature_names)

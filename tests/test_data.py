@@ -89,6 +89,15 @@ class TestLoading:
         with pytest.raises(DataError, match="non-numeric"):
             Dataset(tiny_schema(), rows, "abuse")
 
+    @pytest.mark.parametrize("cell", [None, [1.0], object], ids=["none", "list", "type"])
+    def test_non_string_continuous_cell_is_a_data_error(self, cell):
+        rows = tiny_rows()
+        rows[3] = ("red", "no", cell, "abused")
+        with pytest.raises(DataError, match=r"row 3: non-numeric value .* in continuous "
+                                            r"column 'age'") as fault:
+            Dataset(tiny_schema(), rows, "abuse")
+        assert fault.value.row == 3
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_continuous(self, cell):
         rows = tiny_rows()

@@ -1,7 +1,10 @@
+import functools
 import gc
 import hashlib
+import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from imbalkit.learners.base import (
     HYPERPARAMETERS,
     LearnerError,
     ModelSpec,
+    _registry,
     child_rng,
     deserialize_model,
     load_model,
@@ -43,6 +47,7 @@ from imbalkit.learners.tree import (
     entropy_impurity,
     flatten_trees,
 )
+from imbalkit.stacking import StackingSpec
 
 from conftest import two_class_matrix
 
@@ -812,10 +817,34 @@ class TestSvm:
             fit_model(ModelSpec("svm", {"C": C}), two_class_matrix(10, 10))
 
     def test_kernel_over_budget_rejected(self, monkeypatch):
-        monkeypatch.setattr(svm_module, "_KERNEL_BUDGET_BYTES", 39 * 39 * 8)
+        # the kernel and one block of min(n, 256) rows: 2 n^2 float64 cells at n = 39
+        monkeypatch.setattr(svm_module, "_KERNEL_BUDGET_BYTES", 2 * 39 * 39 * 8)
         fit_model(ModelSpec("svm"), two_class_matrix(20, 19, seed=25))
         with pytest.raises(LearnerError, match="budget"):
             fit_model(ModelSpec("svm"), two_class_matrix(20, 20, seed=25))
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_kernel_built_in_blocks_keeps_the_bits(self, block, monkeypatch):
+        monkeypatch.setattr(svm_module, "_KERNEL_BLOCK", block)
+        rng = np.random.default_rng(26)
+        A, B = rng.normal(size=(40, 5)), rng.normal(size=(23, 5))
+        for P, Q in ((A, B), (A, A), (B, A)):
+            sq = np.sum(P * P, axis=1)[:, None] + np.sum(Q * Q, axis=1)[None, :]
+            whole = np.exp(-0.3 * np.maximum(sq - 2.0 * (P @ Q.T), 0.0))
+            assert np.array_equal(_kernel_matrix(P, Q, 0.3), whole)
+
+    def test_fit_holds_one_kernel(self, monkeypatch):
+        monkeypatch.setattr(svm_module, "_KERNEL_BLOCK", 16)
+        m = two_class_matrix(300, 300, seed=27)
+        fit_model(ModelSpec("svm", {"max_passes": 1}), two_class_matrix(5, 5))  # warm-up
+        tracemalloc.start()
+        try:
+            fit_model(ModelSpec("svm", {"max_passes": 1}), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = m.n_rows
+        assert peak < 1.1 * (n + 16) * n * 8  # the kernel and one 16-row block
 
 
 class TestNaiveBayes:
@@ -1024,6 +1053,124 @@ class TestSerialization:
                          categorical_features=(0,))
         doc = serialize_model(fit_model(spec, m))
         json.dumps(doc)  # must not raise
+
+
+def _categorical_matrix():
+    """Twelve integer-coded columns, so encoder keys "10" and "11" sort before "2"."""
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 4, size=(120, 12)).astype(float)
+    y = ((X[:, 0] + X[:, 10] + rng.normal(0.0, 1.0, size=120)) > 3.0).astype(np.int64)
+    return EncodedMatrix(X, y, tuple(f"c{j}" for j in range(12)), np.arange(120))
+
+
+# (spec, data, sha256 of the sorted-key JSON model document), recorded before
+# every learner's document was written and read through TrainedModel.state
+DOCUMENT_DIGESTS = {
+    "logistic": (ModelSpec("logistic", {"C": 0.5}), _tie_heavy_matrix,
+                 "c60de61292531b687c96586721d6ee6bb3e0b479d72f5115bebaa7fbb066ce5f"),
+    "decision-tree": (ModelSpec("decision-tree", {"max_depth": 4}), _tie_heavy_matrix,
+                      "f6c86514149ebd7bc675063ada010924e7b96acaadd466a8451c1f24251d7855"),
+    "random-forest": (ModelSpec("random-forest", {"n_estimators": 3, "max_depth": 4}, seed=1),
+                      _tie_heavy_matrix,
+                      "4ca645b6459787a6bafe2aa018964935198906a6882e2759f042ccf9de7f69b1"),
+    "gbt": (ModelSpec("gbt", {"n_estimators": 8, "learning_rate": 0.1}), _tie_heavy_matrix,
+            "9c3dc48d5b844e5a646d1be697037123656c0f4d677b7b4823932582a70124bb"),
+    "svm": (ModelSpec("svm", {"max_passes": 2}), _tie_heavy_matrix,
+            "56ade11a26a5ca95df7cdde6db440a870824661bb4c931c54571290ea26a8123"),
+    "naive-bayes": (ModelSpec("naive-bayes"), _tie_heavy_matrix,
+                    "1252f29b2d6801d412bbf56b2aa8e5cb154e5eff922564461f86bacaec9902ee"),
+    "knn": (ModelSpec("knn", {"n_neighbors": 5}), _tie_heavy_matrix,
+            "d43dacefb7fada1c125506bc49a133bdd977eb7efebbe4d09a9569e8dd466978"),
+    "mlp": (ModelSpec("mlp", {"hidden_layer_sizes": (6, 4), "max_iterations": 3}, seed=2),
+            _tie_heavy_matrix,
+            "e15b19cbd6cb6568be60b7d02a55fbbd23c7d21644d23606eb7083214aa0de0a"),
+    "gbt-ordered-target-stats": (
+        ModelSpec("gbt", {"n_estimators": 4, "categorical_handling": "ordered-target-stats",
+                          "categorical_features": tuple(range(12))}, seed=3),
+        _categorical_matrix,
+        "f363a8be5d802a3e02aadce0e77a3b9aa05ab92daa6fe43c1c978fa4e5c6f55c"),
+    "stacking": (StackingSpec((ModelSpec("naive-bayes"), ModelSpec("gbt", {"n_estimators": 4})),
+                              oof_folds=3, seed=1), _tie_heavy_matrix,
+                 "ae8941cd5a0f813bfadb353571d5e54a3b1e4743ae53f5cb89d3290f9350586a"),
+}
+
+
+@functools.cache
+def _pinned_document(case: str) -> str:
+    spec, data, _ = DOCUMENT_DIGESTS[case]
+    return json.dumps(serialize_model(fit_model(spec, data())), sort_keys=True)
+
+
+def _damaged(case: str, damage) -> dict:
+    doc = json.loads(_pinned_document(case))
+    damage(doc)
+    return doc
+
+
+# (case, what the damage does, damage): values of the wrong type or shape
+_WRONG_TYPES = [
+    ("naive-bayes", "priors not numbers", lambda d: d["params"].update(priors="ab")),
+    ("decision-tree", "root not a tree", lambda d: d["params"].update(root=3)),
+    ("random-forest", "trees not a list", lambda d: d["params"].update(trees=4)),
+    ("gbt", "split record not a list", lambda d: d["params"].update(split_records=[1])),
+    ("gbt-ordered-target-stats", "encoders not a mapping",
+     lambda d: d["params"].update(cat_encoders=[])),
+    ("svm", "support vectors of the wrong width",
+     lambda d: d["params"].update(support_vectors=[[1.0]])),
+    ("mlp", "layer not a (W, b) pair", lambda d: d["params"].update(layers=[[1]])),
+    ("knn", "feature names not a list", lambda d: d.update(feature_names=5)),
+    ("logistic", "params not a mapping", lambda d: d.update(params=[])),
+    ("stacking", "out-of-fold matrix not numbers",
+     lambda d: d["params"].update(oof_matrix="ab")),
+    ("stacking", "base damaged", lambda d: d["params"]["bases"][0]["params"].pop("means")),
+]
+
+
+class TestModelDocuments:
+    """Every model's document keeps its bytes, survives a JSON round trip
+    byte for byte (TestSerialization checks the predictions), and a damaged
+    one raises LearnerError."""
+
+    @pytest.mark.parametrize("case", sorted(DOCUMENT_DIGESTS))
+    def test_document_is_pinned(self, case):
+        text = _pinned_document(case)
+        assert hashlib.sha256(text.encode()).hexdigest() == DOCUMENT_DIGESTS[case][2]
+
+    @pytest.mark.parametrize("case", sorted(DOCUMENT_DIGESTS))
+    def test_json_round_trip_keeps_the_bytes(self, case):
+        text = _pinned_document(case)
+        restored = deserialize_model(json.loads(text))
+        assert json.dumps(serialize_model(restored), sort_keys=True) == text
+
+    def test_unknown_algorithm_raises(self):
+        doc = _damaged("naive-bayes", lambda d: d.update(algorithm="perceptron"))
+        with pytest.raises(LearnerError, match="malformed model document"):
+            deserialize_model(doc)
+
+    @pytest.mark.parametrize("case, key", [
+        (case, key) for case in sorted(DOCUMENT_DIGESTS)
+        for key in sorted(json.loads(_pinned_document(case))["params"])
+    ])
+    def test_missing_state_key_raises(self, case, key):
+        doc = _damaged(case, lambda d: d["params"].pop(key))
+        with pytest.raises(LearnerError, match="malformed model document"):
+            deserialize_model(doc)
+
+    @pytest.mark.parametrize("case, what, damage", _WRONG_TYPES,
+                             ids=[f"{c}-{w}" for c, w, _ in _WRONG_TYPES])
+    def test_wrong_type_raises(self, case, what, damage):
+        with pytest.raises(LearnerError, match="malformed model document"):
+            deserialize_model(_damaged(case, damage))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_state_names_the_constructor_arguments(self, algorithm):
+        cls = _registry()[algorithm]
+        if algorithm == "logistic":
+            assert "params_dict" in vars(cls) and "from_params_dict" in vars(cls)
+        else:
+            assert "params_dict" not in vars(cls) and "from_params_dict" not in vars(cls)
+            args = list(inspect.signature(cls).parameters)
+            assert args[:len(cls.state) + 1] == [*cls.state, "feature_names"]
 
 
 class TestRandomSearch:
