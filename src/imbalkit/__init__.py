@@ -20,7 +20,6 @@ from .learners import (
     TrainedModel,
     entropy_impurity,
     fit_model,
-    logistic_response,
     ordered_target_statistics,
     predict_proba,
     tune_random_search,

@@ -13,7 +13,7 @@ from .base import (
     serialize_model,
 )
 from .gbt import GbtModel, ordered_target_statistics
-from .linear import LinearParams, LogisticModel, logistic_response
+from .linear import LogisticModel
 from .search import tune_random_search
 from .tree import DecisionTreeModel, TreeNode, entropy_impurity
 
@@ -32,9 +32,7 @@ __all__ = [
     "serialize_model",
     "GbtModel",
     "ordered_target_statistics",
-    "LinearParams",
     "LogisticModel",
-    "logistic_response",
     "tune_random_search",
     "DecisionTreeModel",
     "TreeNode",

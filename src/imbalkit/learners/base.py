@@ -78,6 +78,7 @@ def count(low: int, **more) -> Rule:
     return Rule(kind=numbers.Integral, low=low, high=10**6, **more)
 
 
+REAL = Rule(kind=numbers.Real, low=-np.inf, high=np.inf)
 POSITIVE = Rule(kind=numbers.Real, high=1e12, strict=True)
 NON_NEGATIVE = Rule(kind=numbers.Real, high=1e12)
 
@@ -142,7 +143,9 @@ class ModelSpec:
 
 def plain(value):
     """value as JSON gives it back: arrays and tuples as lists, dict keys as
-    str, a TreeNode as its document."""
+    str, a TreeNode or a TrainedModel as its document."""
+    if isinstance(value, TrainedModel):
+        return serialize_model(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -157,7 +160,8 @@ class TrainedModel:
 
     state names the attributes params_dict writes, in the order the
     constructor takes them before feature_names; the constructor accepts each
-    as fitted or as plain() gives it back. fit_info describes how the fit went
+    as fitted or as plain() gives it back, and reshapes each array to the
+    shape predict uses. fit_info describes how the fit went
     (for an iterative solver: its iterations and whether it converged); it is
     not part of params_dict, so it never reaches a serialized model."""
 
@@ -176,6 +180,13 @@ class TrainedModel:
 
     @classmethod
     def from_params_dict(cls, d: dict, feature_names) -> "TrainedModel":
+        """A state value named after a hyperparameter passes its rule, less its upper bound
+        and named choices (svm gamma is fitted: a number); any other scalar is a real."""
+        rules = HYPERPARAMETERS.get(cls.algorithm, {})
+        for key in (k for k in cls.state if k in rules or not isinstance(d[k], (list, dict))):
+            rule = rules[key][1] if key in rules else REAL
+            check_value(replace(rule, choices=(), high=np.inf) if rule.kind else rule, d[key],
+                        f"malformed model document: {cls.algorithm} {key}")
         return cls(*(d[key] for key in cls.state), feature_names)
 
 
@@ -245,12 +256,6 @@ def _registry() -> dict:
     }
 
 
-def _as_values(X) -> np.ndarray:
-    if isinstance(X, EncodedMatrix):
-        return X.values
-    return np.asarray(X, dtype=np.float64)
-
-
 def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
     """Train one base learner (ModelSpec) or out-of-fold stack (StackingSpec);
     reproducible given (spec, data, seed)."""
@@ -273,13 +278,10 @@ def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
     """Class-1 probabilities of any fitted model, a stack included, for an
     EncodedMatrix or raw value matrix."""
-    values = _as_values(X)
+    values = X.values if isinstance(X, EncodedMatrix) else np.asarray(X, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(model.feature_names):
-        raise LearnerError(
-            f"feature dimension mismatch: model expects {len(model.feature_names)}"
-        )
-    probs = model.predict_proba_values(values)
-    return np.clip(probs, 0.0, 1.0)
+        raise LearnerError(f"feature dimension mismatch: model expects {len(model.feature_names)}")
+    return np.clip(model.predict_proba_values(values), 0.0, 1.0)
 
 
 def serialize_model(model: TrainedModel) -> dict:
@@ -292,20 +294,29 @@ def serialize_model(model: TrainedModel) -> dict:
     }
 
 
+def _finite(value) -> bool:
+    """Whether value holds no None, NaN or infinity at any depth; no fitted model does."""
+    if isinstance(value, (list, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return value is not None and (not isinstance(value, float) or np.isfinite(value))
+
+
 def deserialize_model(doc: dict) -> TrainedModel:
     """The model serialize_model wrote doc from. A document of another format
-    or version, or one with an unknown algorithm, a missing key or a value of
-    the wrong type, raises LearnerError."""
+    or version, or one with an unknown algorithm, a missing key, or a value of
+    the wrong type, shape or range, raises LearnerError."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise LearnerError("not a model document")
     if doc.get("version") != MODEL_VERSION:
         raise LearnerError(f"unsupported model version {doc.get('version')!r}")
     try:
         cls = _registry()[doc["algorithm"]]
+        if not _finite(doc["params"]):
+            raise ValueError("null, NaN or infinity in the state")
         return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))
-    except LearnerError:
-        raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        if str(exc).startswith("malformed model document"):  # a state check's, or a base's
+            raise
         raise LearnerError(f"malformed model document: {exc!r}") from exc
 
 
@@ -316,4 +327,7 @@ def save_model(model: TrainedModel, path):
 
 def load_model(path) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_model(json.load(fh))
+        try:
+            return deserialize_model(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # not UTF-8 JSON
+            raise LearnerError(f"not a model document: {exc}") from exc

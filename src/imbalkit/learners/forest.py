@@ -19,19 +19,14 @@ class RandomForestModel(TrainedModel):
     def __init__(self, trees: list[dict], feature_names):
         super().__init__(feature_names)
         self.trees = [TreeNode(t) for t in trees]
-        self._flat = flatten_trees(trees)
+        self._flat = flatten_trees(trees, len(self.feature_names))
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "RandomForestModel":
         h = spec.hyperparameters
         d = X.shape[1]
         mf = h["max_features"]
-        if mf == "sqrt":
-            max_features = max(1, int(np.sqrt(d)))
-        elif mf == "all":
-            max_features = d
-        else:
-            max_features = int(mf)
+        max_features = {"sqrt": max(1, int(np.sqrt(d))), "all": d}.get(mf, mf)
         n = X.shape[0]
         trees = []
         for t in range(h["n_estimators"]):

@@ -173,16 +173,19 @@ class GbtModel(TrainedModel):
                  split_records, n_train, cat_encoders, feature_names):
         super().__init__(feature_names)
         self.trees = trees  # nested dicts, as params_dict writes them
-        self._flat = flatten_trees(trees)
-        self.base_log_odds = base_log_odds
+        self._flat = flatten_trees(trees, len(self.feature_names))
+        self.base_log_odds = float(base_log_odds)
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
         self.split_records = [SplitRecord(*r) for r in split_records]
         self.n_train = n_train
         # feature index -> {"prior": float, "stats": {code: stat}}
         self.cat_encoders = {
-            int(j): {"prior": e["prior"], "stats": {float(k): v for k, v in e["stats"].items()}}
+            int(j): {"prior": float(e["prior"]),
+                     "stats": {float(k): float(v) for k, v in e["stats"].items()}}
             for j, e in cat_encoders.items()}
+        if not set(self.cat_encoders) <= set(range(len(self.feature_names))):
+            raise ValueError("an encoder of a feature outside the columns")
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "GbtModel":
@@ -201,13 +204,10 @@ class GbtModel(TrainedModel):
                 if j >= X.shape[1]:
                     raise LearnerError(f"categorical feature index {j} is outside the "
                                        f"{X.shape[1]} columns")
-                rng = child_rng(spec.seed, 2, int(j))
-                perm = rng.permutation(n)
-                stats = {}
+                perm = child_rng(spec.seed, 2, int(j)).permutation(n)
                 col = X[:, j]
-                for code in np.unique(col):
-                    m = col == code
-                    stats[float(code)] = (y[m].sum() + a * prior) / (m.sum() + a)
+                stats = {float(c): (y[col == c].sum() + a * prior) / ((col == c).sum() + a)
+                         for c in np.unique(col)}
                 X[:, j] = ordered_target_statistics(col, y, perm, prior, a)
                 cat_encoders[int(j)] = {"prior": prior, "stats": stats}
 

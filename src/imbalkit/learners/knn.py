@@ -17,7 +17,9 @@ class KnnModel(TrainedModel):
     def __init__(self, X, y, n_neighbors, weights, feature_names):
         super().__init__(feature_names)
         self.X = np.asarray(X, dtype=float).reshape(-1, len(self.feature_names))
-        self.y = np.asarray(y, dtype=float)
+        self.y = np.asarray(y, dtype=float).reshape(len(self.X))
+        if not n_neighbors <= len(self.X):
+            raise ValueError(f"{n_neighbors} neighbours of {len(self.X)} training rows")
         self.n_neighbors = n_neighbors
         self.weights = weights
 

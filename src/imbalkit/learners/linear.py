@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel
 
-__all__ = ["LinearParams", "logistic_response", "sigmoid", "newton_logistic", "LogisticModel"]
+__all__ = ["sigmoid", "newton_logistic", "LogisticModel"]
 
 
 def sigmoid(z):
@@ -19,28 +17,6 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-@dataclass(frozen=True)
-class LinearParams:
-    intercept: float
-    weights: np.ndarray
-    penalty: str = "l2"
-    C: float = 1.0  # inverse regularization strength
-    fit_info: dict = field(default_factory=dict, compare=False)  # the solver's report
-
-    def __post_init__(self):
-        if self.C <= 0:
-            raise LearnerError("C must be positive")
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-def logistic_response(params: LinearParams, x) -> float:
-    """sigma(b0 + b . x) for a single feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != params.weights.shape:
-        raise LearnerError("feature dimension mismatch")
-    return float(sigmoid(params.intercept + params.weights @ x))
 
 
 def newton_logistic(A, y, l1=0.0, l2=0.0, max_iter=500, tol=1e-10) -> tuple[np.ndarray, dict]:
@@ -93,42 +69,33 @@ def newton_logistic(A, y, l1=0.0, l2=0.0, max_iter=500, tol=1e-10) -> tuple[np.n
     return theta, {"iterations": iterations, "converged": gap <= tol, "kkt_gap": gap}
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, penalty: str = "l2", C: float = 1.0,
-                 max_iter: int = 500, tol: float = 1e-10) -> LinearParams:
-    """Mean log-loss + penalty/(C*n) by newton_logistic (max_iter Newton iterations,
-    tol its KKT-gap tolerance) on features standardized for conditioning, folded
-    back to the original scale; the solver's report is the returned fit_info."""
-    if penalty not in ("l1", "l2"):
-        raise LearnerError(f"unknown penalty {penalty!r}")
-    mu, sd = X.mean(axis=0), X.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    lam = 1.0 / (C * len(X))
-    w, info = newton_logistic(np.c_[(X - mu) / sd, np.ones(len(X))], y, lam * (penalty == "l1"),
-                              lam * (penalty == "l2"), max_iter, tol)
-    return LinearParams(float(w[-1] - np.sum(w[:-1] * mu / sd)), w[:-1] / sd, penalty, C, info)
-
-
 class LogisticModel(TrainedModel):
     algorithm = "logistic"
+    state = ("intercept", "weights", "penalty", "C")
 
-    def __init__(self, params: LinearParams, feature_names):
+    def __init__(self, intercept, weights, penalty, C, feature_names):
         super().__init__(feature_names)
-        self.params = params
-        self.fit_info = params.fit_info
+        self.intercept = float(intercept)
+        self.weights = np.asarray(weights, dtype=float).reshape(len(self.feature_names))
+        self.penalty = penalty
+        self.C = C  # inverse regularization strength
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "LogisticModel":
-        return cls(fit_logistic(X, y, **spec.hyperparameters), feature_names)
+        """Mean log-loss + penalty/(C*n) by newton_logistic (max_iter Newton iterations,
+        tol its KKT-gap tolerance) on features standardized for conditioning, folded
+        back to the original scale; the solver's report is fit_info."""
+        h = spec.hyperparameters
+        mu, sd = X.mean(axis=0), X.std(axis=0)
+        sd = np.where(sd > 0, sd, 1.0)
+        lam = 1.0 / (h["C"] * len(X))
+        w, info = newton_logistic(np.c_[(X - mu) / sd, np.ones(len(X))], y,
+                                  lam * (h["penalty"] == "l1"), lam * (h["penalty"] == "l2"),
+                                  h["max_iter"], h["tol"])
+        model = cls(float(w[-1] - np.sum(w[:-1] * mu / sd)), w[:-1] / sd, h["penalty"], h["C"],
+                    feature_names)
+        model.fit_info = info
+        return model
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        return sigmoid(self.params.intercept + values @ self.params.weights)
-
-    def params_dict(self) -> dict:
-        p = self.params
-        return {"intercept": p.intercept, "weights": p.weights.tolist(), "penalty": p.penalty,
-                "C": p.C}
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names):
-        return cls(LinearParams(d["intercept"], d["weights"], d["penalty"], d["C"]),
-                   feature_names)
+        return sigmoid(self.intercept + values @ self.weights)

@@ -60,8 +60,12 @@ class MlpModel(TrainedModel):
 
     def __init__(self, layers, activation, feature_names):
         super().__init__(feature_names)
-        self.layers = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-                       for W, b in layers]
+        widths = [len(self.feature_names), *(len(b) for _, b in layers)]  # each layer's inputs
+        if len(widths) < 2 or widths[-1] != 1:
+            raise ValueError("the last layer must have one output unit")
+        self.layers = [(np.asarray(W, dtype=float).reshape(m, n),
+                        np.asarray(b, dtype=float).reshape(n))
+                       for (W, b), m, n in zip(layers, widths, widths[1:])]
         self.activation = activation
 
     @classmethod

@@ -15,9 +15,12 @@ class NaiveBayesModel(TrainedModel):
 
     def __init__(self, priors, means, variances, feature_names):
         super().__init__(feature_names)
-        self.priors = np.asarray(priors, dtype=float)        # (2,)
-        self.means = np.asarray(means, dtype=float)          # (2, d)
-        self.variances = np.asarray(variances, dtype=float)  # (2, d)
+        d = len(self.feature_names)
+        self.priors = np.asarray(priors, dtype=float).reshape(2)
+        self.means = np.asarray(means, dtype=float).reshape(2, d)
+        self.variances = np.asarray(variances, dtype=float).reshape(2, d)
+        if not (np.all(self.priors > 0) and np.all(self.variances > 0)):
+            raise ValueError("naive-bayes priors and variances must be positive")
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "NaiveBayesModel":

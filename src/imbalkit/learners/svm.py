@@ -103,11 +103,11 @@ class SvmModel(TrainedModel):
         super().__init__(feature_names)
         self.support_vectors = np.asarray(support_vectors, dtype=float).reshape(
             -1, len(self.feature_names))
-        self.coef = np.asarray(coef, dtype=float)  # alpha_i * t_i for support vectors
-        self.intercept = intercept
+        self.coef = np.asarray(coef, dtype=float).reshape(len(self.support_vectors))  # alpha_i t_i
+        self.intercept = float(intercept)
         self.gamma = gamma
-        self.platt_a = platt_a
-        self.platt_b = platt_b
+        self.platt_a = float(platt_a)
+        self.platt_b = float(platt_b)
         self.slack = slack if slack is not None else np.empty(0)
         self.objective_history = objective_history or []
 

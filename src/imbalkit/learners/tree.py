@@ -137,12 +137,13 @@ def _add_nodes(tree, nodes, depth) -> int:
     return max(left_depth, right_depth)
 
 
-def flatten_trees(trees):
+def flatten_trees(trees, width: int):
     """Flat node arrays (feature, threshold, children, value) of nested-dict
     trees, the index of each root, and the depth of the deepest leaf. children
     interleaves each node's right and left child, so node i steps to
     children[2*i + go_left]. A leaf points to itself, so walking that many
-    levels from the roots ends on every row's leaf in every tree."""
+    levels from the roots ends on every row's leaf in every tree. A split on a
+    feature outside range(width) raises ValueError."""
     nodes: list = []
     roots = []
     depth = 0
@@ -151,6 +152,8 @@ def flatten_trees(trees):
         depth = max(depth, _add_nodes(tree, nodes, 0))
     table = np.array(nodes, dtype=float).reshape(-1, 5)
     feature = table[:, 0].astype(np.intp)
+    if feature.min(initial=0) < 0 or feature.max(initial=0) >= width:
+        raise ValueError(f"a split on a feature outside the {width} columns")
     children = table[:, [3, 2]].astype(np.intp).ravel()
     return (feature, table[:, 1], children, table[:, 4]), np.array(roots, dtype=np.intp), depth
 
@@ -177,7 +180,7 @@ class DecisionTreeModel(TrainedModel):
     def __init__(self, root: dict, feature_names):
         super().__init__(feature_names)
         self.root = TreeNode(root)
-        self._flat = flatten_trees([root])
+        self._flat = flatten_trees([root], len(self.feature_names))
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":

@@ -16,7 +16,6 @@ from .learners.base import (
     deserialize_model,
     fit_model,
     predict_proba,
-    serialize_model,
 )
 from .validation import SmoteSettings, fold_partitions, stratified_folds
 
@@ -43,39 +42,29 @@ class StackingSpec:
 
 class StackedModel(TrainedModel):
     """Meta-learner over the class-1 probabilities of the base models; its
-    features are the bases' features."""
+    features are the bases' features. bases and meta may be fitted models or
+    their documents."""
 
     algorithm = "stacking"
+    state = ("bases", "meta", "oof_matrix", "oof_fold_assignment")
 
-    def __init__(self, base_models: list, meta_model: TrainedModel,
-                 oof_matrix: np.ndarray, oof_fold_assignment: np.ndarray,
-                 base_algorithms: tuple[str, ...]):
-        super().__init__(base_models[0].feature_names)
-        self.base_models = base_models
-        self.meta_model = meta_model
-        self.oof_matrix = oof_matrix      # (n_train, n_bases) held-out base probabilities
-        self.oof_fold_assignment = oof_fold_assignment  # fold per training row (diagnostic)
-        self.base_algorithms = tuple(base_algorithms)
+    def __init__(self, bases, meta, oof_matrix, oof_fold_assignment, feature_names):
+        super().__init__(feature_names)
+        self.bases = [b if isinstance(b, TrainedModel) else deserialize_model(b) for b in bases]
+        self.meta = meta if isinstance(meta, TrainedModel) else deserialize_model(meta)
+        widths = [len(self.feature_names)] * len(self.bases) + [len(self.bases)]
+        if [len(m.feature_names) for m in (*self.bases, self.meta)] != widths:
+            raise ValueError("the bases do not take the stack's features or the meta its inputs")
+        # (n_train, n_bases) held-out base probabilities, and each row's fold (diagnostic)
+        self.oof_matrix = np.asarray(oof_matrix, dtype=float).reshape(-1, len(self.bases))
+        self.oof_fold_assignment = np.asarray(oof_fold_assignment, dtype=np.int64).reshape(
+            len(self.oof_matrix))
+
+    base_algorithms = property(lambda self: tuple(m.algorithm for m in self.bases))
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        base_probs = np.column_stack([predict_proba(m, values) for m in self.base_models])
-        return self.meta_model.predict_proba_values(base_probs)
-
-    def params_dict(self) -> dict:
-        return {
-            "bases": [serialize_model(m) for m in self.base_models],
-            "meta": serialize_model(self.meta_model),
-            "oof_matrix": self.oof_matrix.tolist(),
-            "oof_fold_assignment": self.oof_fold_assignment.tolist(),
-        }
-
-    @classmethod
-    def from_params_dict(cls, d, feature_names) -> "StackedModel":
-        bases = [deserialize_model(b) for b in d["bases"]]
-        return cls(bases, deserialize_model(d["meta"]),
-                   np.array(d["oof_matrix"], dtype=float),
-                   np.array(d["oof_fold_assignment"], dtype=np.int64),
-                   tuple(m.algorithm for m in bases))
+        base_probs = np.column_stack([predict_proba(m, values) for m in self.bases])
+        return self.meta.predict_proba_values(base_probs)
 
 
 def stack_fit(spec: StackingSpec, train: EncodedMatrix,
@@ -110,12 +99,12 @@ def stack_fit(spec: StackingSpec, train: EncodedMatrix,
         tuple(f"base_{b}_{s.algorithm}" for b, s in enumerate(spec.base_specs)),
         train.row_ids,
     )
-    meta_model = fit_model(spec.meta_spec, meta_train)
+    meta = fit_model(spec.meta_spec, meta_train)
 
     full_train = train if spec.resampler is None else spec.resampler.apply(
         train, int(child_rng(spec.seed, 31).integers(0, 2**31)))
-    return StackedModel([fit_base(b, full_train) for b in bases], meta_model, oof, assignment,
-                        tuple(s.algorithm for s in spec.base_specs))
+    return StackedModel([fit_base(b, full_train) for b in bases], meta, oof, assignment,
+                        train.column_names)
 
 
 def stack_predict_proba(model: StackedModel, X) -> np.ndarray:

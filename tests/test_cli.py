@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import imbalkit
 from imbalkit.cli import main
 from imbalkit.data import DataError, Dataset
+from imbalkit.learners.base import ALGORITHMS, HYPERPARAMETERS
 from imbalkit.report import ConfigError, load_config
 from imbalkit.special import chi2_sf
 from imbalkit.synth import write_schema_json
@@ -526,6 +527,42 @@ _SPACES = st.dictionaries(
     max_size=2)
 
 
+# hyperparameters that set how much work a fit does: drawn from small values
+# only, and kept small on every entry, so that one example stays fast
+_FIT_SIZES = ("n_estimators", "max_passes", "max_iterations", "max_iter", "hidden_layer_sizes")
+_SMALL_FIT = {"logistic": {"max_iter": 2}, "random-forest": {"n_estimators": 2},
+              "gbt": {"n_estimators": 2}, "svm": {"max_passes": 1},
+              "mlp": {"hidden_layer_sizes": [2], "max_iterations": 2}}
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2), max_leaves=3)
+
+
+@st.composite
+def _drawn_entry(draw):
+    """A roster entry "extra" of a drawn algorithm, and its tuning space. A
+    drawn hyperparameter, or candidate in the space, is a value the key's rule
+    accepts or arbitrary JSON; a distribution's bounds are drawn the same way."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    keys = sorted(HYPERPARAMETERS[algorithm])
+
+    def values(key):
+        if key in _FIT_SIZES:
+            return st.integers(0, 2) | st.lists(st.integers(1, 2), max_size=2) | _SMALL_JSON
+        default, rule = HYPERPARAMETERS[algorithm][key]
+        return (st.sampled_from([default, *rule.choices]) | st.integers(0, 8)
+                | st.floats(0.0, 10.0) | _JSON)
+
+    hyper = {key: draw(values(key))
+             for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))}
+    space = {key: draw(st.lists(values(key), min_size=1, max_size=2)
+                       | st.tuples(st.sampled_from(["uniform", "loguniform", "randint"]),
+                                   values(key), values(key)).map(list))
+             for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))}
+    return ({"name": "extra", "algorithm": algorithm,
+             "hyperparameters": {**_SMALL_FIT.get(algorithm, {}), **hyper}}, space)
+
+
 def with_settings(cfg, run_settings):
     """Set each dotted run setting (section.key; stack.* on the stacking entry) in cfg."""
     for dotted, value in run_settings.items():
@@ -572,6 +609,29 @@ class TestErrorPaths:
         path = tmp_path_factory.getbasetemp() / "property.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         for command in (["benchmark"], ["compare"], ["explain", "--model", "stack"]):
+            result = run_cli(*command, "--config", path)
+            assert result.exit_code in (0, 2, 3, 4), (command, cfg, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                command, cfg, result.exception)
+            assert "Traceback" not in result.output
+
+    @given(_drawn_entry())
+    @settings(max_examples=100, deadline=None)
+    def test_commands_exit_with_documented_codes_on_drawn_models(self, tmp_path_factory,
+                                                                 drawn):
+        """benchmark, compare and explain on a roster entry of drawn
+        hyperparameters, tuned over a drawn space and stacked with nb, exit 0,
+        2, 3 or 4, never with a traceback."""
+        entry, space = drawn
+        cfg = base_config(tmp_path_factory.getbasetemp() / "drawn-out", n=120,
+                          models=[{"name": "nb", "algorithm": "naive-bayes"}, entry,
+                                  {"name": "stack", "algorithm": "stacking",
+                                   "bases": ["nb", "extra"], "oof_folds": 2}],
+                          tuning={"spaces": {"extra": space} if space else {}, "n_iter": 2,
+                                  "folds": 2})
+        path = tmp_path_factory.getbasetemp() / "drawn.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in (["benchmark"], ["compare"], ["explain", "--model", "extra"]):
             result = run_cli(*command, "--config", path)
             assert result.exit_code in (0, 2, 3, 4), (command, cfg, result.output)
             assert result.exception is None or isinstance(result.exception, SystemExit), (

@@ -28,13 +28,7 @@ from imbalkit.learners.base import (
     serialize_model,
 )
 from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
-from imbalkit.learners.linear import (
-    LinearParams,
-    fit_logistic,
-    logistic_response,
-    newton_logistic,
-    sigmoid,
-)
+from imbalkit.learners.linear import LogisticModel, newton_logistic, sigmoid
 from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
 from imbalkit.learners import svm as svm_module
 from imbalkit.learners.svm import _kernel_matrix, _smo
@@ -180,8 +174,8 @@ def _logistic_problems(draw):
 
 class TestLogistic:
     def test_response_known_value(self):
-        params = LinearParams(intercept=0.0, weights=np.array([math.log(3.0)]))
-        assert logistic_response(params, [1.0]) == pytest.approx(0.75, abs=1e-12)
+        model = LogisticModel(0.0, [math.log(3.0)], "l2", 1.0, ("x",))
+        assert predict_proba(model, [[1.0]])[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_sigmoid_stable_at_extremes(self):
         assert sigmoid(np.array([800.0]))[0] == 1.0
@@ -198,17 +192,19 @@ class TestLogistic:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(200, 10))
         y = (X[:, 0] + 0.5 * X[:, 1] + 0.2 * rng.normal(size=200) > 0).astype(int)
-        l1 = fit_logistic(X, y, penalty="l1", C=0.05)
-        l2 = fit_logistic(X, y, penalty="l2", C=0.05)
+        names = tuple(f"x{j}" for j in range(10))
+        l1 = LogisticModel.fit(X, y, ModelSpec("logistic", {"penalty": "l1", "C": 0.05}), names)
+        l2 = LogisticModel.fit(X, y, ModelSpec("logistic", {"penalty": "l2", "C": 0.05}), names)
         assert np.sum(l1.weights == 0.0) > np.sum(l2.weights == 0.0)
 
     def test_unknown_penalty(self):
-        with pytest.raises(LearnerError):
-            fit_logistic(np.ones((4, 1)), np.array([0, 1, 0, 1]), penalty="elastic")
+        with pytest.raises(LearnerError, match="penalty"):
+            ModelSpec("logistic", {"penalty": "elastic"})
 
     def test_invalid_c(self):
-        with pytest.raises(LearnerError):
-            LinearParams(0.0, np.zeros(2), C=0.0)
+        doc = _damaged("logistic", lambda d: d["params"].update(C=0))
+        with pytest.raises(LearnerError, match="malformed model document: logistic C"):
+            deserialize_model(doc)
 
     @given(_logistic_problems(), st.sampled_from(["l1", "l2", "none"]))
     @settings(max_examples=80, deadline=None)
@@ -518,7 +514,7 @@ class TestTreeDocuments:
         assert restored.params_dict() == model.params_dict()
         roots = [restored.root] if spec.algorithm == "decision-tree" else restored.trees
         docs = [root.to_dict() for root in roots]
-        (feature, _, _, _), _, _ = flatten_trees(docs)
+        (feature, _, _, _), _, _ = flatten_trees(docs, len(model.feature_names))
         assert sum(_count_nodes(root) for root in roots) == feature.size > len(roots)
         if spec.algorithm == "random-forest":
             assert np.array_equal(impurity_importance(restored).scores,
@@ -644,7 +640,7 @@ class TestGbt:
     def test_flat_nodes_encode_the_nested_trees(self):
         m = two_class_matrix(60, 40, d=4, seed=14)
         model = fit_model(ModelSpec("gbt", {"n_estimators": 6, "max_depth": 3}), m)
-        (feature, threshold, children, value), roots, depth = flatten_trees(model.trees)
+        (feature, threshold, children, value), roots, depth = flatten_trees(model.trees, 4)
 
         def unflatten(i):
             left, right = children[2 * i + 1], children[2 * i]
@@ -1107,7 +1103,12 @@ def _damaged(case: str, damage) -> dict:
     return doc
 
 
-# (case, what the damage does, damage): values of the wrong type or shape
+def _resize(key, n):
+    """Damage: params[key] cut, or repeated and cut, to n rows."""
+    return lambda d: d["params"].update({key: (d["params"][key] * n)[:n]})
+
+
+# (case, what the damage does, damage): values of the wrong type, shape or range
 _WRONG_TYPES = [
     ("naive-bayes", "priors not numbers", lambda d: d["params"].update(priors="ab")),
     ("decision-tree", "root not a tree", lambda d: d["params"].update(root=3)),
@@ -1123,6 +1124,35 @@ _WRONG_TYPES = [
     ("stacking", "out-of-fold matrix not numbers",
      lambda d: d["params"].update(oof_matrix="ab")),
     ("stacking", "base damaged", lambda d: d["params"]["bases"][0]["params"].pop("means")),
+    ("knn", "neighbour count not a number", lambda d: d["params"].update(n_neighbors="x")),
+    ("gbt", "learning rate not a number", lambda d: d["params"].update(learning_rate="x")),
+    ("svm", "intercept not a number", lambda d: d["params"].update(intercept="x")),
+    ("svm", "gamma unresolved", lambda d: d["params"].update(gamma="scale")),
+    ("svm", "platt slope a bool", lambda d: d["params"].update(platt_a=True)),
+    ("knn", "unknown weighting", lambda d: d["params"].update(weights="cosine")),
+    ("mlp", "unknown activation", lambda d: d["params"].update(activation="sigmoid")),
+    ("naive-bayes", "variances of three classes", _resize("variances", 3)),
+    ("naive-bayes", "means of one class", _resize("means", 1)),
+    ("knn", "labels of the wrong length", _resize("y", 3)),
+    ("svm", "coefficients of the wrong length", _resize("coef", 1)),
+    ("logistic", "weights of the wrong length", _resize("weights", 2)),
+    ("mlp", "layers that do not chain", lambda d: d["params"]["layers"].pop(1)),
+    ("mlp", "no layers", lambda d: d["params"].update(layers=[])),
+    ("stacking", "meta-learner over one input for two bases",
+     lambda d: d["params"]["bases"].pop()),
+    ("stacking", "meta not a document", lambda d: d["params"].update(meta=3)),
+    ("decision-tree", "split on a feature past the columns",
+     lambda d: d["params"]["root"].update(feature=6)),
+    ("random-forest", "split on a negative feature",
+     lambda d: d["params"]["trees"][0].update(feature=-1)),
+    ("knn", "more neighbours than rows", lambda d: d["params"].update(n_neighbors=161)),
+    ("gbt-ordered-target-stats", "encoder of a feature past the columns",
+     lambda d: d["params"]["cat_encoders"].update({"12": d["params"]["cat_encoders"]["0"]})),
+    ("naive-bayes", "a variance of zero", lambda d: d["params"]["variances"][0].__setitem__(0, 0)),
+    ("naive-bayes", "a negative prior", lambda d: d["params"]["priors"].__setitem__(0, -0.5)),
+    ("naive-bayes", "a null mean", lambda d: d["params"]["means"][1].__setitem__(0, None)),
+    ("svm", "a NaN coefficient", lambda d: d["params"]["coef"].__setitem__(0, float("nan"))),
+    ("gbt", "an infinite leaf", lambda d: d["params"]["trees"][0]["left"].update(value=math.inf)),
 ]
 
 
@@ -1162,15 +1192,20 @@ class TestModelDocuments:
         with pytest.raises(LearnerError, match="malformed model document"):
             deserialize_model(_damaged(case, damage))
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", [*ALGORITHMS, "stacking"])
     def test_state_names_the_constructor_arguments(self, algorithm):
         cls = _registry()[algorithm]
-        if algorithm == "logistic":
-            assert "params_dict" in vars(cls) and "from_params_dict" in vars(cls)
-        else:
-            assert "params_dict" not in vars(cls) and "from_params_dict" not in vars(cls)
-            args = list(inspect.signature(cls).parameters)
-            assert args[:len(cls.state) + 1] == [*cls.state, "feature_names"]
+        assert "params_dict" not in vars(cls) and "from_params_dict" not in vars(cls)
+        args = list(inspect.signature(cls).parameters)
+        assert args[:len(cls.state) + 1] == [*cls.state, "feature_names"]
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe not text", b"{not json"],
+                             ids=["not-utf8", "not-json"])
+    def test_load_model_of_a_file_that_is_not_json_raises(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(LearnerError, match="not a model document"):
+            load_model(path)
 
 
 class TestRandomSearch:

@@ -13,7 +13,7 @@ from imbalkit.learners.base import (
     save_model,
     serialize_model,
 )
-from imbalkit.learners.linear import LinearParams, LogisticModel
+from imbalkit.learners.linear import LogisticModel
 from imbalkit.metrics import evaluate
 from imbalkit.stacking import StackedModel, StackingSpec, stack_fit, stack_predict_proba
 from imbalkit.validation import SmoteSettings, cross_validate, stratified_folds
@@ -106,7 +106,7 @@ class TestStackFit:
         m = two_class_matrix(50, 50, seed=4)
         spec = simple_spec("naive-bayes", folds=5)
         model = stack_fit(spec, m)
-        base_probs = model.base_models[0].predict_proba_values(m.values)
+        base_probs = model.bases[0].predict_proba_values(m.values)
         stacked = stack_predict_proba(model, m)
         # a monotone meta map preserves the base's class decisions when the
         # base is informative
@@ -140,18 +140,26 @@ class TestStackFit:
         w, b = 1.7, -0.4
         dup = StackedModel(
             [base, base],
-            LogisticModel(LinearParams(b, np.array([w / 2, w / 2])), ("p0", "p1")),
+            LogisticModel(b, np.array([w / 2, w / 2]), "l2", 1.0, ("p0", "p1")),
             np.zeros((60, 2)), np.zeros(60, dtype=np.int64),
-            ("naive-bayes", "naive-bayes"),
+            m.column_names,
         )
         single = StackedModel(
             [base],
-            LogisticModel(LinearParams(b, np.array([w])), ("p0",)),
+            LogisticModel(b, np.array([w]), "l2", 1.0, ("p0",)),
             np.zeros((60, 1)), np.zeros(60, dtype=np.int64),
-            ("naive-bayes",),
+            m.column_names,
         )
         np.testing.assert_allclose(stack_predict_proba(dup, m),
                                    stack_predict_proba(single, m), atol=1e-9)
+
+    def test_bases_must_take_the_stack_features(self):
+        m = two_class_matrix(30, 30, seed=6)
+        base = fit_model(ModelSpec("naive-bayes"), m)
+        meta = LogisticModel(0.0, np.array([1.0]), "l2", 1.0, ("p0",))
+        StackedModel([base], meta, np.zeros((60, 1)), np.zeros(60), m.column_names)
+        with pytest.raises(ValueError, match="bases"):
+            StackedModel([base], meta, np.zeros((60, 1)), np.zeros(60), m.column_names[1:])
 
     def test_deterministic(self):
         m = two_class_matrix(30, 60, seed=7)
