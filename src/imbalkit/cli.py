@@ -165,7 +165,7 @@ def benchmark(config_path, seed, resample_test, out_dir):
     raw_train, train, test = _split_and_resample(config, matrix)
     check_fold_counts(config.models.values(), raw_train, None, config.seed)
     check_fold_counts([config.models[name] for name in config.tuning_spaces], raw_train,
-                      config.tuning_folds, config.seed)
+                      config.tuning_folds, config.seed, config.resampler)
 
     metrics = {}
     curves = {}
@@ -207,7 +207,7 @@ def compare(config_path, seed, resample_test, out_dir):
         raise ConfigError("compare requires 'reference_model'")
     matrix, _ = label_encode(config.load())
     specs = [config.models[name] for name in config.model_order]
-    check_fold_counts(specs, matrix, config.cv_folds, config.seed)
+    check_fold_counts(specs, matrix, config.cv_folds, config.seed, config.resampler)
     writer = ArtifactWriter(config.output_dir, config)
 
     results = cross_validate_many(specs, matrix, folds=config.cv_folds,
@@ -294,7 +294,7 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     opts = config.explain_options
     n_perm = opts["n_permutations"]
     bg_rows = opts["background_rows"]
-    global_rows = min(opts["global_rows"], 200, test.n_rows)
+    global_rows = min(opts["global_rows"], test.n_rows)
     lime_samples = opts["lime_samples"]
 
     # background rows and the LIME sampler come from the SMOTEd split

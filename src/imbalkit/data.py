@@ -394,6 +394,19 @@ def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
+def smote_classes(target: np.ndarray) -> tuple[int, int, int]:
+    """(minority label, minority count, majority count) of the rows smote
+    resamples; DataError for a class balance it cannot resample."""
+    counts = np.bincount(target, minlength=2)
+    minority = int(counts.argmin()) if counts[0] != counts[1] else 1
+    n_min, n_maj = int(counts[minority]), int(counts[1 - minority])
+    if n_min == 0:
+        raise DataError("minority class is empty")
+    if n_min < 2 and n_min != n_maj:  # a balanced partition passes through
+        raise DataError("minority class needs at least 2 rows for SMOTE")
+    return minority, n_min, n_maj
+
+
 def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedMatrix:
     """Oversample the minority class to a 1:1 ratio by neighbor interpolation.
 
@@ -406,16 +419,9 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedM
     """
     if not np.isfinite(train.values).all():
         raise DataError("SMOTE needs finite feature values")
-    counts = np.bincount(train.target, minlength=2)
-    minority = int(counts.argmin()) if counts[0] != counts[1] else 1
-    majority = 1 - minority
-    n_min, n_maj = int(counts[minority]), int(counts[majority])
-    if n_min == 0:
-        raise DataError("minority class is empty")
+    minority, n_min, n_maj = smote_classes(train.target)
     if n_min == n_maj:
         return train
-    if n_min < 2:
-        raise DataError("minority class needs at least 2 rows for SMOTE")
     if k_neighbors < 1:
         raise DataError("k_neighbors must be >= 1")
     k = min(k_neighbors, n_min - 1)

@@ -40,7 +40,8 @@ class Rule:
     """The values a setting accepts: the JSON constants in choices, and integers
     (kind numbers.Integral) or reals (numbers.Real) from low to high, or strictly
     between them if strict; numpy scalars pass, bools are not numbers. With
-    each=True, lists (or tuples) of such values instead."""
+    each=True, lists (or tuples) of such values instead, without a repeat if
+    distinct."""
 
     choices: tuple = ()
     kind: type | None = None
@@ -48,11 +49,13 @@ class Rule:
     high: float = 0
     strict: bool = False
     each: bool = False
+    distinct: bool = False
 
     def accepts(self, value) -> bool:
         if self.each:
             item = replace(self, each=False)
-            return isinstance(value, (list, tuple)) and all(map(item.accepts, value))
+            return (isinstance(value, (list, tuple)) and all(map(item.accepts, value))
+                    and not (self.distinct and len(set(value)) < len(value)))
         if self.kind and isinstance(value, self.kind) and not isinstance(value, bool):
             return self.low < value < self.high if self.strict else self.low <= value <= self.high
         return any(isinstance(value, type(c)) and value == c for c in self.choices)
@@ -65,7 +68,8 @@ class Rule:
             words.append(f"an integer from {self.low} to {self.high}")
         elif self.kind:
             words.append(f"a number from {self.low:g} to {self.high:g}")
-        return ("a list, each " if self.each else "") + " or ".join(words)
+        each = "a list of distinct values, each " if self.distinct else "a list, each "
+        return (each if self.each else "") + " or ".join(words)
 
 
 def check_value(rule: Rule, value, what: str) -> None:
@@ -94,7 +98,7 @@ HYPERPARAMETERS: dict[str, dict[str, tuple]] = {
         "max_depth": (3, count(1)), "l2_leaf_reg": (1.0, NON_NEGATIVE),
         "min_samples_split": (2, count(0)), "bins": (0, count(0)),
         "categorical_handling": ("plain-codes", Rule(("plain-codes", "ordered-target-stats"))),
-        "categorical_features": ((), count(0, each=True)),
+        "categorical_features": ((), count(0, each=True, distinct=True)),
         "target_stat_smoothing": (1.0, POSITIVE),
     },
     "svm": {"kernel": ("rbf", Rule(("rbf",))), "C": (10.0, POSITIVE),

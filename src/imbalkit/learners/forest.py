@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelSpec, TrainedModel, child_rng
-from .tree import TreeNode, build_tree, flatten_trees, leaf_values
+from .tree import TreeNode, build_tree, check_node_counts, flatten_trees, leaf_values
 
 __all__ = ["RandomForestModel"]
 
@@ -18,6 +18,8 @@ class RandomForestModel(TrainedModel):
 
     def __init__(self, trees: list[dict], feature_names):
         super().__init__(feature_names)
+        for t in trees:
+            check_node_counts(t)
         self.trees = [TreeNode(t) for t in trees]
         self._flat = flatten_trees(trees, len(self.feature_names))
 

@@ -17,11 +17,12 @@ row and tree at once.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel, child_rng
+from .base import REAL, LearnerError, ModelSpec, Rule, TrainedModel, child_rng
 from .linear import sigmoid
 from .tree import flatten_trees, leaf_values
 
@@ -177,6 +178,11 @@ class GbtModel(TrainedModel):
         self.base_log_odds = float(base_log_odds)
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
+        record = (Rule(kind=numbers.Integral, high=len(trees) - 1),
+                  Rule(kind=numbers.Integral, high=len(self.feature_names) - 1), REAL)
+        for r in split_records:
+            if not all(rule.accepts(v) for rule, v in zip(record, r)):
+                raise ValueError(f"split record {r!r} is not (tree, feature, gain) of this model")
         self.split_records = [SplitRecord(*r) for r in split_records]
         self.n_train = n_train
         # feature index -> {"prior": float, "stats": {code: stat}}

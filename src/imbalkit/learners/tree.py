@@ -4,9 +4,11 @@ gradient-boosted trees) predicts through."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .base import LearnerError, ModelSpec, TrainedModel
+from .base import LearnerError, ModelSpec, Rule, TrainedModel
 
 __all__ = ["entropy_impurity", "TreeNode", "DecisionTreeModel", "build_tree"]
 
@@ -123,16 +125,18 @@ def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: 
     return node
 
 
-def _add_nodes(tree, nodes, depth) -> int:
+def _add_nodes(tree, nodes, depth, column: Rule) -> int:
     """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
     i = len(nodes)
     if "feature" not in tree:
         nodes.append((0, 0.0, i, i, tree["value"]))
         return depth
+    if not column.accepts(tree["feature"]):
+        raise ValueError(f"a split on feature {tree['feature']!r}, not {column}")
     nodes.append(None)
-    left_depth = _add_nodes(tree["left"], nodes, depth + 1)
+    left_depth = _add_nodes(tree["left"], nodes, depth + 1, column)
     right = len(nodes)
-    right_depth = _add_nodes(tree["right"], nodes, depth + 1)
+    right_depth = _add_nodes(tree["right"], nodes, depth + 1, column)
     nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0)
     return max(left_depth, right_depth)
 
@@ -142,20 +146,34 @@ def flatten_trees(trees, width: int):
     trees, the index of each root, and the depth of the deepest leaf. children
     interleaves each node's right and left child, so node i steps to
     children[2*i + go_left]. A leaf points to itself, so walking that many
-    levels from the roots ends on every row's leaf in every tree. A split on a
-    feature outside range(width) raises ValueError."""
+    levels from the roots ends on every row's leaf in every tree. A split on
+    anything but an integer in range(width) raises ValueError."""
+    column = Rule(kind=numbers.Integral, high=width - 1)
     nodes: list = []
     roots = []
     depth = 0
     for tree in trees:
         roots.append(len(nodes))
-        depth = max(depth, _add_nodes(tree, nodes, 0))
+        depth = max(depth, _add_nodes(tree, nodes, 0, column))
     table = np.array(nodes, dtype=float).reshape(-1, 5)
-    feature = table[:, 0].astype(np.intp)
-    if feature.min(initial=0) < 0 or feature.max(initial=0) >= width:
-        raise ValueError(f"a split on a feature outside the {width} columns")
     children = table[:, [3, 2]].astype(np.intp).ravel()
-    return (feature, table[:, 1], children, table[:, 4]), np.array(roots, dtype=np.intp), depth
+    return ((table[:, 0].astype(np.intp), table[:, 1], children, table[:, 4]),
+            np.array(roots, dtype=np.intp), depth)
+
+
+_ROWS = Rule(kind=numbers.Integral, low=1, high=np.inf)
+_IMPURITY = Rule(kind=numbers.Real, high=np.inf)
+
+
+def check_node_counts(tree: dict) -> None:
+    """ValueError unless every node of an entropy-tree document has a row
+    count n >= 1 and an impurity >= 0, which impurity_importance reads."""
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if not (_ROWS.accepts(node["n"]) and _IMPURITY.accepts(node["impurity"])):
+            raise ValueError(f"a tree node of n {node['n']!r} and impurity {node['impurity']!r}")
+        nodes += (node["left"], node["right"]) if "feature" in node else ()
 
 
 def leaf_values(flat, values: np.ndarray) -> np.ndarray:
@@ -179,6 +197,7 @@ class DecisionTreeModel(TrainedModel):
 
     def __init__(self, root: dict, feature_names):
         super().__init__(feature_names)
+        check_node_counts(root)
         self.root = TreeNode(root)
         self._flat = flatten_trees([root], len(self.feature_names))
 

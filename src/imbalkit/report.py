@@ -80,7 +80,8 @@ _SETTINGS = {
     "synthetic.imbalance": (5.0, POSITIVE),
     "explain.n_permutations": (30, count(1)),
     "explain.background_rows": (25, count(1)),
-    "explain.global_rows": (50, count(1)),
+    # each global row costs a full Shapley estimate, so the cap is low
+    "explain.global_rows": (50, Rule(kind=numbers.Integral, low=1, high=200)),
     "explain.lime_samples": (500, count(1)),
 }
 

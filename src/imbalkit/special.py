@@ -2,8 +2,9 @@
 
 Self-contained p-value engine: regularized incomplete gamma (series +
 Lentz continued fraction) and regularized incomplete beta (continued
-fraction). Accuracy target is 1e-10 absolute over the df/argument ranges
-used by the statistical tests.
+fraction). Each loop runs until it converges, within 500 + 10·sqrt(a) terms
+(at most _MAX_ITER), or raises ArithmeticError. chi2_sf is within 1e-10 of
+a 40-digit oracle up to df 1e5, and within 1e-8 up to df 1e7.
 """
 
 from __future__ import annotations
@@ -12,125 +13,115 @@ import math
 
 __all__ = ["gammainc_lower", "gammainc_upper", "betainc", "chi2_sf", "t_sf", "t_two_tailed"]
 
-_MAX_ITER = 500
+_MAX_ITER = 100_000
 _EPS = 1e-15
 _TINY = 1e-300
 
 
+def _budget(a: float) -> range:
+    """Iterations 1, 2, ... allowed for a loop whose terms scale with sqrt(a)."""
+    return range(1, int(min(_MAX_ITER, 500 + 10 * math.sqrt(a))) + 1)
+
+
+def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step for the partial fraction an / (bn + ...): the
+    new (c, d), each floored at _TINY, and the factor c * d for the result."""
+    d = an * d + bn
+    if abs(d) < _TINY:
+        d = _TINY
+    c = bn + an / c
+    if abs(c) < _TINY:
+        c = _TINY
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gser(a: float, x: float) -> float:
-    """Series for the lower regularized incomplete gamma P(a, x), x < a + 1."""
+    """Series for P(a, x) without its prefactor, x < a + 1."""
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in _budget(a):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
+    raise ArithmeticError(f"gamma series did not converge at a={a!r}, x={x!r}")
 
 
 def _gcf(a: float, x: float) -> float:
-    """Lentz continued fraction for the upper regularized incomplete gamma Q(a, x)."""
+    """Continued fraction for Q(a, x) without its prefactor, x >= a + 1."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b if b != 0 else 1.0 / _TINY
     h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
+    for i in _budget(a):
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h
+    raise ArithmeticError(f"gamma fraction did not converge at a={a!r}, x={x!r}")
+
+
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)): the series below a + 1, the continued fraction above."""
+    if not 0.0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
+    if not x >= 0.0:
+        raise ValueError("x must be nonnegative")
+    if x == 0.0:
+        return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        p = _gser(a, x) * front
+        return p, 1.0 - p
+    q = _gcf(a, x) * front
+    return 1.0 - q, q
 
 
 def gammainc_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gser(a, x)
-    return 1.0 - _gcf(a, x)
+    return _gamma_tails(a, x)[0]
 
 
 def gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gser(a, x)
-    return _gcf(a, x)
+    return _gamma_tails(a, x)[1]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
+    # the leading 1 / (1 - qab·x/qap) is a step from d = 1 and c = 1/_TINY; |an| < 1, so c = 1
+    c, d, h = _lentz(-qab * x / qap, 1.0, 1.0 / _TINY, 1.0)
+    for m in _budget(max(a, b)):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return h
+            return h
+    raise ArithmeticError(f"beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
 
 
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("a and b must be positive and finite")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
@@ -138,8 +129,8 @@ def betainc(a: float, b: float, x: float) -> float:
 
 def chi2_sf(x: float, df: float) -> float:
     """Upper tail P(X >= x) of the chi-square distribution with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
+    if not 0.0 < df < math.inf:
+        raise ValueError("df must be positive and finite")
     if x <= 0:
         return 1.0
     return gammainc_upper(df / 2.0, x / 2.0)
@@ -147,14 +138,12 @@ def chi2_sf(x: float, df: float) -> float:
 
 def t_sf(t: float, df: float) -> float:
     """Upper tail P(T >= t) of Student's t distribution."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    x = df / (df + t * t)
-    half = 0.5 * betainc(df / 2.0, 0.5, x)
+    half = 0.5 * t_two_tailed(t, df)
     return half if t >= 0 else 1.0 - half
+
 
 def t_two_tailed(t: float, df: float) -> float:
     """Two-tailed p-value P(|T| >= |t|)."""
-    if df <= 0:
-        raise ValueError("df must be positive")
+    if not 0.0 < df < math.inf:
+        raise ValueError("df must be positive and finite")
     return betainc(df / 2.0, 0.5, df / (df + t * t))

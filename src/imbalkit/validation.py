@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, EncodedMatrix, smote
+from .data import DataError, EncodedMatrix, smote, smote_classes
 from .learners.base import child_rng, fit_model, map_ordered, predict_proba
 from .metrics import EvaluationReport, evaluate
 
@@ -38,20 +38,29 @@ class CvRun:
         return np.array([getattr(r, name) for r in self.reports])
 
 
-def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int) -> None:
+def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
+                      resampler: SmoteSettings | None = None) -> None:
     """Raise DataError, before any fit, for a fold count above the minority
-    class count of the raw rows it splits: folds, a cross-validation of specs
-    over data with this seed (None: each spec fits all of data), and each
-    stack's oof_folds over every training set the stack will be fit on."""
+    class count of the raw rows it splits, or a training partition SMOTE will
+    resample but cannot. It checks folds, a cross-validation of specs over
+    data with this seed whose training partitions resampler resamples (folds
+    None: each spec fits all of data), and each stack's oof_folds over every
+    training set the stack will be fit on, resampled by its own resampler."""
     from .stacking import StackingSpec  # stacking imports this module
+
+    def training_partitions(target, folds, seed, resampler):
+        assignment = stratified_folds(target, folds, seed)
+        parts = [target[assignment != f] for f in range(folds)]
+        for part in parts if resampler is not None else ():
+            smote_classes(part)
+        return parts
 
     training = [data.target]
     if folds is not None and specs:
-        assignment = stratified_folds(data.target, folds, seed)
-        training = [data.target[assignment != f] for f in range(folds)]
+        training = training_partitions(data.target, folds, seed, resampler)
     for spec in specs:
         for target in training if isinstance(spec, StackingSpec) else ():
-            stratified_folds(target, spec.oof_folds, spec.seed)
+            training_partitions(target, spec.oof_folds, spec.seed, spec.resampler)
 
 
 def training_rows(spec, raw: EncodedMatrix, resampled: EncodedMatrix) -> EncodedMatrix:

@@ -707,6 +707,10 @@ class TestErrorPaths:
         {"oof_folds": 3},
         with_stack(oof_fold=3),
         with_stack(meta={"hyperparameter": {"C": 0.5}}),
+        with_entry("gbt", categorical_handling="ordered-target-stats", categorical_features=[2, 2]),
+        {**with_entry("gbt", categorical_handling="ordered-target-stats"),
+         "tuning": {"spaces": {"extra": {"categorical_features": [[1], [2, 2]]}}}},
+        {"explain": {"global_rows": 201}},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -728,7 +732,9 @@ class TestErrorPaths:
             "dataset-number", "target-number", "model-hyperparameter-singular",
             "tuning-space-singular", "cv-fold-singular", "smote-k-neighbour",
             "explain-n-permutation-singular", "synthetic-misspelt-key", "oof-folds-at-top-level",
-            "stack-oof-fold-singular", "meta-hyperparameter-singular"])
+            "stack-oof-fold-singular", "meta-hyperparameter-singular",
+            "gbt-repeated-categorical-feature", "tuning-repeated-categorical-feature",
+            "explain-global-rows-above-200"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):
@@ -780,6 +786,33 @@ class TestErrorPaths:
         assert "data error: fold count 35 exceeds the minority class count 30" in result.output
         assert "failed" not in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, n, overrides", [
+        (["compare"], 12, {"models": base_config("out")["models"][:2], "reference_model": "nb",
+                           "cv_folds": 2}),
+        (["benchmark"], 18, with_stack(oof_folds=2)),
+        (["benchmark"], 18, {"models": base_config("out")["models"][:2], "reference_model": "nb",
+                             "tuning": {"folds": 2, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
+    ], ids=["cv-fold", "stack-oof-fold", "tuning-fold"])
+    def test_partition_smote_cannot_resample_exits_3_before_any_fit(
+            self, tmp_path, monkeypatch, command, n, overrides):
+        """Two folds over 2 or 3 minority rows leave a training partition with
+        one, which SMOTE cannot resample. Fits run in-process, so a spy sees them."""
+        import imbalkit.cli
+        import imbalkit.validation
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        fits = []
+        for module in (imbalkit.cli, imbalkit.validation):
+            monkeypatch.setattr(module, "fit_model", lambda *args: fits.append(args))
+        cfg, _ = write_config(tmp_path, n=n, seed=1, **overrides)
+        result = run_cli(*command, "--config", cfg)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "data error: minority class needs at least 2 rows for SMOTE" in result.output
+        assert "failed" not in result.output
+        assert fits == []
 
     def test_failed_tuning_fit_exits_4_without_traceback(self, tmp_path):
         cfg, out = write_config(

@@ -1153,6 +1153,22 @@ _WRONG_TYPES = [
     ("naive-bayes", "a null mean", lambda d: d["params"]["means"][1].__setitem__(0, None)),
     ("svm", "a NaN coefficient", lambda d: d["params"]["coef"].__setitem__(0, float("nan"))),
     ("gbt", "an infinite leaf", lambda d: d["params"]["trees"][0]["left"].update(value=math.inf)),
+    ("decision-tree", "split on a fractional feature",
+     lambda d: d["params"]["root"].update(feature=d["params"]["root"]["feature"] + 0.5)),
+    ("random-forest", "split on a bool feature",
+     lambda d: d["params"]["trees"][0].update(feature=True)),
+    ("gbt", "split record of a feature past the columns",
+     lambda d: d["params"]["split_records"][0].__setitem__(1, 99)),
+    ("gbt", "split record of a negative feature",
+     lambda d: d["params"]["split_records"][0].__setitem__(1, -1)),
+    ("gbt", "split record of a tree past the trees",
+     lambda d: d["params"]["split_records"][0].__setitem__(0, 99)),
+    ("gbt", "split record gain not a number",
+     lambda d: d["params"]["split_records"][0].__setitem__(2, "x")),
+    ("decision-tree", "node count not a number", lambda d: d["params"]["root"].update(n="x")),
+    ("random-forest", "a node without a count", lambda d: d["params"]["trees"][0].pop("n")),
+    ("random-forest", "a negative impurity",
+     lambda d: d["params"]["trees"][0]["left"].update(impurity=-1.0)),
 ]
 
 

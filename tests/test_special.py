@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from imbalkit import special
 from imbalkit.special import (
     betainc,
     chi2_sf,
@@ -98,3 +99,214 @@ class TestTailProbabilities:
             chi2_sf(1.0, 0)
         with pytest.raises(ValueError):
             t_sf(1.0, 0)
+
+
+# Reference engine: a fixed 500-step budget, three unrolled Lentz updates and
+# two gamma dispatches. An `else: raise _Stalled` on each loop marks the inputs
+# where it stops at its cap instead of converging; everywhere else the engine
+# under test must return the same bits.
+class _Stalled(Exception):
+    pass
+
+
+_REF_MAX_ITER = 500
+_REF_EPS = 1e-15
+_REF_TINY = 1e-300
+
+
+def _ref_gser(a, x):
+    ap = a
+    term = 1.0 / a
+    total = term
+    for _ in range(_REF_MAX_ITER):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * _REF_EPS:
+            break
+    else:
+        raise _Stalled
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _ref_gcf(a, x):
+    b = x + 1.0 - a
+    c = 1.0 / _REF_TINY
+    d = 1.0 / b if b != 0 else 1.0 / _REF_TINY
+    h = d
+    for i in range(1, _REF_MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _REF_TINY:
+            d = _REF_TINY
+        c = b + an / c
+        if abs(c) < _REF_TINY:
+            c = _REF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _REF_EPS:
+            break
+    else:
+        raise _Stalled
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _ref_gammainc_lower(a, x):
+    if x == 0:
+        return 0.0
+    if x < a + 1.0:
+        return _ref_gser(a, x)
+    return 1.0 - _ref_gcf(a, x)
+
+
+def _ref_gammainc_upper(a, x):
+    if x == 0:
+        return 1.0
+    if x < a + 1.0:
+        return 1.0 - _ref_gser(a, x)
+    return _ref_gcf(a, x)
+
+
+def _ref_betacf(a, b, x):
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _REF_TINY:
+        d = _REF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _REF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _REF_TINY:
+            d = _REF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _REF_TINY:
+            c = _REF_TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _REF_TINY:
+            d = _REF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _REF_TINY:
+            c = _REF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _REF_EPS:
+            break
+    else:
+        raise _Stalled
+    return h
+
+
+def _ref_betainc(a, b, x):
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _ref_betacf(a, b, x) / a
+    return 1.0 - front * _ref_betacf(b, a, 1.0 - x) / b
+
+
+def _ref_chi2_sf(x, df):
+    if x <= 0:
+        return 1.0
+    return _ref_gammainc_upper(df / 2.0, x / 2.0)
+
+
+def _ref_t_sf(t, df):
+    x = df / (df + t * t)
+    half = 0.5 * _ref_betainc(df / 2.0, 0.5, x)
+    return half if t >= 0 else 1.0 - half
+
+
+def _ref_t_two_tailed(t, df):
+    return _ref_betainc(df / 2.0, 0.5, df / (df + t * t))
+
+
+def _draws(rng, n):
+    """n argument tuples per public function, spread over the ranges the
+    statistical tests reach and past them: df up to 1e4, x from far below
+    to far above the mean, integer df as the CLI passes them."""
+    a = 10.0 ** rng.uniform(-2, 4, n)
+    yield gammainc_lower, _ref_gammainc_lower, zip(a, a * 10.0 ** rng.uniform(-2, 1, n))
+    a = 10.0 ** rng.uniform(-2, 4, n)
+    yield gammainc_upper, _ref_gammainc_upper, zip(a, a * np.exp(rng.normal(0, 0.3, n)))
+    a, b = 10.0 ** rng.uniform(-2, 3, (2, n))
+    yield betainc, _ref_betainc, zip(a, b, rng.uniform(0, 1, n))
+    df = np.where(rng.uniform(size=n) < 0.5, rng.integers(1, 61, n), 10.0 ** rng.uniform(-1, 4, n))
+    yield chi2_sf, _ref_chi2_sf, zip(df * 10.0 ** rng.uniform(-2, 1, n), df)
+    df = np.where(rng.uniform(size=n) < 0.5, rng.integers(1, 61, n), 10.0 ** rng.uniform(-1, 4, n))
+    yield t_sf, _ref_t_sf, zip(rng.normal(0, 3, n), df)
+    df = np.where(rng.uniform(size=n) < 0.5, rng.integers(1, 61, n), 10.0 ** rng.uniform(-1, 4, n))
+    yield t_two_tailed, _ref_t_two_tailed, zip(rng.standard_t(5, n), df)
+
+
+class TestSameBitsWhereTheCapWasNotReached:
+    def test_random_inputs_give_identical_bits(self):
+        compared, mismatches = 0, []
+        for new, ref, cases in _draws(np.random.default_rng(20240), 4000):
+            for args in cases:
+                args = tuple(float(v) for v in args)
+                try:
+                    expected = ref(*args)
+                except _Stalled:
+                    continue
+                compared += 1
+                if new(*args).hex() != expected.hex():
+                    mismatches.append((new.__name__, args))
+        assert mismatches == []
+        assert compared >= 20_000
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("df,tol", [(1e2, 1e-10), (1e3, 1e-10), (1e4, 1e-10), (1e5, 1e-10),
+                                        (1e6, 1e-8), (1e7, 1e-8)])
+    def test_chi2_sf_at_large_df(self, df, tol):
+        for ratio in (0.9, 0.99, 1.0, 1.01, 1.1):
+            x = ratio * df
+            # below the mean mpmath's upper tail is slow at df 1e7; its lower one is not
+            oracle = (1 - float(mp.gammainc(mp.mpf(df) / 2, 0, mp.mpf(x) / 2, regularized=True))
+                      if x < df else mp_chi2_sf(x, df))
+            assert chi2_sf(x, df) == pytest.approx(oracle, abs=tol)
+
+    @pytest.mark.parametrize("call", [
+        lambda: chi2_sf(math.nan, 3), lambda: chi2_sf(3, math.nan),
+        lambda: gammainc_lower(math.nan, 1.0), lambda: gammainc_upper(1.0, math.nan),
+        lambda: betainc(math.nan, 1.0, 0.5), lambda: betainc(1.0, math.nan, 0.5),
+        lambda: betainc(1.0, 1.0, math.nan),
+        lambda: t_sf(math.nan, 3), lambda: t_sf(1.0, math.nan),
+        lambda: t_two_tailed(math.nan, 3), lambda: t_two_tailed(1.0, math.nan),
+    ])
+    def test_nan_argument_raises_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_infinite_statistic_has_zero_tail(self):
+        assert chi2_sf(math.inf, 3) == 0.0
+        assert gammainc_lower(2.0, math.inf) == 1.0
+        assert t_two_tailed(math.inf, 3) == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: chi2_sf(1e4, 1e4),           # gamma series
+        lambda: chi2_sf(1.1e4, 1e4),         # gamma continued fraction
+        lambda: betainc(100.0, 100.0, 0.5),  # beta continued fraction
+    ])
+    def test_exhausted_budget_raises(self, call, monkeypatch):
+        monkeypatch.setattr(special, "_MAX_ITER", 10)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            call()

@@ -6,9 +6,9 @@ for bit.
 
     python3 tools/learner_bench.py BENCH_<n>.json
 
-Run from the root of a checkout. Each time is also divided by perfbench's
-calibration kernel time (the mean of one run before and one after the
-learner), so files written on hosts of different speed can be compared.
+Run from the root of a checkout. The times are raw seconds, so they compare
+only between runs made close together on one host; the AUCs and digests
+compare across hosts.
 """
 
 import hashlib
@@ -30,16 +30,12 @@ raw_train, test = stratified_split(matrix, 0.2, seed=0)
 train = smote(raw_train, seed=0)
 learners = {}
 for algo in ALGORITHMS:
-    before = perfbench.calibration_s()
     t0 = time.perf_counter()
     model = fit_model(ModelSpec(algo, seed=0), train)
     t1 = time.perf_counter()
     probs = predict_proba(model, test)
     t2 = time.perf_counter()
-    calibration = (before + perfbench.calibration_s()) / 2
     learners[algo] = {"fit_s": t1 - t0, "predict_s": t2 - t1,
-                      "fit_calibrated": (t1 - t0) / calibration,
-                      "predict_calibrated": (t2 - t1) / calibration,
                       "auc": evaluate(probs, test.target).auc, "fit_info": model.fit_info,
                       "document_sha256": hashlib.sha256(json.dumps(
                           serialize_model(model), sort_keys=True).encode()).hexdigest()}
