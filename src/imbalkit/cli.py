@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -51,8 +52,8 @@ def _config_options(fn):
 
 class _ExitCodes(click.Group):
     """A fault that escapes a command exits with its code: a config fault 2; a
-    data fault, or a file that cannot be read or written, 3. The commands
-    report a model's own failure themselves (exit 4)."""
+    data fault, or a file that cannot be read or written, 3. A model's own
+    failure is recorded by _failed and ends the run through _finish (exit 4)."""
 
     def invoke(self, ctx):
         try:
@@ -70,13 +71,26 @@ def main():
     """Imbalanced tabular classification toolkit."""
 
 
+def _failed(writer: ArtifactWriter, name: str, exc: Exception):
+    """Record that model name failed: its manifest status and one line on stderr."""
+    writer.model_status[name] = f"failed: {exc}"
+    click.echo(f"model {name} failed: {exc}", err=True)
+
+
+def _finish(writer: ArtifactWriter) -> NoReturn:
+    """Write the run manifest and exit: 4 when some model failed, else 0."""
+    writer.finalize()
+    failed = any(status.startswith("failed") for status in writer.model_status.values())
+    sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
+
+
 def _split_and_resample(config: RunConfig, matrix):
     """(raw training split, training split after SMOTE, test split)."""
-    raw_train, test = stratified_split(matrix, config.test_fraction, config.seed)
+    raw_train, test = stratified_split(matrix, config.settings["test_fraction"], config.seed)
     train = raw_train
     if config.resampler is not None:
         train = config.resampler.apply(raw_train, config.seed)
-        if config.resample_test:
+        if config.settings["resample_test"]:
             test = config.resampler.apply(test, config.seed + 1)
     return raw_train, train, test
 
@@ -129,8 +143,7 @@ def eda(config_path, seed, resample_test, out_dir):
     balance = class_distribution(matrix)
     writer.write_json("class_balance.json",
                       {"class0": balance.count_class0, "class1": balance.count_class1})
-    writer.finalize()
-    sys.exit(EXIT_OK)
+    _finish(writer)
 
 
 def _equal_width_bins(x: np.ndarray, bins: int = 5):
@@ -146,8 +159,8 @@ def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter)
     resamples inside each fold, so it scores candidates on the raw split."""
     spec = config.models[name]
     best, scores = tune_random_search(
-        spec, config.tuning_spaces[name], raw_train, n_iter=config.tuning_n_iter,
-        folds=config.tuning_folds, seed=spec.seed, resampler=config.resampler)
+        spec, config.tuning_spaces[name], raw_train, n_iter=config.settings["tuning.n_iter"],
+        folds=config.settings["tuning.folds"], seed=spec.seed, resampler=config.resampler)
     writer.write_csv(
         f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
         [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
@@ -165,15 +178,14 @@ def benchmark(config_path, seed, resample_test, out_dir):
     raw_train, train, test = _split_and_resample(config, matrix)
     check_fold_counts(config.models.values(), raw_train, None, config.seed)
     check_fold_counts([config.models[name] for name in config.tuning_spaces], raw_train,
-                      config.tuning_folds, config.seed, config.resampler)
+                      config.settings["tuning.folds"], config.seed, config.resampler)
 
     metrics = {}
     curves = {}
-    failures = 0
-    for name in config.model_order:
+    for name, spec in config.models.items():
         try:
-            spec = (_tuned_spec(config, name, raw_train, writer)
-                    if name in config.tuning_spaces else config.models[name])
+            if name in config.tuning_spaces:
+                spec = _tuned_spec(config, name, raw_train, writer)
             model = fit_model(spec, training_rows(spec, raw_train, train))
             probs = predict_proba(model, test)
             report = evaluate(probs, test.target)
@@ -182,20 +194,16 @@ def benchmark(config_path, seed, resample_test, out_dir):
             curves[name] = (rc.fpr, rc.tpr, report.auc)
             writer.model_status[name] = "ok"
         except Exception as exc:  # per-model failure must not abort the run
-            writer.model_status[name] = f"failed: {exc}"
-            failures += 1
-            click.echo(f"model {name} failed: {exc}", err=True)
+            _failed(writer, name, exc)
 
     writer.write_json("metrics.json", metrics)
     header = ["model", "accuracy", "macro_precision", "macro_recall", "macro_f1",
               "auc", "specificity", "g_mean", "iba"]
-    rows = [[name] + [f"{metrics[name][k]:.6f}" for k in header[1:]]
-            for name in config.model_order if name in metrics]
-    writer.write_csv("metrics.csv", header, rows)
+    writer.write_csv("metrics.csv", header,
+                     [[name] + [f"{m[k]:.6f}" for k in header[1:]] for name, m in metrics.items()])
     if curves:
         writer.write_text("roc.svg", roc_svg(curves))
-    writer.finalize()
-    sys.exit(EXIT_PARTIAL if failures else EXIT_OK)
+    _finish(writer)
 
 
 @main.command()
@@ -206,19 +214,16 @@ def compare(config_path, seed, resample_test, out_dir):
     if not config.reference_model:
         raise ConfigError("compare requires 'reference_model'")
     matrix, _ = label_encode(config.load())
-    specs = [config.models[name] for name in config.model_order]
-    check_fold_counts(specs, matrix, config.cv_folds, config.seed, config.resampler)
+    folds = config.settings["cv_folds"]
+    check_fold_counts(config.models.values(), matrix, folds, config.seed, config.resampler)
     writer = ArtifactWriter(config.output_dir, config)
 
-    results = cross_validate_many(specs, matrix, folds=config.cv_folds,
+    results = cross_validate_many(list(config.models.values()), matrix, folds=folds,
                                   resampler=config.resampler, seed=config.seed)
     runs = {}
-    failures = 0
-    for name, run in zip(config.model_order, results):
+    for name, run in zip(config.models, results):
         if isinstance(run, Exception):  # per-model failure must not abort the run
-            writer.model_status[name] = f"failed: {run}"
-            failures += 1
-            click.echo(f"model {name} failed: {run}", err=True)
+            _failed(writer, name, run)
         else:
             runs[name] = run
             writer.model_status[name] = "ok"
@@ -226,9 +231,8 @@ def compare(config_path, seed, resample_test, out_dir):
     ref = config.reference_model
     if ref not in runs:
         click.echo(f"reference model {ref!r} failed; cannot compare", err=True)
-        writer.finalize()
-        sys.exit(EXIT_PARTIAL)
-    others = [n for n in config.model_order if n != ref and n in runs]
+        _finish(writer)
+    others = [n for n in runs if n != ref]
     adjusted = bonferroni_adjust(0.05, max(len(others), 1))
     rows = []
     for name in others:
@@ -243,25 +247,27 @@ def compare(config_path, seed, resample_test, out_dir):
     writer.write_json("comparison_meta.json",
                       {"reference": ref, "alpha": 0.05,
                        "comparisons": len(others), "adjusted_alpha": adjusted})
-    writer.write_csv(
-        "cv_accuracies.csv", ["model"] + [f"fold_{i}" for i in range(config.cv_folds)],
-        [[name] + [f"{a:.6f}" for a in runs[name].accuracies]
-         for name in config.model_order if name in runs])
-    writer.finalize()
-    sys.exit(EXIT_PARTIAL if failures else EXIT_OK)
+    writer.write_csv("cv_accuracies.csv", ["model"] + [f"fold_{i}" for i in range(folds)],
+                     [[name] + [f"{a:.6f}" for a in run.accuracies] for name, run in runs.items()])
+    _finish(writer)
 
 
 def _parse_instances(ctx, param, selector: str) -> list[int]:
-    """The --instances selector as test-row indices; a malformed one is a usage
-    error (exit 2)."""
+    """The --instances selector as test-row indices; a malformed one, or one
+    that selects no row (empty, or a range from high to low), is a usage error
+    (exit 2)."""
     try:
-        selector = selector.strip()
-        if ".." in selector:
-            lo, hi = selector.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in selector.split(",") if tok != ""]
+        text = selector.strip()
+        if ".." in text:
+            lo, hi = text.split("..")
+            rows = list(range(int(lo), int(hi) + 1))
+        else:
+            rows = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise click.BadParameter(f"{selector!r} is not '3', '0,4' or '0..2'") from None
+        rows = []
+    if not rows:
+        raise click.BadParameter(f"{selector!r} selects no row; give '3', '0,4' or '0..2'")
+    return rows
 
 
 @main.command("explain")
@@ -285,17 +291,14 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     try:
         model = fit_model(spec, training_rows(spec, raw_train, train))
     except Exception as exc:  # reported as in benchmark: a model failure, exit 4
-        writer.model_status[model_name] = f"failed: {exc}"
-        click.echo(f"model {model_name} failed: {exc}", err=True)
-        writer.finalize()
-        sys.exit(EXIT_PARTIAL)
+        _failed(writer, model_name, exc)
+        _finish(writer)
     predict = lambda X: predict_proba(model, X)
 
-    opts = config.explain_options
-    n_perm = opts["n_permutations"]
-    bg_rows = opts["background_rows"]
-    global_rows = min(opts["global_rows"], test.n_rows)
-    lime_samples = opts["lime_samples"]
+    n_perm = config.settings["explain.n_permutations"]
+    bg_rows = config.settings["explain.background_rows"]
+    global_rows = min(config.settings["explain.global_rows"], test.n_rows)
+    lime_samples = config.settings["explain.lime_samples"]
 
     # background rows and the LIME sampler come from the SMOTEd split
     rng = np.random.default_rng(config.seed)
@@ -311,9 +314,7 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
                                   n_permutations=n_perm, seed=config.seed + i)
         phis[i] = att.values
     mean_abs = np.abs(phis).mean(axis=0)
-    writer.write_csv(f"importances/{model_name}_shapley.csv",
-                     ["feature", "mean_abs_shapley"],
-                     [[n, f"{v:.6f}"] for n, v in zip(names, mean_abs)])
+    _write_scores(writer, f"{model_name}_shapley", "mean_abs_shapley", names, mean_abs)
     writer.write_text(f"importances/{model_name}_shapley.svg",
                       bar_chart_svg(names, mean_abs, f"{model_name}: mean |Shapley|"))
 
@@ -343,25 +344,25 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
         writer.write_text(f"attributions/instance_{i}_shapley.svg",
                           bar_chart_svg(names, att.values, f"instance {i}: Shapley"))
     writer.model_status[model_name] = "ok"
-    writer.finalize()
-    sys.exit(EXIT_OK)
+    _finish(writer)
+
+
+def _write_scores(writer, stem, column, names, scores):
+    """importances/<stem>.csv: one (feature, score) row per feature."""
+    writer.write_csv(f"importances/{stem}.csv", ["feature", column],
+                     [[n, f"{v:.6f}"] for n, v in zip(names, scores)])
 
 
 def _native_importances(model, model_name, names, writer):
     if isinstance(model, RandomForestModel):
-        rep = xai.impurity_importance(model)
-        writer.write_csv(f"importances/{model_name}_impurity.csv",
-                         ["feature", "impurity_decrease"],
-                         [[n, f"{v:.6f}"] for n, v in zip(names, rep.scores)])
+        scores = xai.impurity_importance(model).scores
+        _write_scores(writer, f"{model_name}_impurity", "impurity_decrease", names, scores)
         writer.write_text(f"importances/{model_name}_impurity.svg",
-                          bar_chart_svg(names, rep.scores, f"{model_name}: impurity"))
+                          bar_chart_svg(names, scores, f"{model_name}: impurity"))
     elif isinstance(model, GbtModel):
-        split_rep, gain_rep, loss_rep = xai.gbt_importances(model)
-        for rep, tag in ((split_rep, "split_count"), (gain_rep, "gain"),
-                         (loss_rep, "loss_reduction")):
-            writer.write_csv(f"importances/{model_name}_{tag}.csv",
-                             ["feature", tag],
-                             [[n, f"{v:.6f}"] for n, v in zip(names, rep.scores)])
+        tags = ("split_count", "gain", "loss_reduction")
+        for tag, rep in zip(tags, xai.gbt_importances(model)):
+            _write_scores(writer, f"{model_name}_{tag}", tag, names, rep.scores)
 
 
 if __name__ == "__main__":

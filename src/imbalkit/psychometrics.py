@@ -125,7 +125,8 @@ def varimax(loadings, kaiser: bool = True, tol: float = 1e-8, max_sweeps: int = 
 
     Returns (rotated loadings, rotation matrix R) with rotated = loadings @ R.
     Kaiser normalization divides rows by their communality norms during
-    rotation and restores them afterwards.
+    rotation and restores them afterwards. PsychometricsError if max_sweeps
+    sweeps end before a sweep raises the criterion by less than tol.
     """
     L = np.asarray(loadings, dtype=float).copy()
     p, k = L.shape
@@ -159,6 +160,8 @@ def varimax(loadings, kaiser: bool = True, tol: float = 1e-8, max_sweeps: int = 
         if new_crit - crit < tol:
             break
         crit = new_crit
+    else:
+        raise PsychometricsError(f"varimax did not converge in {max_sweeps} sweeps")
     if kaiser:
         L = L * scale[:, None]
     return L, R

@@ -27,33 +27,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    dataset: str
-    schema_path: str | None
-    target: str
-    seed: int
-    test_fraction: float
+    settings: dict                   # dotted run setting -> its checked value (not oof_folds)
     resampler: SmoteSettings | None  # None when SMOTE is disabled
-    resample_test: bool
-    models: dict                     # name -> ModelSpec | StackingSpec
-    model_order: list[str]
+    models: dict                     # name -> ModelSpec | StackingSpec, in config order
     tuning_spaces: dict
-    tuning_n_iter: int
-    tuning_folds: int
-    cv_folds: int
     reference_model: str | None
     output_dir: str
-    synthetic_n: int
-    synthetic_imbalance: float
-    explain_options: dict            # the four explain options, as counts >= 1
     raw: dict
+
+    seed = property(lambda self: self.settings["seed"])
 
     def load(self):
         """Materialize the Dataset this config points at."""
-        if self.dataset == "synthetic":
-            return synth.synthetic_dataset(n=self.synthetic_n, seed=self.seed,
-                                           imbalance=self.synthetic_imbalance)
-        schema = load_schema(self.schema_path)
-        return load_dataset(self.dataset, schema, self.target)
+        if self.raw.get("dataset", "synthetic") == "synthetic":
+            return synth.synthetic_dataset(n=self.settings["synthetic.n"], seed=self.seed,
+                                           imbalance=self.settings["synthetic.imbalance"])
+        return load_dataset(self.raw["dataset"], load_schema(self.raw["schema"]),
+                            self.raw.get("target", synth.TARGET))
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -120,12 +110,12 @@ def _setting(raw: dict, key: str, default=None):
     return value
 
 
-def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
+def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None) -> dict:
+    """name -> spec in config order: every non-stacking entry first, then each
+    stack over those; a stack is never the base of another."""
     if not isinstance(raw_models, list) or not raw_models:
         raise ConfigError("config must list at least one model")
-    specs: dict = {}
-    order: list[str] = []
-    deferred = []
+    entries = {}
     for entry in raw_models:
         if not isinstance(entry, dict):
             raise ConfigError(f"model entry {entry!r} is not a JSON object")
@@ -133,34 +123,34 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None):
         algo = entry.get("algorithm")
         if not (name and isinstance(name, str) and algo and isinstance(algo, str)):
             raise ConfigError("every model entry needs 'name' and 'algorithm' strings")
-        if name in specs or name in [d[0] for d in deferred]:
+        if name in entries:
             raise ConfigError(f"duplicate model name {name!r}")
         _check_keys(entry, "stacking" if algo == "stacking" else "model", f"model {name!r}")
-        order.append(name)
-        if algo == "stacking":
-            deferred.append((name, entry))
-            continue
-        specs[name] = ModelSpec(algo, dict(_section(entry, "hyperparameters")),
-                                _setting(entry, "seed", seed))
-    for name, entry in deferred:
-        base_names = entry.get("bases", [])
-        if not isinstance(base_names, list) or not all(isinstance(b, str) for b in base_names):
-            raise ConfigError(f"stacking model {name!r}: 'bases' must be a list of model names")
-        missing = [b for b in base_names if b not in specs]
-        if missing:
-            raise ConfigError(f"stacking model {name!r} references unknown bases {missing}")
-        meta_entry = _section(entry, "meta")
-        _check_keys(meta_entry, "meta", f"the meta entry of {name!r}")
-        meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
-                         _setting(meta_entry, "seed", seed))
-        specs[name] = StackingSpec(
-            base_specs=tuple(specs[b] for b in base_names),
-            meta_spec=meta,
-            oof_folds=_setting(entry, "oof_folds"),
-            seed=_setting(entry, "seed", seed),
-            resampler=resampler,
-        )
-    return specs, order
+        entries[name] = entry
+    bases = {name: ModelSpec(entry["algorithm"], dict(_section(entry, "hyperparameters")),
+                             _setting(entry, "seed", seed))
+             for name, entry in entries.items() if entry["algorithm"] != "stacking"}
+    return {name: _stacking_spec(name, entry, bases, seed, resampler)
+            if entry["algorithm"] == "stacking" else bases[name]
+            for name, entry in entries.items()}
+
+
+def _stacking_spec(name: str, entry: dict, bases: dict, seed: int,
+                   resampler: SmoteSettings | None) -> StackingSpec:
+    base_names = entry.get("bases", [])
+    if not isinstance(base_names, list) or not all(isinstance(b, str) for b in base_names):
+        raise ConfigError(f"stacking model {name!r}: 'bases' must be a list of model names")
+    missing = [b for b in base_names if b not in bases]
+    if missing:
+        raise ConfigError(f"stacking model {name!r}: bases {missing} are not non-stacking "
+                          "models of the roster")
+    meta_entry = _section(entry, "meta")
+    _check_keys(meta_entry, "meta", f"the meta entry of {name!r}")
+    meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
+                     _setting(meta_entry, "seed", seed))
+    return StackingSpec(base_specs=tuple(bases[b] for b in base_names), meta_spec=meta,
+                        oof_folds=_setting(entry, "oof_folds"),
+                        seed=_setting(entry, "seed", seed), resampler=resampler)
 
 
 def load_config(path, seed_override: int | None = None,
@@ -185,14 +175,14 @@ def load_config(path, seed_override: int | None = None,
             raise ConfigError(f"{key!r} must be a string")
     if raw.get("dataset", "synthetic") != "synthetic" and not raw.get("schema"):
         raise ConfigError("a CSV dataset requires a schema path")
+    overrides = {"seed": seed_override, "resample_test": resample_test_override}
     try:
-        seed = _setting(raw if seed_override is None else {"seed": seed_override}, "seed")
-        # the SMOTE settings are checked even when SMOTE is disabled
-        resampler = SmoteSettings(k_neighbors=_setting(raw, "smote.k_neighbors"))
-        _setting(raw, "smote.rounding")
-        if not _setting(raw, "smote.enabled"):
-            resampler = None
-        models, order = _parse_models(raw.get("models", []), seed, resampler)
+        # every setting is checked, the SMOTE ones even when SMOTE is disabled
+        settings = {key: _setting(raw if overrides.get(key) is None else overrides, key)
+                    for key in _SETTINGS if key != "oof_folds"}
+        resampler = (SmoteSettings(k_neighbors=settings["smote.k_neighbors"])
+                     if settings["smote.enabled"] else None)
+        models = _parse_models(raw.get("models", []), settings["seed"], resampler)
         tuning = _section(raw, "tuning")
         reference = raw.get("reference_model")
         if reference is not None and (not isinstance(reference, str) or reference not in models):
@@ -205,30 +195,10 @@ def load_config(path, seed_override: int | None = None,
             if not isinstance(space, dict) or not space:
                 raise ConfigError(f"tuning space for {name!r} must be a non-empty JSON object")
             check_space(models[name].algorithm, space)
-        resample_test = _setting(raw, "resample_test")
-        return RunConfig(
-            dataset=raw.get("dataset", "synthetic"),
-            schema_path=raw.get("schema"),
-            target=raw.get("target", synth.TARGET),
-            seed=seed,
-            test_fraction=float(_setting(raw, "test_fraction")),
-            resampler=resampler,
-            resample_test=resample_test if resample_test_override is None
-            else resample_test_override,
-            models=models,
-            model_order=order,
-            tuning_spaces=tuning.get("spaces", {}),
-            tuning_n_iter=_setting(raw, "tuning.n_iter"),
-            tuning_folds=_setting(raw, "tuning.folds"),
-            cv_folds=_setting(raw, "cv_folds"),
-            reference_model=reference,
-            output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
-            synthetic_n=_setting(raw, "synthetic.n"),
-            synthetic_imbalance=float(_setting(raw, "synthetic.imbalance")),
-            explain_options={key.split(".")[1]: _setting(raw, key)
-                             for key in _SETTINGS if key.startswith("explain.")},
-            raw=raw,
-        )
+        return RunConfig(settings=settings, resampler=resampler, models=models,
+                         tuning_spaces=tuning.get("spaces", {}), reference_model=reference,
+                         output_dir=out_override or raw.get("output_dir", "imbalkit-out"),
+                         raw=raw)
     except LearnerError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -34,6 +34,8 @@ class StackingSpec:
         object.__setattr__(self, "base_specs", tuple(self.base_specs))
         if len(self.base_specs) < 1:
             raise LearnerError("need at least one base spec")
+        if not all(isinstance(b, ModelSpec) for b in self.base_specs):
+            raise LearnerError("every base must be a ModelSpec; a stack is not a base")
         if self.meta_spec.algorithm != "logistic":
             raise LearnerError("the meta-learner must be logistic")
         if self.oof_folds < 2:

@@ -451,6 +451,12 @@ class TestExplain:
             assert (out / "importances" / f"boost_{tag}.csv").exists()
 
 
+# a stack whose base is another stack: a config fault in either order
+STACK_OF_STACK = [{"name": "nb", "algorithm": "naive-bayes"},
+                  {"name": "s1", "algorithm": "stacking", "bases": ["nb"]},
+                  {"name": "s2", "algorithm": "stacking", "bases": ["s1", "nb"]}]
+
+
 def with_stack(**entry):
     """The base_config roster with extra keys on its stacking entry."""
     models = base_config("out")["models"]
@@ -504,6 +510,61 @@ class TestResamplingLeakage:
         for name, calls in seen.items():
             for ids in calls:
                 assert ids.size == 180 and np.all(ids >= 0), f"SMOTE rows reached {name}"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+_SMALL_ROSTER = [{"name": "nb", "algorithm": "naive-bayes"},
+                 {"name": "tree", "algorithm": "decision-tree",
+                  "hyperparameters": {"max_depth": 4}},
+                 {"name": "forest", "algorithm": "random-forest",
+                  "hyperparameters": {"n_estimators": 3, "max_depth": 4}},
+                 {"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 4}},
+                 {"name": "knn", "algorithm": "knn", "hyperparameters": {"n_neighbors": 5}},
+                 {"name": "stack", "algorithm": "stacking", "bases": ["nb", "tree"],
+                  "oof_folds": 3}]
+
+# (command, config overrides, or None for the survey CSV, exit code, sha256 of
+# the sorted-key JSON of the run manifest's artifacts map) for CLI paths that
+# the benchmark workloads do not reach; recorded before RunConfig kept its run
+# settings in one table. No mlp or svm fit: their digests could differ by interpreter
+PINNED_RUNS = {
+    "benchmark-tuned-resample-test": (
+        ["benchmark"], {"models": _SMALL_ROSTER, "resample_test": True,
+                        "tuning": {"spaces": {"tree": {"max_depth": [2, 4, 6]},
+                                              "knn": {"n_neighbors": ["randint", 3, 9]}},
+                                   "n_iter": 2, "folds": 3}},
+        0, "a3d915765aeae9709bdf0565b970fc80499501ab650fc9de2aad4eea8f4d2cf6"),
+    "benchmark-smote-off": (
+        ["benchmark"], {"models": _SMALL_ROSTER, "smote": {"enabled": False}},
+        0, "8e7d9b8d829fbcfe5e0014eb3061214e4728653af1ebb081a2dd487b417331b3"),
+    "explain-random-forest": (
+        ["explain", "--model", "forest", "--instances", "0,2"], {"models": _SMALL_ROSTER},
+        0, "b697297ff35a9bbef5700ed0174898142cdd8861addf353850128830a4190b30"),
+    "explain-stack": (
+        ["explain", "--model", "stack", "--instances", "1"], {},
+        0, "908379360c61ab270fa8656996bf236488ce03c85b3c42c8f7f288e557bfbbf1"),
+    "compare-one-failing": (
+        ["compare"], with_entry("gbt", **UNFITTABLE_GBT),
+        4, "f4ca25fdaecb9868bfc25794c6a8b8e8b145ccc8399690cedaaedf258410794a"),
+    "eda-survey-csv": (
+        ["eda"], None, 0, "f196dd57a7d006d3c289897f271b273174888e9bfffdbb3c1a5e83bda21b2730"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_artifacts_are_pinned(tmp_path, case):
+    command, overrides, code, digest = PINNED_RUNS[case]
+    if overrides is None:
+        cfg, out, _ = write_survey(tmp_path)
+    else:
+        cfg, out = write_config(tmp_path, **overrides)
+    result = run_cli(*command, "--config", cfg)
+    assert result.exit_code == code, result.output
+    artifacts = read_manifest(out)["artifacts"]
+    assert _digest(artifacts) == digest, artifacts
 
 
 _JSON = st.recursive(
@@ -711,6 +772,8 @@ class TestErrorPaths:
         {**with_entry("gbt", categorical_handling="ordered-target-stats"),
          "tuning": {"spaces": {"extra": {"categorical_features": [[1], [2, 2]]}}}},
         {"explain": {"global_rows": 201}},
+        {"models": STACK_OF_STACK, "reference_model": "nb"},
+        {"models": STACK_OF_STACK[::-1], "reference_model": "nb"},
     ], ids=["seed-not-a-number", "model-not-an-object", "test-fraction-above-1",
             "unknown-smote-rounding", "infinite-count", "section-not-an-object",
             "stack-one-oof-fold", "stack-without-bases", "stack-unknown-meta-hyperparameter",
@@ -734,7 +797,8 @@ class TestErrorPaths:
             "explain-n-permutation-singular", "synthetic-misspelt-key", "oof-folds-at-top-level",
             "stack-oof-fold-singular", "meta-hyperparameter-singular",
             "gbt-repeated-categorical-feature", "tuning-repeated-categorical-feature",
-            "explain-global-rows-above-200"])
+            "explain-global-rows-above-200", "stack-base-is-a-stack",
+            "stack-base-is-a-later-stack"])
     def test_config_fault_exits_2_without_traceback(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         for command in (["benchmark"], ["compare"], ["explain", "--model", "nb"]):
@@ -830,7 +894,7 @@ class TestErrorPaths:
         status = read_manifest(out)["model_status"]
         assert status["nb"] == "ok" and status["gbt"].startswith("failed")
 
-    @pytest.mark.parametrize("instances", ["abc", "1..x"])
+    @pytest.mark.parametrize("instances", ["abc", "1..x", "3..1", "", ","])
     def test_malformed_instances_exit_2_without_traceback(self, tmp_path, instances):
         cfg, _ = write_config(tmp_path)
         result = run_cli("explain", "--config", cfg, "--model", "nb", "--instances", instances)

@@ -120,6 +120,12 @@ class TestVarimax:
         rotated, _ = varimax(L, kaiser=False)
         assert _varimax_criterion(rotated) >= _varimax_criterion(L) - 1e-12
 
+    def test_stopping_at_the_sweep_cap_raises(self):
+        L = np.random.default_rng(6).normal(size=(20, 8))
+        varimax(L)  # converges within the default cap
+        with pytest.raises(PsychometricsError, match="did not converge in 1 sweeps"):
+            varimax(L, max_sweeps=1)
+
     def test_single_factor_is_identity(self):
         L = np.array([[0.8], [0.7], [0.6]])
         rotated, R = varimax(L)

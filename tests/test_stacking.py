@@ -44,6 +44,11 @@ class TestSpecValidation:
         with pytest.raises(LearnerError):
             StackingSpec(base_specs=(ModelSpec("knn"),), oof_folds=1)
 
+    def test_a_stack_is_not_a_base(self):
+        inner = StackingSpec((ModelSpec("naive-bayes"),))
+        with pytest.raises(LearnerError, match="a stack is not a base"):
+            StackingSpec((inner, ModelSpec("naive-bayes")))
+
 
 class TestStackFit:
     def test_oof_matrix_shape_and_range(self):
