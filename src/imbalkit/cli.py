@@ -288,13 +288,6 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
         raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
     check_fold_counts([spec], raw_train, None, config.seed)
 
-    try:
-        model = fit_model(spec, training_rows(spec, raw_train, train))
-    except Exception as exc:  # reported as in benchmark: a model failure, exit 4
-        _failed(writer, model_name, exc)
-        _finish(writer)
-    predict = lambda X: predict_proba(model, X)
-
     n_perm = config.settings["explain.n_permutations"]
     bg_rows = config.settings["explain.background_rows"]
     global_rows = min(config.settings["explain.global_rows"], test.n_rows)
@@ -306,13 +299,29 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     background = train.values[bg_idx]
     names = list(train.column_names)
     d = len(names)
+    lime_cfg = xai.LimeConfig.from_training(train.values, n_samples=max(lime_samples, d + 1))
 
-    # global: mean |phi| via sampled Shapley over test rows
-    phis = np.zeros((global_rows, d))
-    for i in range(global_rows):
-        att = xai.shapley_sampled(predict, test.values[i], background,
-                                  n_permutations=n_perm, seed=config.seed + i)
-        phis[i] = att.values
+    try:  # a failure of the fit or of its scores is reported as in benchmark: exit 4
+        model = fit_model(spec, training_rows(spec, raw_train, train))
+        predict = lambda X: predict_proba(model, X)
+        # global: mean |phi| via sampled Shapley over test rows
+        phis = np.zeros((global_rows, d))
+        for i in range(global_rows):
+            phis[i] = xai.shapley_sampled(predict, test.values[i], background,
+                                          n_permutations=n_perm, seed=config.seed + i).values
+        local = []
+        for i in instance_ids:
+            x = test.values[i]
+            if d <= xai.MAX_EXACT_FEATURES:
+                att = xai.shapley_exact(predict, x, background)
+            else:
+                att = xai.shapley_sampled(predict, x, background,
+                                          n_permutations=n_perm, seed=config.seed + 1000 + i)
+            local.append((i, att, xai.lime_explain(predict, x, lime_cfg, seed=config.seed + i)))
+    except Exception as exc:
+        _failed(writer, model_name, exc)
+        _finish(writer)
+
     mean_abs = np.abs(phis).mean(axis=0)
     _write_scores(writer, f"{model_name}_shapley", "mean_abs_shapley", names, mean_abs)
     writer.write_text(f"importances/{model_name}_shapley.svg",
@@ -320,21 +329,13 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
 
     _native_importances(model, model_name, names, writer)
 
-    lime_cfg = xai.LimeConfig.from_training(train.values, n_samples=max(lime_samples, d + 1))
-    for i in instance_ids:
-        x = test.values[i]
-        if d <= xai.MAX_EXACT_FEATURES:
-            att = xai.shapley_exact(predict, x, background)
-        else:
-            att = xai.shapley_sampled(predict, x, background,
-                                      n_permutations=n_perm, seed=config.seed + 1000 + i)
+    for i, att, fit in local:
         writer.write_csv(
             f"attributions/instance_{i}_shapley.csv",
             ["feature", "value", "method"],
             [[n, f"{v:.6f}", att.method] for n, v in zip(names, att.values)]
             + [["__base_value__", f"{att.base_value:.6f}", att.method],
                ["__prediction__", f"{att.prediction:.6f}", att.method]])
-        fit = xai.lime_explain(predict, x, lime_cfg, seed=config.seed + i)
         writer.write_csv(
             f"attributions/instance_{i}_lime.csv",
             ["feature", "coefficient", "method"],

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +182,8 @@ class LimeConfig:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ExplainError("sigma must be positive")
+        if self.ridge < 0:
+            raise ExplainError("ridge must be >= 0")
 
     @classmethod
     def from_training(cls, X, column_kinds=None, n_samples: int = 1000,
@@ -231,16 +232,10 @@ def lime_explain(predict, x, config: LimeConfig, seed: int = 0) -> SurrogateFit:
     w = np.exp(-dist2 / (config.sigma ** 2))
     y = np.asarray(predict(Z), dtype=float)
 
-    lam = config.ridge
-    for attempt in range(6):
-        try:
-            coef, intercept = _weighted_ridge(Z, y, w, lam)
-            break
-        except np.linalg.LinAlgError:
-            lam *= 100.0
-            warnings.warn(f"singular LIME design; ridge raised to {lam}", stacklevel=2)
-    else:
-        raise ExplainError("LIME surrogate fit failed even with raised ridge")
+    try:
+        coef, intercept = _weighted_ridge(Z, y, w, config.ridge)
+    except np.linalg.LinAlgError as exc:  # only at ridge 0: row 0 makes a ridge > 0 definite
+        raise ExplainError(f"singular LIME design at ridge {config.ridge}: {exc}") from exc
 
     y_hat = Z @ coef + intercept
     y_bar = np.sum(w * y) / np.sum(w)
@@ -263,24 +258,17 @@ def _weighted_ridge(Z, y, w, lam):
 
 
 def impurity_importance(model: RandomForestModel) -> ImportanceReport:
-    """Total sample-weighted impurity decrease per feature, summed over trees."""
+    """Total sample-weighted impurity decrease per feature, summed over trees:
+    n * impurity of each split node less that of its two children, added in
+    preorder, tree by tree."""
     if not isinstance(model, RandomForestModel):
         raise ExplainError("impurity importance requires a random-forest model")
-    d = len(model.feature_names)
-    scores = np.zeros(d)
-
-    def walk(node):
-        if node.is_leaf:
-            return
-        dec = (node.n_samples * node.impurity
-               - node.left.n_samples * node.left.impurity
-               - node.right.n_samples * node.right.impurity)
-        scores[node.feature] += dec
-        walk(node.left)
-        walk(node.right)
-
-    for root in model.trees:
-        walk(root)
+    (feature, _, children, _, n, impurity), _, _ = model._flat
+    weighted = n * impurity
+    split = (children[1::2] != np.arange(feature.size)).nonzero()[0]  # a leaf steps to itself
+    decrease = weighted[split] - weighted[children[2 * split + 1]] - weighted[children[2 * split]]
+    scores = np.zeros(len(model.feature_names))
+    np.add.at(scores, feature[split], decrease)  # in index order, so in preorder
     return ImportanceReport(scores=np.maximum(scores, 0.0), method="impurity")
 
 

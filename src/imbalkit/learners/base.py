@@ -281,11 +281,14 @@ def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
     """Class-1 probabilities of any fitted model, a stack included, for an
-    EncodedMatrix or raw value matrix."""
+    EncodedMatrix or raw value matrix; a NaN or infinite score raises LearnerError."""
     values = X.values if isinstance(X, EncodedMatrix) else np.asarray(X, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(model.feature_names):
         raise LearnerError(f"feature dimension mismatch: model expects {len(model.feature_names)}")
-    return np.clip(model.predict_proba_values(values), 0.0, 1.0)
+    scores = model.predict_proba_values(values)
+    if not np.all(np.isfinite(scores)):
+        raise LearnerError(f"non-finite {model.algorithm} scores; rescale the features")
+    return np.clip(scores, 0.0, 1.0)
 
 
 def serialize_model(model: TrainedModel) -> dict:

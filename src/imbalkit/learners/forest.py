@@ -4,24 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, child_rng
-from .tree import TreeNode, build_tree, check_node_counts, flatten_trees, leaf_values
+from .base import ModelSpec, child_rng
+from .tree import TreeModel, TreeNode, build_tree
 
 __all__ = ["RandomForestModel"]
 
 
-class RandomForestModel(TrainedModel):
+class RandomForestModel(TreeModel):
     """Probability = arithmetic mean of member-tree leaf probabilities."""
 
     algorithm = "random-forest"
     state = ("trees",)
 
     def __init__(self, trees: list[dict], feature_names):
-        super().__init__(feature_names)
-        for t in trees:
-            check_node_counts(t)
+        super().__init__(trees, feature_names, divisor=len(trees))
         self.trees = [TreeNode(t) for t in trees]
-        self._flat = flatten_trees(trees, len(self.feature_names))
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "RandomForestModel":
@@ -37,9 +34,3 @@ class RandomForestModel(TrainedModel):
             trees.append(build_tree(X[sample], y[sample], h["max_depth"], 2,
                                     max_features=max_features, rng=rng))
         return cls(trees, feature_names)
-
-    def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        acc = np.zeros(values.shape[0])
-        for leaf in leaf_values(self._flat, values):
-            acc += leaf
-        return acc / len(self.trees)

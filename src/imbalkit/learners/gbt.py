@@ -10,9 +10,8 @@ rows in each column's sorted order, so no node sorts. A column's split
 candidates are the midpoints between its consecutive distinct training
 values; `bins > 0` subsamples them to at most `bins` evenly spaced ones, and
 the same search runs over that subset. Fitted trees are kept as nested dicts,
-their serialized form, and as parallel node arrays over all trees
-(`tree.flatten_trees`), which predict walks one level at a time for every
-row and tree at once.
+their serialized form, and are scored through `tree.TreeModel`'s node arrays,
+walked one level at a time for every row and tree at once.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import REAL, LearnerError, ModelSpec, Rule, TrainedModel, child_rng
+from .base import REAL, LearnerError, ModelSpec, Rule, child_rng
 from .linear import sigmoid
-from .tree import flatten_trees, leaf_values
+from .tree import TreeModel
 
 __all__ = ["GbtModel", "SplitRecord", "ordered_target_statistics"]
 
@@ -165,17 +164,17 @@ class _Grower:
         return (*best, best_gain)
 
 
-class GbtModel(TrainedModel):
+class GbtModel(TreeModel):
     algorithm = "gbt"
     state = ("trees", "base_log_odds", "learning_rate", "l2_leaf_reg", "split_records",
              "n_train", "cat_encoders")
 
     def __init__(self, trees, base_log_odds, learning_rate, l2_leaf_reg,
                  split_records, n_train, cat_encoders, feature_names):
-        super().__init__(feature_names)
-        self.trees = trees  # nested dicts, as params_dict writes them
-        self._flat = flatten_trees(trees, len(self.feature_names))
         self.base_log_odds = float(base_log_odds)
+        super().__init__(trees, feature_names, start=self.base_log_odds, scale=learning_rate,
+                         counted=False)
+        self.trees = trees  # nested dicts, as params_dict writes them
         self.learning_rate = learning_rate
         self.l2_leaf_reg = l2_leaf_reg
         record = (Rule(kind=numbers.Integral, high=len(trees) - 1),
@@ -245,13 +244,6 @@ class GbtModel(TrainedModel):
                 out[col == code] = stat
             values[:, j] = out
         return values
-
-    def raw_score(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(self._transform(values), dtype=float)
-        acc = np.full(values.shape[0], self.base_log_odds)
-        for leaf in leaf_values(self._flat, values):
-            acc += self.learning_rate * leaf
-        return acc
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_score(values))

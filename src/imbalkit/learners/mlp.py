@@ -87,11 +87,14 @@ class MlpModel(TrainedModel):
         v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
         step = 0
         n = Z.shape[0]
+        epoch_losses = []  # each epoch's mean batch loss
         for _ in range(int(h["max_iterations"])):
             order = rng.permutation(n)
+            losses = []
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
-                _, grads = mlp_loss_and_grads(layers, h["activation"], Z[idx], y[idx])
+                loss, grads = mlp_loss_and_grads(layers, h["activation"], Z[idx], y[idx])
+                losses.append(loss)
                 step += 1
                 for i, ((gW, gb), (W, b)) in enumerate(zip(grads, layers)):
                     mW, mb = m[i]
@@ -106,6 +109,7 @@ class MlpModel(TrainedModel):
                     corr2 = 1 - beta2 ** step
                     W -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
                     b -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+            epoch_losses.append(float(np.mean(losses)))
         if not all(np.all(np.isfinite(W)) and np.all(np.isfinite(b)) for W, b in layers):
             raise LearnerError("mlp training diverged to non-finite weights")
         # fold standardization into the first layer
@@ -113,7 +117,12 @@ class MlpModel(TrainedModel):
         W0_orig = W0 / sd[:, None]
         b0_orig = b0 - (mu / sd) @ W0
         layers[0] = (W0_orig, b0_orig)
-        return cls(layers, h["activation"], feature_names)
+        model = cls(layers, h["activation"], feature_names)
+        # Adam here has no stopping test: every fit runs all max_iterations epochs
+        model.fit_info = {"iterations": len(epoch_losses), "converged": False,
+                          "loss": epoch_losses[-1] if epoch_losses else None,
+                          "epoch_losses": epoch_losses}
+        return model
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return _forward(self.layers, self.activation, values)[-1][:, 0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data import DataError
 from .base import LearnerError, ModelSpec, TrainedModel
 from .linear import newton_logistic, sigmoid
 
@@ -17,7 +18,8 @@ _KERNEL_BLOCK = 256  # rows of sq_a + sq_b held at once while the kernel is buil
 def _kernel_matrix(A, B, gamma: float) -> np.ndarray:
     """exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) for every row pair, built in
     the buffer of A @ B.T; each entry takes the same operations in the same
-    order as the whole-matrix expression, so the bits are the same."""
+    order as the whole-matrix expression, so the bits are the same. Squared
+    distances that overflow to NaN raise DataError, as k-NN's do."""
     sq_a = np.sum(A * A, axis=1)[:, None]
     sq_b = np.sum(B * B, axis=1)[None, :]
     K = A @ B.T
@@ -27,6 +29,8 @@ def _kernel_matrix(A, B, gamma: float) -> np.ndarray:
         np.subtract(sq_a[start:start + _KERNEL_BLOCK] + sq_b, block, out=block)
     np.maximum(K, 0.0, out=K)
     np.multiply(K, -gamma, out=K)
+    if np.isnan(K.max(initial=0.0)):  # max is NaN when any entry is, and allocates nothing
+        raise DataError("squared distances overflow; rescale the features")
     return np.exp(K, out=K)
 
 
@@ -144,8 +148,6 @@ class SvmModel(TrainedModel):
         return model
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:
-        if self.support_vectors.shape[0] == 0:
-            return np.full(values.shape[0], self.intercept)
         K = _kernel_matrix(values, self.support_vectors, self.gamma)
         return K @ self.coef + self.intercept
 

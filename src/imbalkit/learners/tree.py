@@ -1,6 +1,7 @@
 """Entropy-criterion decision tree grown by exhaustive threshold search, and
-the flat, level-wise walk that every tree model (decision tree, random forest,
-gradient-boosted trees) predicts through."""
+TreeModel, which compiles a model's tree documents once into flat node arrays
+and scores every tree model (decision tree, random forest, gradient-boosted
+trees) through one level-wise walk."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .base import LearnerError, ModelSpec, Rule, TrainedModel
 
-__all__ = ["entropy_impurity", "TreeNode", "DecisionTreeModel", "build_tree"]
+__all__ = ["entropy_impurity", "TreeNode", "TreeModel", "DecisionTreeModel", "build_tree"]
 
 
 def entropy_impurity(class_counts) -> float:
@@ -125,62 +126,56 @@ def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: 
     return node
 
 
-def _add_nodes(tree, nodes, depth, column: Rule) -> int:
+_ROWS = Rule(kind=numbers.Integral, low=1, high=np.inf)
+_IMPURITY = Rule(kind=numbers.Real, high=np.inf)
+
+
+def _add_nodes(tree, nodes, depth, column: Rule, counted: bool) -> int:
     """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
     i = len(nodes)
+    n, impurity = (tree["n"], tree["impurity"]) if counted else (0, 0.0)
+    if counted and not (_ROWS.accepts(n) and _IMPURITY.accepts(impurity)):
+        raise ValueError(f"a tree node of n {n!r} and impurity {impurity!r}")
     if "feature" not in tree:
-        nodes.append((0, 0.0, i, i, tree["value"]))
+        nodes.append((0, 0.0, i, i, tree["value"], n, impurity))
         return depth
     if not column.accepts(tree["feature"]):
         raise ValueError(f"a split on feature {tree['feature']!r}, not {column}")
     nodes.append(None)
-    left_depth = _add_nodes(tree["left"], nodes, depth + 1, column)
+    left_depth = _add_nodes(tree["left"], nodes, depth + 1, column, counted)
     right = len(nodes)
-    right_depth = _add_nodes(tree["right"], nodes, depth + 1, column)
-    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0)
+    right_depth = _add_nodes(tree["right"], nodes, depth + 1, column, counted)
+    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0, n, impurity)
     return max(left_depth, right_depth)
 
 
-def flatten_trees(trees, width: int):
-    """Flat node arrays (feature, threshold, children, value) of nested-dict
-    trees, the index of each root, and the depth of the deepest leaf. children
-    interleaves each node's right and left child, so node i steps to
-    children[2*i + go_left]. A leaf points to itself, so walking that many
-    levels from the roots ends on every row's leaf in every tree. A split on
-    anything but an integer in range(width) raises ValueError."""
+def flatten_trees(trees, width: int, counted: bool = False):
+    """Flat node arrays (feature, threshold, children, value, n, impurity) of
+    nested-dict trees, the index of each root, and the depth of the deepest
+    leaf. children interleaves each node's right and left child, so node i
+    steps to children[2*i + go_left]. A leaf points to itself, so walking that
+    many levels from the roots ends on every row's leaf in every tree. A split
+    on anything but an integer in range(width) raises ValueError. With counted
+    (entropy trees), every node's row count n must be an integer >= 1 and its
+    impurity a number >= 0, or ValueError; without, both arrays are 0."""
     column = Rule(kind=numbers.Integral, high=width - 1)
     nodes: list = []
     roots = []
     depth = 0
     for tree in trees:
         roots.append(len(nodes))
-        depth = max(depth, _add_nodes(tree, nodes, 0, column))
-    table = np.array(nodes, dtype=float).reshape(-1, 5)
+        depth = max(depth, _add_nodes(tree, nodes, 0, column, counted))
+    table = np.array(nodes, dtype=float).reshape(-1, 7)
     children = table[:, [3, 2]].astype(np.intp).ravel()
-    return ((table[:, 0].astype(np.intp), table[:, 1], children, table[:, 4]),
-            np.array(roots, dtype=np.intp), depth)
-
-
-_ROWS = Rule(kind=numbers.Integral, low=1, high=np.inf)
-_IMPURITY = Rule(kind=numbers.Real, high=np.inf)
-
-
-def check_node_counts(tree: dict) -> None:
-    """ValueError unless every node of an entropy-tree document has a row
-    count n >= 1 and an impurity >= 0, which impurity_importance reads."""
-    nodes = [tree]
-    while nodes:
-        node = nodes.pop()
-        if not (_ROWS.accepts(node["n"]) and _IMPURITY.accepts(node["impurity"])):
-            raise ValueError(f"a tree node of n {node['n']!r} and impurity {node['impurity']!r}")
-        nodes += (node["left"], node["right"]) if "feature" in node else ()
+    return ((table[:, 0].astype(np.intp), table[:, 1], children, table[:, 4], table[:, 5],
+             table[:, 6]), np.array(roots, dtype=np.intp), depth)
 
 
 def leaf_values(flat, values: np.ndarray) -> np.ndarray:
     """(n_trees, n_rows) leaf values of flatten_trees' output `flat`, walked
     one level at a time for every row and tree at once; a row goes left when
     its value is <= the node's threshold."""
-    (feature, threshold, children, value), roots, depth = flat
+    (feature, threshold, children, value, _, _), roots, depth = flat
     n, d = values.shape
     cells = values.ravel()  # row-major, copied if values is not
     base = np.arange(n) * d  # each row's offset in cells
@@ -191,21 +186,41 @@ def leaf_values(flat, values: np.ndarray) -> np.ndarray:
     return value.take(node)
 
 
-class DecisionTreeModel(TrainedModel):
+class TreeModel(TrainedModel):
+    """A model scored through its tree documents, compiled once by
+    flatten_trees: a row scores (start + scale * v_1 + ... + scale * v_T) / divisor,
+    v_t its leaf value in tree t, added in tree order from start."""
+
+    def __init__(self, trees, feature_names, start: float = 0.0, scale: float = 1.0,
+                 divisor: int = 1, counted: bool = True):
+        super().__init__(feature_names)
+        self._flat = flatten_trees(trees, len(self.feature_names), counted)
+        self._start, self._scale, self._divisor = start, scale, divisor
+
+    def _transform(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def raw_score(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(self._transform(values), dtype=float)
+        acc = np.full(values.shape[0], self._start)
+        for leaf in leaf_values(self._flat, values):
+            acc += self._scale * leaf
+        return acc / self._divisor
+
+    def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
+        return self.raw_score(values)
+
+
+class DecisionTreeModel(TreeModel):
     algorithm = "decision-tree"
     state = ("root",)
 
     def __init__(self, root: dict, feature_names):
-        super().__init__(feature_names)
-        check_node_counts(root)
+        super().__init__([root], feature_names)
         self.root = TreeNode(root)
-        self._flat = flatten_trees([root], len(self.feature_names))
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":
         h = spec.hyperparameters
         root = build_tree(X, y, h["max_depth"], max(2, h["min_samples_split"]))
         return cls(root, feature_names)
-
-    def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
-        return leaf_values(self._flat, values)[0]

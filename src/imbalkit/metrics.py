@@ -56,10 +56,7 @@ class EvaluationReport:
     threshold: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["confusion"] = {"tp": self.confusion.tp, "fp": self.confusion.fp,
-                          "tn": self.confusion.tn, "fn": self.confusion.fn}
-        return d
+        return asdict(self)  # the confusion counts too, as a nested dict
 
 
 def confusion(labels, predictions) -> ConfusionMatrix:

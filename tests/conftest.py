@@ -32,6 +32,32 @@ def small_test(small_split):
     return small_split[1]
 
 
+def kernel_level() -> str:
+    """The highest x86-64 level whose kernels numpy dispatches to in this
+    process: X86_V4 uses the AVX-512 exp and log kernels, X86_V3 the AVX2 ones
+    (numpy's NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" forces
+    X86_V3 on an AVX-512 CPU); "other" off x86-64."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
+                 if __cpu_features__.get(level)), "other")
+
+
+def pinned(digest) -> str:
+    """A pinned digest: the string itself, or, from a {kernel level: digest}
+    table of a result that numpy's exp or log reach, the one for this
+    process's level. A level with no recorded digest fails the test."""
+    if isinstance(digest, str):
+        return digest
+    level = kernel_level()
+    if level not in digest:
+        pytest.fail(f"no digest recorded at numpy kernel level {level}; "
+                    f"recorded: {sorted(digest)}")
+    return digest[level]
+
+
 def two_class_matrix(n0, n1, d=3, seed=0):
     """Raw Gaussian EncodedMatrix helper with shifted class means."""
     from imbalkit.data import EncodedMatrix

@@ -440,6 +440,33 @@ class TestExplain:
         assert "Traceback" not in result.output
         assert read_manifest(out)["model_status"]["bad"].startswith("failed: ")
 
+    def test_exact_shapley_up_to_fifteen_features(self, tmp_path):
+        cfg, out, _ = write_survey(tmp_path, n=80)  # four features
+        result = run_cli("explain", "--config", cfg, "--model", "nb", "--instances", "0,3")
+        assert result.exit_code == 0, result.output
+        for i in (0, 3):
+            rows = read_csv(out / "attributions" / f"instance_{i}_shapley.csv")[1:]
+            assert {r[2] for r in rows} == {"shapley-exact"}
+            values = {r[0]: float(r[1]) for r in rows}
+            phi = sum(values[c["name"]] for c in SURVEY_SCHEMA[:4])
+            # efficiency: the values add up to prediction - base value, to the CSV's 6 decimals
+            assert phi == pytest.approx(values["__prediction__"] - values["__base_value__"],
+                                        abs=1e-5)
+
+    def test_non_finite_scores_exit_4(self, tmp_path):
+        cfg, out, rows = write_survey(tmp_path, n=200)
+        with open(tmp_path / "survey.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[c["name"] for c in SURVEY_SCHEMA]]  # ages near 1e160
+                                     + [r[:3] + [r[3] + "e158"] + r[4:] for r in rows])
+        config = json.loads(cfg.read_text(encoding="utf-8"))
+        cfg.write_text(json.dumps({**config, "smote": {"enabled": False}}), encoding="utf-8")
+        with np.errstate(all="ignore"):
+            result = run_cli("explain", "--config", cfg, "--model", "nb")
+        assert result.exit_code == 4, result.output
+        assert "model nb failed: non-finite naive-bayes scores" in result.output
+        assert read_manifest(out)["model_status"]["nb"].startswith("failed: ")
+        assert not (out / "attributions").exists()
+
     def test_gbt_native_importances(self, tmp_path):
         cfg, out = write_config(tmp_path, reference_model="boost", models=[
             {"name": "boost", "algorithm": "gbt",

@@ -357,6 +357,36 @@ class TestLime:
         probs = config.categorical_marginals[0][1]
         assert probs.sum() == pytest.approx(1.0)
 
+    def test_categorical_columns_sample_only_training_codes(self):
+        rng = np.random.default_rng(16)
+        X = np.column_stack([rng.choice([1.0, 3.0, 5.0], size=150), rng.normal(size=150),
+                             rng.choice([0.0, 2.0], size=150, p=[0.9, 0.1])])
+        config = LimeConfig.from_training(
+            X, column_kinds=("categorical", "continuous", "categorical"), n_samples=400)
+        seen = []
+        lime_explain(lambda Z: seen.append(Z.copy()) or Z[:, 1], X[0], config, seed=3)
+        (Z,) = seen
+        assert np.array_equal(Z[0], X[0])  # the instance itself
+        assert set(Z[1:, 0].tolist()) == {1.0, 3.0, 5.0}
+        assert set(Z[1:, 2].tolist()) == {0.0, 2.0}
+        assert np.unique(Z[1:, 1]).size == 399  # the continuous column is perturbed
+
+    def test_negative_ridge_rejected(self):
+        with pytest.raises(ExplainError, match="ridge"):
+            LimeConfig(sigma=1.0, n_samples=10, ridge=-1e-3)
+
+    def test_singular_design_at_ridge_zero_raises(self):
+        # a categorical column of one code, 0, is a zero column of the design
+        X = np.column_stack([np.zeros(50), np.random.default_rng(17).normal(size=50)])
+        config = LimeConfig.from_training(X, column_kinds=("categorical", "continuous"),
+                                          n_samples=60, ridge=0.0)
+        with pytest.raises(ExplainError, match="singular LIME design at ridge 0"):
+            lime_explain(linear_predict([0.0, 1.0]), X[0], config, seed=0)
+        config = LimeConfig.from_training(X, column_kinds=("categorical", "continuous"),
+                                          n_samples=60)
+        fit = lime_explain(linear_predict([0.0, 1.0]), X[0], config, seed=0)
+        assert fit.coefficients[0] == 0.0 and fit.coefficients[1] == pytest.approx(1.0, rel=1e-3)
+
     def test_default_sigma_scales_with_dimension(self):
         X = np.random.default_rng(11).normal(size=(50, 16))
         config = LimeConfig.from_training(X)
@@ -405,6 +435,25 @@ class TestNativeImportances:
                     - root.left.n_samples * root.left.impurity
                     - root.right.n_samples * root.right.impurity)
         assert rep.scores[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_impurity_matches_the_recursive_walk(self):
+        m = two_class_matrix(120, 60, d=5, seed=18)
+        model = fit_model(ModelSpec("random-forest", {"n_estimators": 30, "max_depth": 7},
+                                    seed=2), m)
+        expected = np.zeros(5)
+
+        def walk(node):  # the per-node walk over TreeNode views it replaced
+            if node.is_leaf:
+                return
+            expected[node.feature] += (node.n_samples * node.impurity
+                                       - node.left.n_samples * node.left.impurity
+                                       - node.right.n_samples * node.right.impurity)
+            walk(node.left)
+            walk(node.right)
+
+        for root in model.trees:
+            walk(root)
+        assert np.array_equal(impurity_importance(model).scores, np.maximum(expected, 0.0))
 
     def test_impurity_requires_forest(self):
         m = two_class_matrix(20, 20)

@@ -43,7 +43,7 @@ from imbalkit.learners.tree import (
 )
 from imbalkit.stacking import StackingSpec
 
-from conftest import two_class_matrix
+from conftest import pinned, two_class_matrix
 
 
 FAST_HYPERS = {
@@ -124,6 +124,15 @@ class TestFitDispatch:
         model = fit_model(ModelSpec("naive-bayes"), m)
         with pytest.raises(LearnerError, match="dimension"):
             predict_proba(model, np.zeros((4, 7)))
+
+    def test_non_finite_scores_raise_on_predict(self):
+        m = two_class_matrix(15, 15)
+        model = fit_model(ModelSpec("naive-bayes"), m)
+        values = m.values.copy()
+        values[:, 0] *= 1e160  # squared deviations overflow: both classes score -inf
+        with np.errstate(all="ignore"), pytest.raises(
+                LearnerError, match="non-finite naive-bayes scores"):
+            predict_proba(model, values)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_probabilities_in_unit_interval(self, algorithm):
@@ -514,7 +523,7 @@ class TestTreeDocuments:
         assert restored.params_dict() == model.params_dict()
         roots = [restored.root] if spec.algorithm == "decision-tree" else restored.trees
         docs = [root.to_dict() for root in roots]
-        (feature, _, _, _), _, _ = flatten_trees(docs, len(model.feature_names))
+        (feature, _, _, _, _, _), _, _ = flatten_trees(docs, len(model.feature_names))
         assert sum(_count_nodes(root) for root in roots) == feature.size > len(roots)
         if spec.algorithm == "random-forest":
             assert np.array_equal(impurity_importance(restored).scores,
@@ -640,7 +649,8 @@ class TestGbt:
     def test_flat_nodes_encode_the_nested_trees(self):
         m = two_class_matrix(60, 40, d=4, seed=14)
         model = fit_model(ModelSpec("gbt", {"n_estimators": 6, "max_depth": 3}), m)
-        (feature, threshold, children, value), roots, depth = flatten_trees(model.trees, 4)
+        (feature, threshold, children, value, n, impurity), roots, depth = flatten_trees(
+            model.trees, 4)
 
         def unflatten(i):
             left, right = children[2 * i + 1], children[2 * i]
@@ -651,6 +661,7 @@ class TestGbt:
 
         assert [unflatten(r) for r in roots] == model.trees
         assert depth == 3
+        assert not n.any() and not impurity.any()  # boosted trees carry no node counts
         restored = deserialize_model(json.loads(json.dumps(serialize_model(model))))
         assert restored.trees == model.trees
         assert np.array_equal(restored.raw_score(m.values), model.raw_score(m.values))
@@ -790,6 +801,21 @@ class TestSvm:
         up = np.where(t > 0, alpha < C, alpha > 0)
         low = np.where(t > 0, alpha > 0, alpha < C)
         assert v[up].max() - v[low].min() <= tol + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_features_raise_before_the_solver(self, scale, monkeypatch):
+        m = two_class_matrix(30, 30, seed=1)
+        values = m.values.copy()
+        values[:, 0] *= scale
+        monkeypatch.setattr(svm_module, "_smo", lambda *a: pytest.fail("SMO ran on NaN"))
+        with np.errstate(all="ignore"), pytest.raises(
+                data_module.DataError, match="squared distances overflow; rescale the features"):
+            fit_model(ModelSpec("svm", {"max_passes": 1}), _matrix(values, m.target))
+
+    def test_no_support_vectors_give_the_intercept(self):
+        model = svm_module.SvmModel(np.empty((0, 3)), [], 0.37, 0.5, 1.0, 0.0, ("a", "b", "c"))
+        values = np.random.default_rng(0).normal(size=(5, 3))
+        assert np.array_equal(model.decision_values(values), np.full(5, 0.37))
 
     def test_step_cap_reports_not_converged(self):
         m = two_class_matrix(30, 30, seed=23)
@@ -1019,6 +1045,24 @@ class TestMlp:
         with pytest.raises(LearnerError):
             fit_model(ModelSpec("mlp", {"activation": "swish"}), m)
 
+    def test_fit_info_reports_the_epoch_cap_and_losses(self):
+        m = two_class_matrix(20, 20, seed=26)
+        spec = ModelSpec("mlp", {"hidden_layer_sizes": (4,), "max_iterations": 30,
+                                 "batch_size": 40, "learning_rate": 0.05}, seed=3)
+        model = fit_model(spec, m)
+        info = model.fit_info
+        assert (info["iterations"], info["converged"]) == (30, False)
+        assert len(info["epoch_losses"]) == 30 and info["loss"] == info["epoch_losses"][-1]
+        assert info["loss"] < info["epoch_losses"][0]
+        # one batch per epoch: the first epoch's loss is that of the initial weights
+        X = m.values
+        sd = X.std(axis=0)
+        layers = init_layers((3, 4, 1), child_rng(3, 4))
+        first, _ = mlp_loss_and_grads(layers, "tanh", (X - X.mean(axis=0)) / sd,
+                                      m.target.astype(float))
+        assert info["epoch_losses"][0] == pytest.approx(first, rel=1e-12)
+        assert deserialize_model(serialize_model(model)).fit_info == {}
+
 
 class TestSerialization:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -1060,19 +1104,26 @@ def _categorical_matrix():
 
 
 # (spec, data, sha256 of the sorted-key JSON model document), recorded before
-# every learner's document was written and read through TrainedModel.state
+# every learner's document was written and read through TrainedModel.state.
+# numpy 2.4.6 recorded every digest. A document that numpy's exp or log reach
+# has one digest per kernel level (conftest.kernel_level): X86_V4, the AVX-512
+# kernels, and X86_V3, the AVX2 ones (recorded under NPY_DISABLE_CPU_FEATURES=
+# "AVX512_SPR AVX512_ICL X86_V4"); the others are the same at both levels.
 DOCUMENT_DIGESTS = {
     "logistic": (ModelSpec("logistic", {"C": 0.5}), _tie_heavy_matrix,
-                 "c60de61292531b687c96586721d6ee6bb3e0b479d72f5115bebaa7fbb066ce5f"),
+                 {"X86_V4": "c60de61292531b687c96586721d6ee6bb3e0b479d72f5115bebaa7fbb066ce5f",
+                  "X86_V3": "f45ae81d699e5bc0a2bcd9854652dfdba32cfba83dcb75d44ba2a20eff87e596"}),
     "decision-tree": (ModelSpec("decision-tree", {"max_depth": 4}), _tie_heavy_matrix,
                       "f6c86514149ebd7bc675063ada010924e7b96acaadd466a8451c1f24251d7855"),
     "random-forest": (ModelSpec("random-forest", {"n_estimators": 3, "max_depth": 4}, seed=1),
                       _tie_heavy_matrix,
                       "4ca645b6459787a6bafe2aa018964935198906a6882e2759f042ccf9de7f69b1"),
     "gbt": (ModelSpec("gbt", {"n_estimators": 8, "learning_rate": 0.1}), _tie_heavy_matrix,
-            "9c3dc48d5b844e5a646d1be697037123656c0f4d677b7b4823932582a70124bb"),
+            {"X86_V4": "9c3dc48d5b844e5a646d1be697037123656c0f4d677b7b4823932582a70124bb",
+             "X86_V3": "57da65eba1606083734afc880fda14bac53cb1512abaebcfadd62c2fa491fecf"}),
     "svm": (ModelSpec("svm", {"max_passes": 2}), _tie_heavy_matrix,
-            "56ade11a26a5ca95df7cdde6db440a870824661bb4c931c54571290ea26a8123"),
+            {"X86_V4": "56ade11a26a5ca95df7cdde6db440a870824661bb4c931c54571290ea26a8123",
+             "X86_V3": "70d8265789e98a1f976d90df9216d41532ec072f3efdb0d54984b66bf9f787de"}),
     "naive-bayes": (ModelSpec("naive-bayes"), _tie_heavy_matrix,
                     "1252f29b2d6801d412bbf56b2aa8e5cb154e5eff922564461f86bacaec9902ee"),
     "knn": (ModelSpec("knn", {"n_neighbors": 5}), _tie_heavy_matrix,
@@ -1084,10 +1135,12 @@ DOCUMENT_DIGESTS = {
         ModelSpec("gbt", {"n_estimators": 4, "categorical_handling": "ordered-target-stats",
                           "categorical_features": tuple(range(12))}, seed=3),
         _categorical_matrix,
-        "f363a8be5d802a3e02aadce0e77a3b9aa05ab92daa6fe43c1c978fa4e5c6f55c"),
+        {"X86_V4": "f363a8be5d802a3e02aadce0e77a3b9aa05ab92daa6fe43c1c978fa4e5c6f55c",
+         "X86_V3": "cd79d53dbaf5f4225848915bd92a6626ec838e2454e08d5f53e342e68e273651"}),
     "stacking": (StackingSpec((ModelSpec("naive-bayes"), ModelSpec("gbt", {"n_estimators": 4})),
                               oof_folds=3, seed=1), _tie_heavy_matrix,
-                 "ae8941cd5a0f813bfadb353571d5e54a3b1e4743ae53f5cb89d3290f9350586a"),
+                 {"X86_V4": "ae8941cd5a0f813bfadb353571d5e54a3b1e4743ae53f5cb89d3290f9350586a",
+                  "X86_V3": "21cb9ac25fdd1a42919538ba6dac360cf6427b00f6d9f4d065ca9f55d6897d73"}),
 }
 
 
@@ -1180,7 +1233,7 @@ class TestModelDocuments:
     @pytest.mark.parametrize("case", sorted(DOCUMENT_DIGESTS))
     def test_document_is_pinned(self, case):
         text = _pinned_document(case)
-        assert hashlib.sha256(text.encode()).hexdigest() == DOCUMENT_DIGESTS[case][2]
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned(DOCUMENT_DIGESTS[case][2])
 
     @pytest.mark.parametrize("case", sorted(DOCUMENT_DIGESTS))
     def test_json_round_trip_keeps_the_bytes(self, case):
