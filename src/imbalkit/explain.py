@@ -278,11 +278,10 @@ def gbt_importances(model: GbtModel) -> tuple[ImportanceReport, ImportanceReport
     if not isinstance(model, GbtModel):
         raise ExplainError("gbt importances require a gbt model")
     d = len(model.feature_names)
-    counts = np.zeros(d)
-    gains = np.zeros(d)
-    for rec in model.split_records:
-        counts[rec.feature] += 1
-        gains[rec.feature] += rec.gain
+    _, feature, gain = np.array(model.split_records, dtype=float).reshape(-1, 3).T
+    feature = feature.astype(np.intp)
+    counts = np.bincount(feature, minlength=d).astype(float)
+    gains = np.bincount(feature, weights=gain, minlength=d).astype(float)  # in record order
     n_iter = max(len(model.trees), 1)
     loss_reduction = gains / n_iter
     return (

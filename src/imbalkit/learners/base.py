@@ -310,8 +310,8 @@ def _finite(value) -> bool:
 
 def deserialize_model(doc: dict) -> TrainedModel:
     """The model serialize_model wrote doc from. A document of another format
-    or version, or one with an unknown algorithm, a missing key, or a value of
-    the wrong type, shape or range, raises LearnerError."""
+    or version, or one with an unknown algorithm, a missing key, a value of
+    the wrong type, shape or range, or trees too deep to walk, raises LearnerError."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise LearnerError("not a model document")
     if doc.get("version") != MODEL_VERSION:
@@ -321,7 +321,8 @@ def deserialize_model(doc: dict) -> TrainedModel:
         if not _finite(doc["params"]):
             raise ValueError("null, NaN or infinity in the state")
         return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))
-    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError,
+            RecursionError) as exc:  # the checks walk a tree once per level
         if str(exc).startswith("malformed model document"):  # a state check's, or a base's
             raise
         raise LearnerError(f"malformed model document: {exc!r}") from exc
@@ -336,5 +337,6 @@ def load_model(path) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return deserialize_model(json.load(fh))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # not UTF-8 JSON
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:  # not UTF-8 JSON, or nested too deep to decode
             raise LearnerError(f"not a model document: {exc}") from exc

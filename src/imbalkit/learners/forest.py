@@ -17,6 +17,8 @@ class RandomForestModel(TreeModel):
     state = ("trees",)
 
     def __init__(self, trees: list[dict], feature_names):
+        if not trees:
+            raise ValueError("a forest with no trees")
         super().__init__(trees, feature_names, divisor=len(trees))
         self.trees = [TreeNode(t) for t in trees]
 

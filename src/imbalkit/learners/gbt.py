@@ -43,17 +43,15 @@ def ordered_target_statistics(column, target, permutation, prior: float,
         raise LearnerError("permutation must be a bijection over the rows")
     if smoothing <= 0:
         raise LearnerError("smoothing must be positive")
+    if not np.isfinite(col).all():
+        raise LearnerError("ordered target statistics need finite category codes")
+    by_category = perm[col[perm].argsort(kind="stable")]  # each category in permutation order
+    _, starts, counts = np.unique(col[by_category], return_index=True, return_counts=True)
     out = np.empty(col.size, dtype=float)
-    sums: dict = {}
-    counts: dict = {}
-    for t in range(col.size):
-        r = perm[t]
-        c = col[r]
-        s = sums.get(c, 0.0)
-        k = counts.get(c, 0)
-        out[r] = (s + smoothing * prior) / (k + smoothing)
-        sums[c] = s + y[r]
-        counts[c] = k + 1
+    for c in np.unique(counts):  # the categories of c rows each, one per row of a block
+        rows = by_category[starts[counts == c, None] + np.arange(c)]
+        sums = np.c_[np.zeros(rows.shape[0]), y[rows[:, :-1]]].cumsum(axis=1)  # along each row
+        out[rows] = (sums + smoothing * prior) / (np.arange(c) + smoothing)
     return out
 
 
@@ -80,19 +78,15 @@ class _Grower:
         self.order = np.empty((d, n), dtype=np.int32)  # rows in stable column order
         self.rank = np.empty((d, n), dtype=np.int32)
         self.mids = []
-        self.first_kept = []  # per column: rank -> first kept candidate at or above it
         for j in range(d):
             col = X[:, j]
             uniq = np.unique(col)
             mids = 0.5 * (uniq[:-1] + uniq[1:])
-            keep = np.arange(mids.size)
             if bins and mids.size > bins:
-                keep = np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))
+                mids = mids[np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))]
             self.order[j] = np.argsort(col, kind="stable")
             self.rank[j] = np.searchsorted(mids, col)
             self.mids.append(mids)
-            self.first_kept.append(np.append(keep, mids.size)[
-                np.searchsorted(keep, np.arange(mids.size + 1))])
         self.goes_left = np.empty(n, dtype=bool)
 
     def grow(self, g, h, tree_idx, records):
@@ -130,10 +124,10 @@ class _Grower:
     def _best_split(self, order, G, H):
         """(feature, candidate, gain) of the best split, or None.
 
-        Only the positions where a column's sorted ranks pass a kept candidate
-        are scored, each at the lowest such candidate: the one a scan over
-        every candidate in order would pick, since all candidates between two
-        adjacent rows give the same gain.
+        Only the positions where a column's sorted ranks change are scored, each
+        at the rank of its last row on the left: the lowest candidate that
+        splits there, the one a scan over every candidate in order would pick,
+        since all candidates between two adjacent rows give the same gain.
         """
         lam = self.lam
         parent_score = G * G / (H + lam)
@@ -144,21 +138,16 @@ class _Grower:
             o = order[j]
             rank = self.rank[j].take(o)
             end = (rank[:-1] != rank[1:]).nonzero()[0]
-            cand = self.first_kept[j].take(rank.take(end))
-            ok = cand < rank.take(end + 1)
-            end = end[ok]
             if not end.size:
                 continue
             GL = g.take(o).cumsum().take(end)
             HL = h.take(o).cumsum().take(end)
-            GR = G - GL
-            HR = H - HL
-            gains = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score)
+            gains = 0.5 * (GL**2 / (HL + lam) + (G - GL)**2 / (H - HL + lam) - parent_score)
             k = gains.argmax()
             gain = float(gains[k])
             if gain > best_gain + 1e-15:
                 best_gain = gain
-                best = (j, int(cand[ok][k]))
+                best = (j, int(rank[end[k]]))
         if best is None or best_gain <= 1e-12:
             return None
         return (*best, best_gain)

@@ -471,6 +471,19 @@ class TestNativeImportances:
         assert counts.method == "split-count"
         assert gains.method == "gain"
 
+    @pytest.mark.parametrize("n_estimators", [0, 1, 40])
+    def test_gbt_scores_match_the_record_loop(self, n_estimators):
+        m = two_class_matrix(50, 30, d=4, seed=15)
+        model = fit_model(ModelSpec("gbt", {"n_estimators": n_estimators}), m)
+        counts, gains = np.zeros(4), np.zeros(4)
+        for rec in model.split_records:  # sums in record order
+            counts[rec.feature] += 1
+            gains[rec.feature] += rec.gain
+        reports = gbt_importances(model)
+        for report, expected in zip(reports, (counts, gains, gains / max(n_estimators, 1))):
+            assert report.scores.dtype == np.float64
+            assert report.scores.tobytes() == expected.tobytes()
+
 
 class TestPermutationImportance:
     def test_informative_feature_scores_highest(self):

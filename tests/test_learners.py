@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbalkit import data as data_module
+from imbalkit import label_encode, smote, stratified_split
 from imbalkit.data import EncodedMatrix
 from imbalkit.explain import impurity_importance
 from imbalkit.learners import fit_model, predict_proba, tune_random_search
@@ -42,6 +43,7 @@ from imbalkit.learners.tree import (
     flatten_trees,
 )
 from imbalkit.stacking import StackingSpec
+from imbalkit.synth import synthetic_dataset
 
 from conftest import pinned, two_class_matrix
 
@@ -596,6 +598,33 @@ def _reference_gbt(X, y, n_estimators, max_depth, bins, lr=0.01, lam=1.0):
     return trees, records, raw
 
 
+def _row_loop_target_statistics(col, y, perm, prior, smoothing):
+    """ordered_target_statistics as one pass over the rows in permutation
+    order, keeping each category's running target sum and count."""
+    out = np.empty(col.size, dtype=float)
+    sums: dict = {}
+    counts: dict = {}
+    for r in perm:
+        s, k = sums.get(col[r], 0.0), counts.get(col[r], 0)
+        out[r] = (s + smoothing * prior) / (k + smoothing)
+        sums[col[r]], counts[col[r]] = s + y[r], k + 1
+    return out
+
+
+@st.composite
+def _category_problems(draw):
+    """(codes with repeats, float targets, a permutation, prior, smoothing)."""
+    n = draw(st.integers(0, 40))
+    codes = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 7.5, 1e9]),
+                          min_size=n, max_size=n))
+    y = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    prior = draw(st.floats(0.0, 1.0))
+    smoothing = draw(st.floats(1e-3, 1e3))
+    return (np.array(codes), np.array(y, dtype=float), np.array(perm, dtype=np.intp), prior,
+            smoothing)
+
+
 @st.composite
 def _tied_problems(draw):
     n, d = draw(st.integers(4, 40)), draw(st.integers(1, 4))
@@ -716,6 +745,20 @@ class TestGbt:
     def test_bad_permutation_rejected(self):
         with pytest.raises(LearnerError):
             ordered_target_statistics(np.zeros(3), np.zeros(3), np.array([0, 0, 2]), 0.5)
+
+    @given(_category_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_ordered_target_statistics_match_the_row_loop(self, problem):
+        col, y, perm, prior, smoothing = problem
+        out = ordered_target_statistics(col, y, perm, prior, smoothing)
+        expected = _row_loop_target_statistics(col, y, perm, prior, smoothing)
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ordered_target_statistics_reject_a_non_finite_code(self, bad):
+        with pytest.raises(LearnerError, match="finite category codes"):
+            ordered_target_statistics(np.array([0.0, bad, 1.0]), np.ones(3),
+                                      np.arange(3), 0.5)
 
     def test_categorical_mode_fits(self):
         rng = np.random.default_rng(15)
@@ -1103,8 +1146,16 @@ def _categorical_matrix():
     return EncodedMatrix(X, y, tuple(f"c{j}" for j in range(12)), np.arange(120))
 
 
+def _criterion_11_train():
+    """The criterion-11 training rows: 2,000 synthetic rows (seed 7), split and
+    SMOTEd at seed 0, 2,666 rows whose columns have 439 to 2,666 distinct values."""
+    matrix, _ = label_encode(synthetic_dataset(2000, seed=7, imbalance=5.0))
+    return smote(stratified_split(matrix, 0.2, seed=0)[0], seed=0)
+
+
 # (spec, data, sha256 of the sorted-key JSON model document), recorded before
-# every learner's document was written and read through TrainedModel.state.
+# every learner's document was written and read through TrainedModel.state
+# (gbt-binned: before binned split search subsampled the candidates itself).
 # numpy 2.4.6 recorded every digest. A document that numpy's exp or log reach
 # has one digest per kernel level (conftest.kernel_level): X86_V4, the AVX-512
 # kernels, and X86_V3, the AVX2 ones (recorded under NPY_DISABLE_CPU_FEATURES=
@@ -1137,6 +1188,10 @@ DOCUMENT_DIGESTS = {
         _categorical_matrix,
         {"X86_V4": "f363a8be5d802a3e02aadce0e77a3b9aa05ab92daa6fe43c1c978fa4e5c6f55c",
          "X86_V3": "cd79d53dbaf5f4225848915bd92a6626ec838e2454e08d5f53e342e68e273651"}),
+    "gbt-binned": (ModelSpec("gbt", {"n_estimators": 20, "learning_rate": 0.1, "bins": 16}),
+                   _criterion_11_train,
+                   {"X86_V4": "ed8cfb69627650c4e7046f92af7736bce54b457b36f3e089ee729f42e13605d3",
+                    "X86_V3": "5fd6bd33eed8c74b87cfa7257271164e5c7f8ab75c58ae3c696d2ff8efa4bc7c"}),
     "stacking": (StackingSpec((ModelSpec("naive-bayes"), ModelSpec("gbt", {"n_estimators": 4})),
                               oof_folds=3, seed=1), _tie_heavy_matrix,
                  {"X86_V4": "ae8941cd5a0f813bfadb353571d5e54a3b1e4743ae53f5cb89d3290f9350586a",
@@ -1222,6 +1277,7 @@ _WRONG_TYPES = [
     ("random-forest", "a node without a count", lambda d: d["params"]["trees"][0].pop("n")),
     ("random-forest", "a negative impurity",
      lambda d: d["params"]["trees"][0]["left"].update(impurity=-1.0)),
+    ("random-forest", "no trees", lambda d: d["params"].update(trees=[])),
 ]
 
 
@@ -1240,6 +1296,23 @@ class TestModelDocuments:
         text = _pinned_document(case)
         restored = deserialize_model(json.loads(text))
         assert json.dumps(serialize_model(restored), sort_keys=True) == text
+
+    def test_too_deep_a_tree_raises(self):
+        root = leaf = {"n": 1, "impurity": 0.0, "value": 1.0}
+        for _ in range(1100):  # a chain of right children
+            root = {**leaf, "feature": 0, "threshold": 0.5, "left": leaf, "right": root}
+        with pytest.raises(LearnerError, match="malformed model document"):
+            deserialize_model(_damaged("decision-tree", lambda d: d["params"].update(root=root)))
+
+    def test_too_deep_a_file_raises(self, tmp_path):
+        leaf = '{"impurity": 0.0, "n": 1, "value": 1.0}'
+        split = '{"feature": 0, "impurity": 0.0, "left": %s, "n": 1, "right": ' % leaf
+        root = split * 1100 + leaf + ', "threshold": 0.5, "value": 1.0}' * 1100
+        doc = _damaged("decision-tree", lambda d: d["params"].update(root="ROOT"))
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc).replace('"ROOT"', root), encoding="utf-8")
+        with pytest.raises(LearnerError, match="model document"):
+            load_model(path)
 
     def test_unknown_algorithm_raises(self):
         doc = _damaged("naive-bayes", lambda d: d.update(algorithm="perceptron"))
