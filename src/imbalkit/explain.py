@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,11 +88,6 @@ def _coalition_values(predict, x, background, masks):
     return out
 
 
-def _mask_rows(masks, d: int) -> np.ndarray:
-    """Boolean rows of Python-int coalitions (bit j: feature j), so any d fits."""
-    return np.array([[mask >> j & 1 for j in range(d)] for mask in masks], dtype=bool)
-
-
 def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
                   ) -> Attribution:
     """Exact Shapley attribution by subset enumeration.
@@ -152,17 +146,17 @@ def shapley_sampled(predict, x, background, n_permutations: int, seed: int = 0
         perms.extend(tuple(rng.permutation(d)) for _ in range(n_permutations))
     perms = np.array(perms, dtype=np.intp).reshape(len(perms), d)
 
-    # each permutation's chain of d + 1 coalitions, as rows of the table of
-    # distinct coalitions in the order they are first reached
-    index = {0: 0}
-    chains = [[0] + [index.setdefault(mask, len(index))
-                     for mask in itertools.accumulate((1 << j for j in perm), operator.or_)]
-              for perm in perms.tolist()]
-    v = _coalition_values(predict, x, bg, _mask_rows(index, d))
+    # each permutation's chain of d + 1 coalitions (its first k features, k = 0..d),
+    # as rows of the table of distinct coalitions in the order they are first reached
+    member = perms.argsort(axis=1)[:, None, :] < np.arange(d + 1)[:, None]
+    table, first, row = np.unique(member.reshape(-1, d), axis=0, return_index=True,
+                                  return_inverse=True)
+    reached = first.argsort()
+    chains = reached.argsort()[row].reshape(len(perms), d + 1)
+    v = _coalition_values(predict, x, bg, table[reached])
 
     phi = np.zeros(d)
-    for chain, perm in zip(chains, perms):
-        phi[perm] += np.diff(v[chain])
+    np.add.at(phi, perms, np.diff(v[chains], axis=1))  # each feature's terms in permutation order
     phi /= len(perms)
     prediction = float(np.asarray(predict(x[None, :]))[0])
     return Attribution(values=phi, base_value=float(v[0]), prediction=prediction,

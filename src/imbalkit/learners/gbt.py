@@ -180,6 +180,11 @@ class GbtModel(TreeModel):
             for j, e in cat_encoders.items()}
         if not set(self.cat_encoders) <= set(range(len(self.feature_names))):
             raise ValueError("an encoder of a feature outside the columns")
+        # per encoder: [its codes sorted, then NaN; their stats, then the prior]
+        self._lookups = {j: np.array([*sorted(e["stats"].items()), (np.nan, e["prior"])]).T.copy()
+                         for j, e in self.cat_encoders.items()}
+        if not all(np.isfinite(table[0, :-1]).all() for table in self._lookups.values()):
+            raise ValueError("an encoder code that is not a finite number")
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "GbtModel":
@@ -200,10 +205,11 @@ class GbtModel(TreeModel):
                                        f"{X.shape[1]} columns")
                 perm = child_rng(spec.seed, 2, int(j)).permutation(n)
                 col = X[:, j]
-                stats = {float(c): (y[col == c].sum() + a * prior) / ((col == c).sum() + a)
-                         for c in np.unique(col)}
+                codes = np.unique(col)
+                group = np.searchsorted(codes, col)  # not return_inverse: it may pick 0.0 for -0.0
+                stats = (np.bincount(group, weights=y) + a * prior) / (np.bincount(group) + a)
                 X[:, j] = ordered_target_statistics(col, y, perm, prior, a)
-                cat_encoders[int(j)] = {"prior": prior, "stats": stats}
+                cat_encoders[int(j)] = {"prior": prior, "stats": dict(zip(codes, stats))}
 
         prevalence = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
         base = float(np.log(prevalence / (1.0 - prevalence)))
@@ -226,12 +232,10 @@ class GbtModel(TreeModel):
         if not self.cat_encoders:
             return values
         values = np.asarray(values, dtype=float).copy()
-        for j, enc in self.cat_encoders.items():
+        for j, (codes, stats) in self._lookups.items():
             col = values[:, j]
-            out = np.full(col.size, enc["prior"])
-            for code, stat in enc["stats"].items():
-                out[col == code] = stat
-            values[:, j] = out
+            k = np.searchsorted(codes, col)  # an unseen code past the last, or NaN: the NaN
+            values[:, j] = np.where(codes[k] == col, stats[k], stats[-1])
         return values
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:

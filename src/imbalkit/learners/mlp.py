@@ -80,11 +80,11 @@ class MlpModel(TrainedModel):
         rng = child_rng(spec.seed, 4)
         sizes = (X.shape[1], *h["hidden_layer_sizes"], 1)
         layers = init_layers(sizes, rng)
+        params = [p for layer in layers for p in layer]  # every W and b, updated in place
+        state = [[np.zeros_like(p) for _ in range(4)] for p in params]  # Adam's m, v; scratch s, t
         lr = float(h["learning_rate"])
         batch = int(h["batch_size"])
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
-        v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
         step = 0
         n = Z.shape[0]
         epoch_losses = []  # each epoch's mean batch loss
@@ -96,27 +96,23 @@ class MlpModel(TrainedModel):
                 loss, grads = mlp_loss_and_grads(layers, h["activation"], Z[idx], y[idx])
                 losses.append(loss)
                 step += 1
-                for i, ((gW, gb), (W, b)) in enumerate(zip(grads, layers)):
-                    mW, mb = m[i]
-                    vW, vb = v[i]
-                    mW = beta1 * mW + (1 - beta1) * gW
-                    mb = beta1 * mb + (1 - beta1) * gb
-                    vW = beta2 * vW + (1 - beta2) * gW * gW
-                    vb = beta2 * vb + (1 - beta2) * gb * gb
-                    m[i] = (mW, mb)
-                    v[i] = (vW, vb)
-                    corr1 = 1 - beta1 ** step
-                    corr2 = 1 - beta2 ** step
-                    W -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-                    b -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+                corr1, corr2 = 1 - beta1 ** step, 1 - beta2 ** step
+                for p, g, (m, v, s, t) in zip(params, (g for pair in grads for g in pair), state):
+                    # each element as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g
+                    m *= beta1
+                    m += np.multiply(g, 1 - beta1, out=s)
+                    v *= beta2
+                    v += np.multiply(np.multiply(g, 1 - beta2, out=s), g, out=s)
+                    np.sqrt(np.divide(v, corr2, out=t), out=t)
+                    t += eps
+                    np.divide(m, corr1, out=s)
+                    s *= lr
+                    p -= np.divide(s, t, out=s)
             epoch_losses.append(float(np.mean(losses)))
-        if not all(np.all(np.isfinite(W)) and np.all(np.isfinite(b)) for W, b in layers):
+        if not all(np.isfinite(p).all() for p in params):
             raise LearnerError("mlp training diverged to non-finite weights")
-        # fold standardization into the first layer
         W0, b0 = layers[0]
-        W0_orig = W0 / sd[:, None]
-        b0_orig = b0 - (mu / sd) @ W0
-        layers[0] = (W0_orig, b0_orig)
+        layers[0] = (W0 / sd[:, None], b0 - (mu / sd) @ W0)  # fold in the standardization
         model = cls(layers, h["activation"], feature_names)
         # Adam here has no stopping test: every fit runs all max_iterations epochs
         model.fit_info = {"iterations": len(epoch_losses), "converged": False,

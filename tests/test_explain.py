@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from imbalkit.explain import (
     shapley_exact,
     shapley_sampled,
 )
-from imbalkit.learners.base import ModelSpec, fit_model, predict_proba
+from imbalkit.learners.base import ModelSpec, child_rng, fit_model, predict_proba
 
 from conftest import two_class_matrix
 
@@ -30,13 +32,17 @@ def linear_predict(w, b=0.0):
 
 
 
+def _mask_rows(masks, d: int) -> np.ndarray:
+    """Boolean rows of Python-int coalitions (bit j: feature j), so any d fits."""
+    return np.array([[mask >> j & 1 for j in range(d)] for mask in masks], dtype=bool)
+
+
 def _loop_shapley_exact(predict, x, background):
     """phi of the scalar loop over masks and features that shapley_exact's
     array form replaced, on the same coalition values."""
     d = x.size
     masks = range(1 << d)
-    v = explain._coalition_values(predict, x, np.atleast_2d(background),
-                                  explain._mask_rows(masks, d))
+    v = explain._coalition_values(predict, x, np.atleast_2d(background), _mask_rows(masks, d))
     fact = [math.factorial(k) for k in range(d + 1)]
     phi = np.zeros(d)
     for mask in masks:
@@ -141,7 +147,56 @@ class TestShapleyExact:
         assert not np.signbit(att.values).any()
 
 
+def _chain_shapley_sampled(predict, x, background, n_permutations, seed=0):
+    """shapley_sampled with each permutation's chain of integer coalitions
+    numbered through a dict, and phi accumulated one permutation at a time."""
+    x = np.asarray(x, dtype=float)
+    bg = np.atleast_2d(np.asarray(background, dtype=float))
+    d = x.size
+    rng = child_rng(seed, 40)
+    perms = []
+    if d <= 7:
+        all_perms = list(itertools.permutations(range(d)))
+        full, rem = divmod(n_permutations, len(all_perms))
+        perms.extend(all_perms * full)
+        perms.extend(tuple(rng.permutation(d)) for _ in range(rem))
+    else:
+        perms.extend(tuple(rng.permutation(d)) for _ in range(n_permutations))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), d)
+    index = {0: 0}
+    chains = [[0] + [index.setdefault(mask, len(index))
+                     for mask in itertools.accumulate((1 << j for j in perm), operator.or_)]
+              for perm in perms.tolist()]
+    v = explain._coalition_values(predict, x, bg, _mask_rows(index, d))
+    phi = np.zeros(d)
+    for chain, perm in zip(chains, perms):
+        phi[perm] += np.diff(v[chain])
+    phi /= len(perms)
+    prediction = float(np.asarray(predict(x[None, :]))[0])
+    return phi, float(v[0]), prediction
+
+
 class TestShapleySampled:
+    @pytest.mark.parametrize("d, n_permutations", [
+        (1, 3), (2, 5), (5, 121), (6, 2000), (7, 5041), (9, 40), (22, 30), (40, 12)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_chain_loop(self, d, n_permutations, seed):
+        rng = np.random.default_rng(d + 100 * seed)
+        w = rng.normal(size=d)
+
+        def predict(X):
+            X = np.asarray(X, dtype=float)
+            return np.tanh(X @ w) + X[:, 0] * X[:, -1]
+
+        x, bg = rng.normal(size=d), rng.normal(size=(25, d))
+        spy, sizes = _call_sizes(predict)
+        att = shapley_sampled(spy, x, bg, n_permutations, seed)
+        spy, expected_sizes = _call_sizes(predict)
+        phi, base, prediction = _chain_shapley_sampled(spy, x, bg, n_permutations, seed)
+        assert att.values.tobytes() == phi.tobytes()
+        assert (att.base_value, att.prediction) == (base, prediction)
+        assert sizes == expected_sizes
+
     def test_full_permutation_blocks_reproduce_exact(self):
         rng = np.random.default_rng(3)
         d = 4

@@ -30,7 +30,7 @@ from imbalkit.learners.base import (
 )
 from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
 from imbalkit.learners.linear import LogisticModel, newton_logistic, sigmoid
-from imbalkit.learners.mlp import init_layers, mlp_loss_and_grads
+from imbalkit.learners.mlp import MlpModel, init_layers, mlp_loss_and_grads
 from imbalkit.learners import svm as svm_module
 from imbalkit.learners.svm import _kernel_matrix, _smo
 from imbalkit.learners import tree as tree_module
@@ -611,18 +611,53 @@ def _row_loop_target_statistics(col, y, perm, prior, smoothing):
     return out
 
 
+_CODES = [-1.0, -0.0, 0.0, 2.0, 7.5, 1e9]
+
+
 @st.composite
 def _category_problems(draw):
     """(codes with repeats, float targets, a permutation, prior, smoothing)."""
     n = draw(st.integers(0, 40))
-    codes = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 7.5, 1e9]),
-                          min_size=n, max_size=n))
+    codes = draw(st.lists(st.sampled_from(_CODES), min_size=n, max_size=n))
     y = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
     perm = draw(st.permutations(range(n)))
     prior = draw(st.floats(0.0, 1.0))
     smoothing = draw(st.floats(1e-3, 1e3))
     return (np.array(codes), np.array(y, dtype=float), np.array(perm, dtype=np.intp), prior,
             smoothing)
+
+
+def _scan_encoder(col, y, prior, smoothing):
+    """An encoder's stats as two scans of the column per category."""
+    return {float(c): float((y[col == c].sum() + smoothing * prior)
+                            / ((col == c).sum() + smoothing)) for c in np.unique(col)}
+
+
+def _scan_transform(cat_encoders, values):
+    """GbtModel._transform as one scan of the column per category."""
+    values = np.asarray(values, dtype=float).copy()
+    for j, enc in cat_encoders.items():
+        col = values[:, j]
+        out = np.full(col.size, enc["prior"])
+        for code, stat in enc["stats"].items():
+            out[col == code] = stat
+        values[:, j] = out
+    return values
+
+
+@st.composite
+def _encoder_problems(draw):
+    """(a 0/1 target, training codes of columns 0 and 1 beside a plain column 2,
+    predict rows whose codes may be unseen, NaN or infinite, smoothing, seed)."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    train = draw(st.lists(st.sampled_from(_CODES), min_size=2 * n, max_size=2 * n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    unseen = [3.0, -5.0, 2e9, np.nan, np.inf, -np.inf]
+    test = draw(st.lists(st.sampled_from(_CODES + unseen), min_size=2 * m, max_size=2 * m))
+    X = np.c_[np.array(train).reshape(n, 2), np.arange(n, dtype=float)]
+    V = np.c_[np.array(test).reshape(m, 2), np.linspace(-1.0, 1.0, m)]
+    return (X, np.array(y, dtype=float), V, draw(st.floats(1e-3, 1e3)),
+            draw(st.integers(0, 5)))
 
 
 @st.composite
@@ -759,6 +794,29 @@ class TestGbt:
         with pytest.raises(LearnerError, match="finite category codes"):
             ordered_target_statistics(np.array([0.0, bad, 1.0]), np.ones(3),
                                       np.arange(3), 0.5)
+
+    @given(_encoder_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_encoder_matches_the_category_scans(self, problem):
+        X, y, V, smoothing, seed = problem
+        spec = ModelSpec("gbt", {"n_estimators": 1, "categorical_handling": "ordered-target-stats",
+                                 "categorical_features": (0, 1),
+                                 "target_stat_smoothing": smoothing}, seed)
+        model = GbtModel.fit(X, y, spec, ("c0", "c1", "x"))
+        prior = float(y.mean())
+        for j in (0, 1):  # repr tells -0.0 from 0.0
+            assert repr(model.cat_encoders[j]) == repr(
+                {"prior": prior, "stats": _scan_encoder(X[:, j], y, prior, smoothing)})
+        assert model._transform(V).tobytes() == _scan_transform(model.cat_encoders, V).tobytes()
+
+    def test_encoder_without_stats_maps_every_row_to_the_prior(self):
+        doc = _damaged("gbt-ordered-target-stats",
+                       lambda d: d["params"]["cat_encoders"]["0"].update(stats={}))
+        model = deserialize_model(doc)
+        V = np.r_[_categorical_matrix().values, np.full((1, 12), np.nan)]
+        out = model._transform(V)
+        assert (out[:, 0] == model.cat_encoders[0]["prior"]).all()
+        assert out.tobytes() == _scan_transform(model.cat_encoders, V).tobytes()
 
     def test_categorical_mode_fits(self):
         rng = np.random.default_rng(15)
@@ -1036,7 +1094,63 @@ class TestKnn:
                 assert np.array_equal(model.predict_proba_values(v), expected)
 
 
+def _per_layer_adam_fit(X, y, spec, feature_names):
+    """MlpModel.fit with Adam written out per layer for W and b, m and v
+    rebuilt as new arrays at every step."""
+    h = spec.hyperparameters
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mu, sd = X.mean(axis=0), X.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    Z = (X - mu) / sd
+    rng = child_rng(spec.seed, 4)
+    layers = init_layers((X.shape[1], *h["hidden_layer_sizes"], 1), rng)
+    lr, batch = float(h["learning_rate"]), int(h["batch_size"])
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+    v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+    step = 0
+    n = Z.shape[0]
+    for _ in range(int(h["max_iterations"])):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            _, grads = mlp_loss_and_grads(layers, h["activation"], Z[idx], y[idx])
+            step += 1
+            for i, ((gW, gb), (W, b)) in enumerate(zip(grads, layers)):
+                mW, mb = m[i]
+                vW, vb = v[i]
+                mW = beta1 * mW + (1 - beta1) * gW
+                mb = beta1 * mb + (1 - beta1) * gb
+                vW = beta2 * vW + (1 - beta2) * gW * gW
+                vb = beta2 * vb + (1 - beta2) * gb * gb
+                m[i] = (mW, mb)
+                v[i] = (vW, vb)
+                corr1 = 1 - beta1 ** step
+                corr2 = 1 - beta2 ** step
+                W -= lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
+                b -= lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+    W0, b0 = layers[0]
+    layers[0] = (W0 / sd[:, None], b0 - (mu / sd) @ W0)
+    return MlpModel(layers, h["activation"], feature_names)
+
+
 class TestMlp:
+    @pytest.mark.parametrize("d, hidden, batch", [
+        (3, (2,), 32),            # 40 rows: a short last batch of 8
+        (5, (7,), 1000),          # one batch per epoch
+        (3, (512, 256, 128), 7),  # the default sizes; a last batch of 5
+    ])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_in_place_adam_matches_the_per_layer_loop(self, d, hidden, batch, activation):
+        m = two_class_matrix(22, 18, d=d, seed=29)
+        spec = ModelSpec("mlp", {"hidden_layer_sizes": hidden, "activation": activation,
+                                 "batch_size": batch, "max_iterations": 3,
+                                 "learning_rate": 0.01}, seed=4)
+        expected = _per_layer_adam_fit(m.values, m.target, spec, m.column_names)
+        assert (json.dumps(serialize_model(fit_model(spec, m)), sort_keys=True)
+                == json.dumps(serialize_model(expected), sort_keys=True))
+
     def test_analytic_gradients_match_finite_differences(self):
         rng = child_rng(0, 99)
         layers = init_layers((3, 2, 1), rng)
@@ -1155,8 +1269,9 @@ def _criterion_11_train():
 
 # (spec, data, sha256 of the sorted-key JSON model document), recorded before
 # every learner's document was written and read through TrainedModel.state
-# (gbt-binned: before binned split search subsampled the candidates itself).
-# numpy 2.4.6 recorded every digest. A document that numpy's exp or log reach
+# (gbt-binned: before binned split search subsampled the candidates itself;
+# mlp-default: before Adam updated each parameter array in place).
+# numpy 2.4.6 recorded every digest. A document that numpy's exp, log or tanh reach
 # has one digest per kernel level (conftest.kernel_level): X86_V4, the AVX-512
 # kernels, and X86_V3, the AVX2 ones (recorded under NPY_DISABLE_CPU_FEATURES=
 # "AVX512_SPR AVX512_ICL X86_V4"); the others are the same at both levels.
@@ -1182,6 +1297,9 @@ DOCUMENT_DIGESTS = {
     "mlp": (ModelSpec("mlp", {"hidden_layer_sizes": (6, 4), "max_iterations": 3}, seed=2),
             _tie_heavy_matrix,
             "e15b19cbd6cb6568be60b7d02a55fbbd23c7d21644d23606eb7083214aa0de0a"),
+    "mlp-default": (ModelSpec("mlp", {"max_iterations": 2}), _criterion_11_train,
+                    {"X86_V4": "573668d960bd9cf3714d66fd09ef38ba87575d6c0b1d1f688237a0eea7ce5bf7",
+                     "X86_V3": "3581154e8e550cd62a1741bc0fe1721a24cac17f2a60153d69d76679ee6e07f3"}),
     "gbt-ordered-target-stats": (
         ModelSpec("gbt", {"n_estimators": 4, "categorical_handling": "ordered-target-stats",
                           "categorical_features": tuple(range(12))}, seed=3),
@@ -1278,6 +1396,9 @@ _WRONG_TYPES = [
     ("random-forest", "a negative impurity",
      lambda d: d["params"]["trees"][0]["left"].update(impurity=-1.0)),
     ("random-forest", "no trees", lambda d: d["params"].update(trees=[])),
+    *(("gbt-ordered-target-stats", f"an encoder code of {code}",
+       lambda d, code=code: d["params"]["cat_encoders"]["0"]["stats"].update({code: 0.5}))
+      for code in ("nan", "inf", "-inf")),
 ]
 
 
