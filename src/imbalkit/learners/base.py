@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..data import EncodedMatrix
+from ..data import EncodedMatrix, child_rng
 
 __all__ = [
     "ModelSpec",
@@ -192,11 +192,6 @@ class TrainedModel:
             check_value(replace(rule, choices=(), high=np.inf) if rule.kind else rule, d[key],
                         f"malformed model document: {cls.algorithm} {key}")
         return cls(*(d[key] for key in cls.state), feature_names)
-
-
-def child_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-style seed derivation so parallel and serial runs agree."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), *stream]))
 
 
 # (fn, items) of the map a worker serves; set only in map_ordered's workers,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,36 @@ def two_class_matrix(n0, n1, d=3, seed=0):
     target = np.r_[np.zeros(n0, int), np.ones(n1, int)]
     return EncodedMatrix(values, target, tuple(f"f{j}" for j in range(d)),
                          np.arange(n0 + n1))
+
+
+def tied_grid():
+    """The 20 points of a 5 x 4 integer grid, each held 100 times, shuffled:
+    every row lies at distance 0 from 99 others."""
+    grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+    return np.random.default_rng(0).permutation(np.repeat(grid, 100, axis=0))
+
+
+def grouping_peak(monkeypatch, fn, *args) -> int:
+    """The most bytes that tracemalloc traces, over a call of fn(*args), above
+    the start of one block's neighbour grouping: data._ball_groups and the
+    work done on each group it yields. A first, untraced call warms numpy's
+    lazy imports and caches."""
+    from imbalkit import data
+
+    peaks = [0]
+    groups = data._ball_groups
+
+    def traced(ball):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        yield from groups(ball)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(data, "_ball_groups", traced)
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        tracemalloc.stop()
+    return max(peaks)

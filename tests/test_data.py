@@ -27,6 +27,8 @@ from imbalkit.data import _NN_BLOCK, _nearest_neighbors
 from imbalkit.synth import synthetic_dataset, write_dataset_csv, write_schema_json
 from imbalkit import load_schema
 
+from conftest import grouping_peak, tied_grid
+
 
 def tiny_schema():
     return (
@@ -430,6 +432,13 @@ class TestNeighbourSearch:
         finally:
             tracemalloc.stop()
         assert peak < X.shape[0] ** 2 * 8 / 4  # a quarter of the n x n float matrix
+
+    def test_tied_groups_copy_no_rows_of_the_distances(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_NN_BLOCK", 16)
+        X = tied_grid()  # every ball: the 99 copies of its row, one group of 99 columns
+        # a group's masks, indices and gathered distances; a copy of the block's
+        # distance rows would take 16 * n * 8 bytes on its own
+        assert grouping_peak(monkeypatch, _nearest_neighbors, X, 5) < 16 * len(X) * 8 / 2
 
     @given(_tied_minorities(max_rows=30), st.integers(1, 8), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)

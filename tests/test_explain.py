@@ -298,6 +298,40 @@ def _call_sizes(predict):
     return spy, sizes
 
 
+_EXPLAINERS = [pytest.param(shapley_exact, {}, id="exact"),
+               pytest.param(shapley_sampled, {"n_permutations": 4}, id="sampled")]
+
+
+class TestShapleyInputs:
+    @pytest.mark.parametrize("explainer, kwargs", _EXPLAINERS)
+    def test_empty_background(self, explainer, kwargs):
+        with pytest.raises(ExplainError, match=r"background .* shape \(0, 3\)"):
+            explainer(lambda X: np.zeros(len(X)), np.zeros(3), np.zeros((0, 3)), **kwargs)
+
+    @pytest.mark.parametrize("explainer, kwargs", _EXPLAINERS)
+    def test_background_of_the_wrong_width(self, explainer, kwargs):
+        with pytest.raises(ExplainError, match=r"background .* 3 values, not shape \(3, 2\)"):
+            explainer(lambda X: np.zeros(len(X)), np.zeros(3), np.zeros((3, 2)), **kwargs)
+
+    @pytest.mark.parametrize("explainer, kwargs", _EXPLAINERS)
+    def test_zero_features(self, explainer, kwargs):
+        with pytest.raises(ExplainError, match=r"x must be .* shape \(0,\)"):
+            explainer(lambda X: np.zeros(len(X)), np.zeros(0), np.zeros((2, 0)), **kwargs)
+
+    @pytest.mark.parametrize("explainer, kwargs", _EXPLAINERS)
+    def test_x_of_more_than_one_row(self, explainer, kwargs):
+        with pytest.raises(ExplainError, match=r"x must be .* shape \(2, 3\)"):
+            explainer(lambda X: np.zeros(len(X)), np.zeros((2, 3)), np.zeros((2, 3)), **kwargs)
+
+    @pytest.mark.parametrize("explainer, kwargs", _EXPLAINERS)
+    def test_one_background_row_may_be_one_dimensional(self, explainer, kwargs):
+        predict = lambda X: np.asarray(X) @ np.array([1.0, 2.0])
+        flat = explainer(predict, [1.0, 1.0], [0.0, 0.0], **kwargs)
+        rows = explainer(predict, np.ones(2), np.zeros((1, 2)), **kwargs)
+        np.testing.assert_array_equal(flat.values, rows.values)
+        np.testing.assert_array_equal(flat.values, [1.0, 2.0])
+
+
 class TestCoalitionEngine:
     @pytest.mark.parametrize("algorithm, hyper, tolerance", [
         ("gbt", {"n_estimators": 20}, 0.0),

@@ -29,6 +29,7 @@ from imbalkit.learners.base import (
     serialize_model,
 )
 from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
+from imbalkit.learners.knn import KnnModel
 from imbalkit.learners.linear import LogisticModel, newton_logistic, sigmoid
 from imbalkit.learners.mlp import MlpModel, init_layers, mlp_loss_and_grads
 from imbalkit.learners import svm as svm_module
@@ -45,7 +46,7 @@ from imbalkit.learners.tree import (
 from imbalkit.stacking import StackingSpec
 from imbalkit.synth import synthetic_dataset
 
-from conftest import pinned, two_class_matrix
+from conftest import grouping_peak, pinned, tied_grid, two_class_matrix
 
 
 FAST_HYPERS = {
@@ -1033,7 +1034,45 @@ def _reference_knn(model, values):
     return out
 
 
+@st.composite
+def _tied_knn_cases(draw):
+    """k-NN models on small-integer grids (duplicate rows, many equal
+    distances) with labels in [0, 1], as a loaded document may hold them, k
+    from 1 to n, and queries on the training rows, on a half-step grid and
+    off the grid."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    y = rng.uniform(size=n)
+    weights = draw(st.sampled_from(["uniform", "distance"]))
+    model = KnnModel(X, y, draw(st.integers(1, n)), weights, tuple(f"f{j}" for j in range(d)))
+    queries = np.vstack([X[:6], rng.integers(0, 8, size=(6, d)) / 2, rng.normal(size=(6, d))])
+    return model, queries
+
+
 class TestKnn:
+    @given(_tied_knn_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_ties_match_the_row_loop(self, case):
+        model, queries = case
+        expected = _reference_knn(model, queries)
+        for block in (data_module._NN_BLOCK, 1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data_module, "_NN_BLOCK", block)
+                assert model.predict_proba_values(queries).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    def test_tied_groups_copy_no_rows_of_the_distances(self, monkeypatch, weights):
+        monkeypatch.setattr(data_module, "_NN_BLOCK", 16)
+        X = tied_grid()
+        model = KnnModel(X, np.random.default_rng(0).uniform(size=len(X)), 5, weights, ("a", "b"))
+        # every ball: the 100 copies of a grid point, at distance 0 or tied off it
+        queries = np.vstack([X[:200], X[:200] + 0.25])
+        # a group's masks, indices and gathered distances; a copy of the block's
+        # distance rows would take 16 * n * 8 bytes on its own
+        peak = grouping_peak(monkeypatch, model.predict_proba_values, queries)
+        assert peak < 16 * len(X) * 8 / 2
+
     def test_zero_distance_training_point_dominates(self):
         m = two_class_matrix(20, 20, seed=22)
         model = fit_model(ModelSpec("knn", {"n_neighbors": 5}), m)
