@@ -8,7 +8,8 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from . import explain as xai
+# every command's config path needs these; each command imports the rest of
+# what it runs, so a process loads only its own command's modules
 from .data import (
     DataError,
     SchemaError,
@@ -17,21 +18,7 @@ from .data import (
     stratified_split,
 )
 from .learners.base import fit_model, predict_proba
-from .learners.forest import RandomForestModel
-from .learners.gbt import GbtModel
-from .learners.search import tune_random_search
-from .metrics import evaluate, roc_curve
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
-from .stats import (
-    StatsError,
-    bonferroni_adjust,
-    chi_square,
-    contingency_table,
-    cramers_v,
-    paired_t_test,
-)
-from .svg import bar_chart_svg, heatmap_svg, roc_svg
-from .validation import check_fold_counts, cross_validate_many, training_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,6 +86,9 @@ def _split_and_resample(config: RunConfig, matrix):
 @_config_options
 def eda(config_path, seed, resample_test, out_dir):
     """Frequency tables, Cramer's V matrix + heatmap, chi-square associations."""
+    from .stats import chi_square, contingency_table, cramers_v
+    from .svg import heatmap_svg
+
     config = load_config(config_path, seed, out_dir, resample_test)
     dataset = config.load()
     matrix, encoder = label_encode(dataset)
@@ -157,6 +147,8 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
 def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
     """Random search from the configured entry over its tuning space; its CV
     resamples inside each fold, so it scores candidates on the raw split."""
+    from .learners.search import tune_random_search
+
     spec = config.models[name]
     best, scores = tune_random_search(
         spec, config.tuning_spaces[name], raw_train, n_iter=config.settings["tuning.n_iter"],
@@ -172,6 +164,10 @@ def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter)
 @_config_options
 def benchmark(config_path, seed, resample_test, out_dir):
     """Train and evaluate every roster model on the held-out test set."""
+    from .metrics import evaluate, roc_curve
+    from .svg import roc_svg
+    from .validation import check_fold_counts, training_rows
+
     config = load_config(config_path, seed, out_dir, resample_test)
     matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
@@ -210,6 +206,9 @@ def benchmark(config_path, seed, resample_test, out_dir):
 @_config_options
 def compare(config_path, seed, resample_test, out_dir):
     """10-fold CV accuracies and Bonferroni-corrected paired t-tests vs a reference."""
+    from .stats import StatsError, bonferroni_adjust, paired_t_test
+    from .validation import check_fold_counts, cross_validate_many
+
     config = load_config(config_path, seed, out_dir, resample_test)
     if not config.reference_model:
         raise ConfigError("compare requires 'reference_model'")
@@ -277,6 +276,10 @@ def _parse_instances(ctx, param, selector: str) -> list[int]:
               help="test instances: '3', '0,4', or '0..2'")
 def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_ids):
     """Global and local attributions for one roster model."""
+    from . import explain as xai
+    from .svg import bar_chart_svg
+    from .validation import check_fold_counts, training_rows
+
     config = load_config(config_path, seed, out_dir, resample_test)
     if model_name not in config.models:
         raise ConfigError(f"unknown model {model_name!r}")
@@ -355,12 +358,15 @@ def _write_scores(writer, stem, column, names, scores):
 
 
 def _native_importances(model, model_name, names, writer):
-    if isinstance(model, RandomForestModel):
+    from . import explain as xai
+    from .svg import bar_chart_svg
+
+    if model.algorithm == "random-forest":
         scores = xai.impurity_importance(model).scores
         _write_scores(writer, f"{model_name}_impurity", "impurity_decrease", names, scores)
         writer.write_text(f"importances/{model_name}_impurity.svg",
                           bar_chart_svg(names, scores, f"{model_name}: impurity"))
-    elif isinstance(model, GbtModel):
+    elif model.algorithm == "gbt":
         tags = ("split_count", "gain", "loss_reduction")
         for tag, rep in zip(tags, xai.gbt_importances(model)):
             _write_scores(writer, f"{model_name}_{tag}", tag, names, rep.scores)

@@ -26,6 +26,7 @@ __all__ = [
     "positive_category",
     "stratified_split",
     "smote",
+    "SmoteSettings",
     "class_distribution",
 ]
 
@@ -359,12 +360,14 @@ _NN_BLOCK = 64
 
 def _sq_distance_blocks(queries: np.ndarray, X: np.ndarray):
     """Yield (start, d2) per block of _NN_BLOCK query rows: d2[i, j] is the
-    squared distance from queries[start + i] to X[j], clamped at 0. One
-    matrix-vector product per row keeps its bits free of the block size."""
+    squared distance from queries[start + i] to X[j], clamped at 0. Every
+    block is written into one buffer, so d2 is valid only until the next one.
+    One matrix-vector product per row keeps its bits free of the block size."""
     sq = np.sum(X * X, axis=1)
+    buffer = np.empty((min(_NN_BLOCK, queries.shape[0]), X.shape[0]))
     for start in range(0, queries.shape[0], _NN_BLOCK):
         rows = queries[start:start + _NN_BLOCK]
-        d2 = np.empty((rows.shape[0], X.shape[0]))
+        d2 = buffer[:rows.shape[0]]
         for i, x in enumerate(rows):
             d2[i] = sq - 2.0 * (X @ x) + x @ x
         if np.isnan(d2).any():
@@ -449,6 +452,15 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedM
     new_ids = -(np.arange(n_new, dtype=np.int64) + 1)
     row_ids = np.concatenate([train.row_ids, new_ids])
     return EncodedMatrix(values, target, train.column_names, row_ids)
+
+
+@dataclass(frozen=True)
+class SmoteSettings:
+    k_neighbors: int = 5
+
+    def apply(self, data: EncodedMatrix, seed: int) -> EncodedMatrix:
+        """SMOTE with these settings: every resampling path goes through here."""
+        return smote(data, k_neighbors=self.k_neighbors, seed=seed)
 
 
 def class_distribution(matrix: EncodedMatrix) -> ClassBalance:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import numbers
 import os
@@ -238,21 +239,25 @@ def map_ordered(fn, items) -> list:
         return list(pool.map(_run, range(len(items))))
 
 
-def _registry() -> dict:
-    from . import linear, tree, forest, gbt, svm, naive_bayes, knn, mlp
-    from .. import stacking
+# algorithm -> (module under imbalkit, class): a fit or a model document
+# imports only the module of its own algorithm
+_MODELS = {
+    "logistic": ("learners.linear", "LogisticModel"),
+    "decision-tree": ("learners.tree", "DecisionTreeModel"),
+    "random-forest": ("learners.forest", "RandomForestModel"),
+    "gbt": ("learners.gbt", "GbtModel"),
+    "svm": ("learners.svm", "SvmModel"),
+    "naive-bayes": ("learners.naive_bayes", "NaiveBayesModel"),
+    "knn": ("learners.knn", "KnnModel"),
+    "mlp": ("learners.mlp", "MlpModel"),
+    "stacking": ("stacking", "StackedModel"),
+}
 
-    return {
-        "logistic": linear.LogisticModel,
-        "decision-tree": tree.DecisionTreeModel,
-        "random-forest": forest.RandomForestModel,
-        "gbt": gbt.GbtModel,
-        "svm": svm.SvmModel,
-        "naive-bayes": naive_bayes.NaiveBayesModel,
-        "knn": knn.KnnModel,
-        "mlp": mlp.MlpModel,
-        "stacking": stacking.StackedModel,
-    }
+
+def _model_class(algorithm: str) -> type:
+    """The TrainedModel class of algorithm; KeyError for an unknown one."""
+    module, name = _MODELS[algorithm]
+    return getattr(importlib.import_module(f"..{module}", __package__), name)
 
 
 def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
@@ -265,7 +270,7 @@ def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
     if len(np.unique(y)) < 2:
         raise LearnerError("training data must contain both classes")
     if isinstance(spec, ModelSpec):
-        cls = _registry()[spec.algorithm]
+        cls = _model_class(spec.algorithm)
         return cls.fit(values, y, spec, tuple(train.column_names))
     from ..stacking import StackingSpec, stack_fit
 
@@ -312,7 +317,7 @@ def deserialize_model(doc: dict) -> TrainedModel:
     if doc.get("version") != MODEL_VERSION:
         raise LearnerError(f"unsupported model version {doc.get('version')!r}")
     try:
-        cls = _registry()[doc["algorithm"]]
+        cls = _model_class(doc["algorithm"])
         if not _finite(doc["params"]):
             raise ValueError("null, NaN or infinity in the state")
         return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))

@@ -35,4 +35,4 @@ class RandomForestModel(TreeModel):
             sample = rng.integers(0, n, size=n)  # bootstrap with replacement
             trees.append(build_tree(X[sample], y[sample], h["max_depth"], 2,
                                     max_features=max_features, rng=rng))
-        return cls(trees, feature_names)
+        return cls(trees, feature_names)._fitted()

@@ -226,7 +226,8 @@ class GbtModel(TreeModel):
             tree, leaf = grower.grow(g, hess, t, records)
             trees.append(tree)
             raw = raw + lr * leaf
-        return cls(trees, base, lr, lam, records, n, cat_encoders, feature_names)
+        model = cls(trees, base, lr, lam, records, n, cat_encoders, feature_names)
+        return model._fitted(splits=len(records))
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         if not self.cat_encoders:

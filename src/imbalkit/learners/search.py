@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import EncodedMatrix
+from ..validation import cross_validate_many
 from .base import LearnerError, ModelSpec, check_value, child_rng, hyperparameter_rules
 
 __all__ = ["SearchSpace", "CandidateScore", "check_space", "sample_spec", "tune_random_search"]
@@ -85,8 +86,6 @@ def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: Encoded
     fold-training partitions; all candidates share the folds and are scored in
     one cross_validate_many call), return the argmax; ties go to the earliest.
     The first failing candidate's exception is raised."""
-    from ..validation import cross_validate_many
-
     if not space:
         raise LearnerError("empty search space")
     if isinstance(spec, str):

@@ -197,6 +197,12 @@ class TreeModel(TrainedModel):
         self._flat = flatten_trees(trees, len(self.feature_names), counted)
         self._start, self._scale, self._divisor = start, scale, divisor
 
+    def _fitted(self, **info) -> "TreeModel":
+        """self, its fit_info the compiled node count and deepest leaf, plus info."""
+        (feature, *_), _, depth = self._flat
+        self.fit_info = {"nodes": feature.size, "depth": depth, **info}
+        return self
+
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return values
 
@@ -223,4 +229,4 @@ class DecisionTreeModel(TreeModel):
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "DecisionTreeModel":
         h = spec.hyperparameters
         root = build_tree(X, y, h["max_depth"], max(2, h["min_samples_split"]))
-        return cls(root, feature_names)
+        return cls(root, feature_names)._fitted()

@@ -11,12 +11,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import load_dataset, load_schema
+from . import __version__, synth
+from .data import SmoteSettings, load_dataset, load_schema
 from .learners.base import POSITIVE, LearnerError, ModelSpec, Rule, check_value, count
-from .learners.search import check_space
-from .stacking import StackingSpec
-from .validation import SmoteSettings
-from . import synth
 
 __all__ = ["ConfigError", "RunConfig", "ArtifactWriter", "load_config"]
 
@@ -136,7 +133,9 @@ def _parse_models(raw_models, seed: int, resampler: SmoteSettings | None) -> dic
 
 
 def _stacking_spec(name: str, entry: dict, bases: dict, seed: int,
-                   resampler: SmoteSettings | None) -> StackingSpec:
+                   resampler: SmoteSettings | None):
+    from .stacking import StackingSpec  # here: a config without a stack never loads it
+
     base_names = entry.get("bases", [])
     if not isinstance(base_names, list) or not all(isinstance(b, str) for b in base_names):
         raise ConfigError(f"stacking model {name!r}: 'bases' must be a list of model names")
@@ -190,10 +189,12 @@ def load_config(path, seed_override: int | None = None,
         for name, space in _section(tuning, "spaces").items():
             if name not in models:
                 raise ConfigError(f"tuning space for unknown model {name!r}")
-            if isinstance(models[name], StackingSpec):
+            if not isinstance(models[name], ModelSpec):
                 raise ConfigError(f"stacking model {name!r} cannot be tuned")
             if not isinstance(space, dict) or not space:
                 raise ConfigError(f"tuning space for {name!r} must be a non-empty JSON object")
+            from .learners.search import check_space  # only a config that tunes loads it
+
             check_space(models[name].algorithm, space)
         return RunConfig(settings=settings, resampler=resampler, models=models,
                          tuning_spaces=tuning.get("spaces", {}), reference_model=reference,
@@ -246,7 +247,7 @@ class ArtifactWriter:
             "config_hash": _sha256_bytes(config_bytes),
             "seed": self.config.seed,
             "tool": "imbalkit",
-            "version": _package_version(),
+            "version": __version__,
             "artifacts": dict(sorted(self.artifacts.items())),
             "model_status": dict(sorted(self.model_status.items())),
         }
@@ -254,16 +255,3 @@ class ArtifactWriter:
         self._write_atomic("run-manifest.json",
                            (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
         return manifest
-
-
-def _package_version() -> str:
-    """Installed distribution version, else the package's own __version__
-    (a source checkout run with PYTHONPATH=src has no distribution metadata)."""
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("imbalkit")
-    except PackageNotFoundError:
-        from . import __version__  # not at the top: the package sets it after importing us
-
-        return __version__

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EncodedMatrix
+from .data import EncodedMatrix, SmoteSettings
 from .learners.base import (
     LearnerError,
     ModelSpec,
@@ -17,7 +17,7 @@ from .learners.base import (
     fit_model,
     predict_proba,
 )
-from .validation import SmoteSettings, fold_partitions, stratified_folds
+from .validation import fold_partitions, stratified_folds
 
 __all__ = ["StackingSpec", "StackedModel", "stack_fit", "stack_predict_proba"]
 

@@ -6,21 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, EncodedMatrix, smote, smote_classes
-from .learners.base import child_rng, fit_model, map_ordered, predict_proba
+from .data import DataError, EncodedMatrix, SmoteSettings, smote_classes
+from .learners.base import ModelSpec, child_rng, fit_model, map_ordered, predict_proba
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "check_fold_counts", "training_rows", "stratified_folds",
            "fold_partitions", "cross_validate", "cross_validate_many"]
-
-
-@dataclass(frozen=True)
-class SmoteSettings:
-    k_neighbors: int = 5
-
-    def apply(self, data: EncodedMatrix, seed: int) -> EncodedMatrix:
-        """SMOTE with these settings: every resampling path goes through here."""
-        return smote(data, k_neighbors=self.k_neighbors, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,6 @@ def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
     data with this seed whose training partitions resampler resamples (folds
     None: each spec fits all of data), and each stack's oof_folds over every
     training set the stack will be fit on, resampled by its own resampler."""
-    from .stacking import StackingSpec  # stacking imports this module
 
     def training_partitions(target, folds, seed, resampler):
         assignment = stratified_folds(target, folds, seed)
@@ -59,16 +49,14 @@ def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
     if folds is not None and specs:
         training = training_partitions(data.target, folds, seed, resampler)
     for spec in specs:
-        for target in training if isinstance(spec, StackingSpec) else ():
+        for target in () if isinstance(spec, ModelSpec) else training:
             training_partitions(target, spec.oof_folds, spec.seed, spec.resampler)
 
 
 def training_rows(spec, raw: EncodedMatrix, resampled: EncodedMatrix) -> EncodedMatrix:
     """A stack SMOTEs inside its own out-of-fold partitions, so it trains on
     the raw rows; every other spec trains on the resampled rows."""
-    from .stacking import StackingSpec  # stacking imports this module
-
-    return raw if isinstance(spec, StackingSpec) else resampled
+    return resampled if isinstance(spec, ModelSpec) else raw
 
 
 def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -510,8 +510,8 @@ class TestResamplingLeakage:
         the fold models trained on. SMOTE rows carry negative row ids. compare
         fits one stack per outer fold (180 raw rows each), here in-process:
         a spy cannot see fits in pool workers."""
+        import imbalkit.learners.search
         import imbalkit.stacking
-        import imbalkit.validation
         from imbalkit.learners import base
 
         monkeypatch.setattr(base, "_available_cpus", lambda: 1)
@@ -527,7 +527,7 @@ class TestResamplingLeakage:
             monkeypatch.setattr(module, name, wrapper)
 
         spy(imbalkit.stacking, "stack_fit")
-        spy(imbalkit.validation, "cross_validate_many")
+        spy(imbalkit.learners.search, "cross_validate_many")  # the tuning CV's binding
         cfg, out = write_config(tmp_path, tuning={"spaces": {"tree": {"max_depth": [2, 6]}},
                                                   "n_iter": 2, "folds": 3})
         result = run_cli(*command, "--config", cfg)

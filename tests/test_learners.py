@@ -21,7 +21,7 @@ from imbalkit.learners.base import (
     HYPERPARAMETERS,
     LearnerError,
     ModelSpec,
-    _registry,
+    _model_class,
     child_rng,
     deserialize_model,
     load_model,
@@ -121,6 +121,12 @@ class TestFitDispatch:
         one = EncodedMatrix(m.values, np.zeros(20, int), m.column_names, m.row_ids)
         with pytest.raises(LearnerError, match="both classes"):
             fit_model(ModelSpec("naive-bayes"), one)
+
+    @pytest.mark.parametrize("algorithm", ["knn", "naive-bayes"])
+    def test_fit_info_reports_the_training_rows(self, algorithm):
+        model = fit_model(ModelSpec(algorithm), two_class_matrix(15, 12))
+        assert model.fit_info == {"training_rows": 27}
+        assert deserialize_model(serialize_model(model)).fit_info == {}
 
     def test_dimension_mismatch_on_predict(self):
         m = two_class_matrix(15, 15)
@@ -513,6 +519,14 @@ def _count_nodes(node):
     return 0 if node is None else 1 + _count_nodes(node.left) + _count_nodes(node.right)
 
 
+def _count_leaves(node):
+    return 1 if node.is_leaf else _count_leaves(node.left) + _count_leaves(node.right)
+
+
+def _leaf_depth(node):
+    return 0 if node.is_leaf else 1 + max(_leaf_depth(node.left), _leaf_depth(node.right))
+
+
 class TestTreeDocuments:
     """Tree models hold the documents they serialize; TreeNode views read them."""
 
@@ -531,6 +545,22 @@ class TestTreeDocuments:
         if spec.algorithm == "random-forest":
             assert np.array_equal(impurity_importance(restored).scores,
                                   impurity_importance(model).scores)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("decision-tree", {"max_depth": 8, "min_samples_split": 4}),
+        ModelSpec("random-forest", {"n_estimators": 5, "max_depth": 6}, seed=3),
+        ModelSpec("gbt", {"n_estimators": 6, "max_depth": 3}, seed=2),
+    ])
+    def test_fit_info_counts_the_fitted_nodes(self, spec):
+        model = fit_model(spec, _tie_heavy_matrix())
+        params = model.params_dict()
+        roots = [TreeNode(doc) for doc in params.get("trees", [params.get("root")])]
+        info = {"nodes": sum(map(_count_nodes, roots)), "depth": max(map(_leaf_depth, roots))}
+        if spec.algorithm == "gbt":  # one split record per inner node
+            info["splits"] = sum(map(_count_nodes, roots)) - sum(map(_count_leaves, roots))
+            assert info["splits"] == len(model.split_records) > 0
+        assert model.fit_info == info and info["depth"] > 1
+        assert deserialize_model(serialize_model(model)).fit_info == {}
 
     def test_view_reads_the_document(self):
         doc = build_tree(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 0, 1, 1]),
@@ -1496,7 +1526,7 @@ class TestModelDocuments:
 
     @pytest.mark.parametrize("algorithm", [*ALGORITHMS, "stacking"])
     def test_state_names_the_constructor_arguments(self, algorithm):
-        cls = _registry()[algorithm]
+        cls = _model_class(algorithm)
         assert "params_dict" not in vars(cls) and "from_params_dict" not in vars(cls)
         args = list(inspect.signature(cls).parameters)
         assert args[:len(cls.state) + 1] == [*cls.state, "feature_names"]
