@@ -22,7 +22,6 @@ __all__ = [
     "load_schema",
     "load_dataset",
     "label_encode",
-    "decode_row",
     "positive_category",
     "stratified_split",
     "smote",
@@ -304,21 +303,6 @@ def positive_category(tcol: ColumnSchema) -> str:
         return hits[0]
     # fall back to lexicographic: the larger category string is class 1
     return sorted(tcol.categories)[1]
-
-
-def decode_row(matrix: EncodedMatrix, encoder: EncoderMap, row: int,
-               schema) -> dict[str, str]:
-    """Invert label_encode for one row (round-trip check helper)."""
-    out = {}
-    by_name = {c.name: c for c in schema}
-    for j, name in enumerate(matrix.column_names):
-        col = by_name[name]
-        v = matrix.values[row, j]
-        if col.kind == CONTINUOUS:
-            out[name] = repr(float(v))
-        else:
-            out[name] = encoder.decode(name, int(round(v)))
-    return out
 
 
 def child_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -88,12 +88,19 @@ def _coalition_values(predict, x, background, masks):
     return out
 
 
+def _instance(x, *widths: int) -> np.ndarray:
+    """x as one row of d >= 1 floats, d equal to each width given."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0 or any(w != x.size for w in widths):
+        want = f"{', '.join(map(str, widths))} features" if widths else "at least one feature"
+        raise ExplainError(f"x must be one row of {want}, not shape {x.shape}")
+    return x
+
+
 def _shapley_inputs(x, background) -> tuple[np.ndarray, np.ndarray]:
     """x as one row of d >= 1 floats, background as n >= 1 rows of d floats."""
-    x = np.asarray(x, dtype=float)
+    x = _instance(x)
     bg = np.atleast_2d(np.asarray(background, dtype=float))
-    if x.ndim != 1 or x.size == 0:
-        raise ExplainError(f"x must be one row of at least one feature, not shape {x.shape}")
     if bg.ndim != 2 or bg.shape[0] == 0 or bg.shape[1] != x.size:
         raise ExplainError(f"background must be rows of {x.size} values, not shape {bg.shape}")
     return x, bg
@@ -213,7 +220,8 @@ def lime_explain(predict, x, config: LimeConfig, seed: int = 0) -> SurrogateFit:
     columns, marginal resampling for categorical ones. Kernel weights are
     exp(-||z - x||^2 / sigma^2) on standardized columns.
     """
-    x = np.asarray(x, dtype=float)
+    known = (config.column_stds, config.column_kinds)
+    x = _instance(x, *sorted({len(k) for k in known if k is not None and len(k)}))
     d = x.size
     rng = child_rng(seed, 41)
     stds = config.column_stds if config.column_stds is not None else np.ones(d)

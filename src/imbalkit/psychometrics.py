@@ -167,6 +167,15 @@ def varimax(loadings, kaiser: bool = True, tol: float = 1e-8, max_sweeps: int = 
     return L, R
 
 
+def _positive_peaks(loadings: np.ndarray, *also: np.ndarray) -> None:
+    """Deterministic sign: negate, in place, each column of loadings whose
+    largest-magnitude entry is negative, and the same columns of also."""
+    peaks = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(loadings.shape[1])]
+    flip = peaks < 0
+    for M in (loadings, *also):
+        M[:, flip] = -M[:, flip]
+
+
 def efa_varimax(data, n_factors: int) -> FactorModel:
     """Exploratory factor analysis: principal-component extraction + varimax rotation.
 
@@ -186,21 +195,13 @@ def efa_varimax(data, n_factors: int) -> FactorModel:
     eigvecs = eigvecs[:, order]
     top = np.clip(eigvals[:n_factors], 0.0, None)
     unrotated = eigvecs[:, :n_factors] * np.sqrt(top)[None, :]
-    # deterministic sign: make the largest-magnitude entry of each column positive
-    for j in range(n_factors):
-        idx = np.argmax(np.abs(unrotated[:, j]))
-        if unrotated[idx, j] < 0:
-            unrotated[:, j] = -unrotated[:, j]
+    _positive_peaks(unrotated)
     rotated, rot = varimax(unrotated)
     # order rotated factors by explained variance, sign-fix again
     var_order = np.argsort(-np.sum(rotated ** 2, axis=0), kind="stable")
     rotated = rotated[:, var_order]
     rot = rot[:, var_order]
-    for j in range(n_factors):
-        idx = np.argmax(np.abs(rotated[:, j]))
-        if rotated[idx, j] < 0:
-            rotated[:, j] = -rotated[:, j]
-            rot[:, j] = -rot[:, j]
+    _positive_peaks(rotated, rot)
     chi2, df, pval = bartlett_sphericity(R, n)
     return FactorModel(loadings=rotated, rotation=rot, eigenvalues=eigvals,
                        kmo=kmo(R), bartlett_chi2=chi2, bartlett_df=df, bartlett_p=pval)

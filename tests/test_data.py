@@ -16,7 +16,6 @@ from imbalkit.data import (
     EncodedMatrix,
     SchemaError,
     class_distribution,
-    decode_row,
     label_encode,
     load_dataset,
     smote,
@@ -192,10 +191,10 @@ class TestEncoding:
     def test_roundtrip_decode(self):
         ds = Dataset(tiny_schema(), tiny_rows(), "abuse")
         matrix, enc = label_encode(ds)
-        decoded = decode_row(matrix, enc, 0, ds.schema)
-        assert decoded["color"] == "red"
-        assert decoded["employed"] == "yes"
-        assert float(decoded["age"]) == 25.5
+        row = dict(zip(matrix.column_names, matrix.values[0]))
+        assert enc.decode("color", int(row["color"])) == "red"
+        assert enc.decode("employed", int(row["employed"])) == "yes"
+        assert row["age"] == 25.5
 
     def test_encoding_deterministic(self):
         ds = synthetic_dataset(80, seed=11)

@@ -464,6 +464,26 @@ class TestLime:
         with pytest.raises(ExplainError, match="ridge"):
             LimeConfig(sigma=1.0, n_samples=10, ridge=-1e-3)
 
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros(0), np.zeros((1, 3))],
+                             ids=["short", "long", "empty", "2-d"])
+    def test_malformed_instance_rejected(self, x):
+        X = np.random.default_rng(18).normal(size=(40, 3))
+        calls = []
+        for config in (LimeConfig.from_training(X, n_samples=20),
+                       LimeConfig(sigma=1.0, n_samples=20, column_kinds=("continuous",) * 3),
+                       LimeConfig(sigma=1.0, n_samples=20, column_stds=np.ones(3))):
+            with pytest.raises(ExplainError, match=r"x must be one row of 3 features, not shape"):
+                lime_explain(lambda Z: calls.append(Z) or Z[:, 0], x, config)
+        assert calls == []
+
+    def test_instance_of_any_width_without_column_information(self):
+        config = LimeConfig(sigma=1.0, n_samples=20)
+        for d in (1, 5):
+            fit = lime_explain(lambda Z: Z[:, 0], np.zeros(d), config)
+            assert fit.coefficients.shape == (d,)
+        with pytest.raises(ExplainError, match=r"at least one feature, not shape \(0,\)"):
+            lime_explain(lambda Z: Z[:, 0], np.zeros(0), config)
+
     def test_singular_design_at_ridge_zero_raises(self):
         # a categorical column of one code, 0, is a zero column of the design
         X = np.column_stack([np.zeros(50), np.random.default_rng(17).normal(size=50)])
