@@ -71,17 +71,6 @@ def _finish(writer: ArtifactWriter) -> NoReturn:
     sys.exit(EXIT_PARTIAL if failed else EXIT_OK)
 
 
-def _split_and_resample(config: RunConfig, matrix):
-    """(raw training split, training split after SMOTE, test split)."""
-    raw_train, test = stratified_split(matrix, config.settings["test_fraction"], config.seed)
-    train = raw_train
-    if config.resampler is not None:
-        train = config.resampler.apply(raw_train, config.seed)
-        if config.settings["resample_test"]:
-            test = config.resampler.apply(test, config.seed + 1)
-    return raw_train, train, test
-
-
 @main.command()
 @_config_options
 def eda(config_path, seed, resample_test, out_dir):
@@ -144,20 +133,41 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
     return np.clip(np.digitize(x, edges[1:-1]), 0, bins - 1)
 
 
-def _tuned_spec(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
-    """Random search from the configured entry over its tuning space; its CV
-    resamples inside each fold, so it scores candidates on the raw split."""
-    from .learners.search import tune_random_search
+def _splits(config: RunConfig, matrix, names):
+    """(raw training split, training split after SMOTE, test split), once every fold
+    count that _fit splits the raw split into for the named models is checked."""
+    from .validation import check_fold_counts
+
+    raw_train, test = stratified_split(matrix, config.settings["test_fraction"], config.seed)
+    train = raw_train
+    if config.resampler is not None:
+        train = config.resampler.apply(raw_train, config.seed)
+        if config.settings["resample_test"]:
+            test = config.resampler.apply(test, config.seed + 1)
+    check_fold_counts([config.models[name] for name in names], raw_train, None, config.seed)
+    check_fold_counts([config.models[name] for name in names if name in config.tuning_spaces],
+                      raw_train, config.settings["tuning.folds"], config.seed, config.resampler)
+    return raw_train, train, test
+
+
+def _fit(config: RunConfig, name: str, raw_train, train, writer: ArtifactWriter):
+    """Roster model name, fitted as benchmark scores it. With a tuning space, the fit
+    uses the best spec of a random search from the configured entry over the raw
+    split (its CV resamples inside each fold); each candidate goes to tuning/<name>.csv."""
+    from .validation import training_rows
 
     spec = config.models[name]
-    best, scores = tune_random_search(
-        spec, config.tuning_spaces[name], raw_train, n_iter=config.settings["tuning.n_iter"],
-        folds=config.settings["tuning.folds"], seed=spec.seed, resampler=config.resampler)
-    writer.write_csv(
-        f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
-        [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
-         for i, c in enumerate(scores)])
-    return best
+    if name in config.tuning_spaces:
+        from .learners.search import tune_random_search
+
+        spec, scores = tune_random_search(
+            spec, config.tuning_spaces[name], raw_train, n_iter=config.settings["tuning.n_iter"],
+            folds=config.settings["tuning.folds"], seed=spec.seed, resampler=config.resampler)
+        writer.write_csv(
+            f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
+            [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
+             for i, c in enumerate(scores)])
+    return fit_model(spec, training_rows(spec, raw_train, train))
 
 
 @main.command()
@@ -166,24 +176,17 @@ def benchmark(config_path, seed, resample_test, out_dir):
     """Train and evaluate every roster model on the held-out test set."""
     from .metrics import evaluate, roc_curve
     from .svg import roc_svg
-    from .validation import check_fold_counts, training_rows
 
     config = load_config(config_path, seed, out_dir, resample_test)
     matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
-    raw_train, train, test = _split_and_resample(config, matrix)
-    check_fold_counts(config.models.values(), raw_train, None, config.seed)
-    check_fold_counts([config.models[name] for name in config.tuning_spaces], raw_train,
-                      config.settings["tuning.folds"], config.seed, config.resampler)
+    raw_train, train, test = _splits(config, matrix, config.models)
 
     metrics = {}
     curves = {}
-    for name, spec in config.models.items():
+    for name in config.models:
         try:
-            if name in config.tuning_spaces:
-                spec = _tuned_spec(config, name, raw_train, writer)
-            model = fit_model(spec, training_rows(spec, raw_train, train))
-            probs = predict_proba(model, test)
+            probs = predict_proba(_fit(config, name, raw_train, train, writer), test)
             report = evaluate(probs, test.target)
             metrics[name] = report.to_dict()
             rc = roc_curve(probs, test.target)
@@ -278,18 +281,15 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     """Global and local attributions for one roster model."""
     from . import explain as xai
     from .svg import bar_chart_svg
-    from .validation import check_fold_counts, training_rows
 
     config = load_config(config_path, seed, out_dir, resample_test)
     if model_name not in config.models:
         raise ConfigError(f"unknown model {model_name!r}")
     matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
-    spec = config.models[model_name]
-    raw_train, train, test = _split_and_resample(config, matrix)
+    raw_train, train, test = _splits(config, matrix, [model_name])
     if any(i < 0 or i >= test.n_rows for i in instance_ids):
         raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
-    check_fold_counts([spec], raw_train, None, config.seed)
 
     n_perm = config.settings["explain.n_permutations"]
     bg_rows = config.settings["explain.background_rows"]
@@ -304,8 +304,8 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     d = len(names)
     lime_cfg = xai.LimeConfig.from_training(train.values, n_samples=max(lime_samples, d + 1))
 
-    try:  # a failure of the fit or of its scores is reported as in benchmark: exit 4
-        model = fit_model(spec, training_rows(spec, raw_train, train))
+    try:  # a failure of the tuning, the fit or its scores is reported as in benchmark: exit 4
+        model = _fit(config, model_name, raw_train, train, writer)
         predict = lambda X: predict_proba(model, X)
         # global: mean |phi| via sampled Shapley over test rows
         phis = np.zeros((global_rows, d))

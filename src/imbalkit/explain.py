@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learners.base import TrainedModel, child_rng, predict_proba
-from .learners.forest import RandomForestModel
-from .learners.gbt import GbtModel
 from .metrics import roc_auc
 
 __all__ = [
@@ -192,6 +190,10 @@ class LimeConfig:
             raise ExplainError("sigma must be positive")
         if self.ridge < 0:
             raise ExplainError("ridge must be >= 0")
+        stds = 0 if self.column_stds is None else len(self.column_stds)
+        if stds and len(self.column_kinds) and stds != len(self.column_kinds):
+            raise ExplainError(f"column_stds has {stds} columns and column_kinds "
+                               f"{len(self.column_kinds)}; both must have one per column")
 
     @classmethod
     def from_training(cls, X, column_kinds=None, n_samples: int = 1000,
@@ -220,8 +222,8 @@ def lime_explain(predict, x, config: LimeConfig, seed: int = 0) -> SurrogateFit:
     columns, marginal resampling for categorical ones. Kernel weights are
     exp(-||z - x||^2 / sigma^2) on standardized columns.
     """
-    known = (config.column_stds, config.column_kinds)
-    x = _instance(x, *sorted({len(k) for k in known if k is not None and len(k)}))
+    known = (config.column_stds, config.column_kinds)  # of one width, as LimeConfig checks
+    x = _instance(x, *{len(k) for k in known if k is not None and len(k)})
     d = x.size
     rng = child_rng(seed, 41)
     stds = config.column_stds if config.column_stds is not None else np.ones(d)
@@ -266,11 +268,11 @@ def _weighted_ridge(Z, y, w, lam):
     return beta[:d], beta[d]
 
 
-def impurity_importance(model: RandomForestModel) -> ImportanceReport:
+def impurity_importance(model: TrainedModel) -> ImportanceReport:
     """Total sample-weighted impurity decrease per feature, summed over trees:
     n * impurity of each split node less that of its two children, added in
     preorder, tree by tree."""
-    if not isinstance(model, RandomForestModel):
+    if model.algorithm != "random-forest":
         raise ExplainError("impurity importance requires a random-forest model")
     (feature, _, children, _, n, impurity), _, _ = model._flat
     weighted = n * impurity
@@ -281,10 +283,10 @@ def impurity_importance(model: RandomForestModel) -> ImportanceReport:
     return ImportanceReport(scores=np.maximum(scores, 0.0), method="impurity")
 
 
-def gbt_importances(model: GbtModel) -> tuple[ImportanceReport, ImportanceReport,
-                                              ImportanceReport]:
+def gbt_importances(model: TrainedModel) -> tuple[ImportanceReport, ImportanceReport,
+                                                  ImportanceReport]:
     """(split-count, total-gain, per-iteration mean loss reduction) reports."""
-    if not isinstance(model, GbtModel):
+    if model.algorithm != "gbt":
         raise ExplainError("gbt importances require a gbt model")
     d = len(model.feature_names)
     _, feature, gain = np.array(model.split_records, dtype=float).reshape(-1, 3).T

@@ -180,6 +180,11 @@ class TrainedModel:
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _fitted(self, **info) -> "TrainedModel":
+        """self, with info, the report of the fit that made it, as its fit_info."""
+        self.fit_info = info
+        return self
+
     def params_dict(self) -> dict:
         return {key: plain(getattr(self, key)) for key in self.state}
 

@@ -27,9 +27,7 @@ class KnnModel(TrainedModel):
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "KnnModel":
         h = spec.hyperparameters
         k = min(h["n_neighbors"], X.shape[0])
-        model = cls(X, y, k, h["weights"], feature_names)
-        model.fit_info = {"training_rows": X.shape[0]}
-        return model
+        return cls(X, y, k, h["weights"], feature_names)._fitted(training_rows=X.shape[0])
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         """Label vote of each row's ball, by smote's neighbour rule on its

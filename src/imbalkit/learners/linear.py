@@ -92,10 +92,8 @@ class LogisticModel(TrainedModel):
         w, info = newton_logistic(np.c_[(X - mu) / sd, np.ones(len(X))], y,
                                   lam * (h["penalty"] == "l1"), lam * (h["penalty"] == "l2"),
                                   h["max_iter"], h["tol"])
-        model = cls(float(w[-1] - np.sum(w[:-1] * mu / sd)), w[:-1] / sd, h["penalty"], h["C"],
-                    feature_names)
-        model.fit_info = info
-        return model
+        return cls(float(w[-1] - np.sum(w[:-1] * mu / sd)), w[:-1] / sd, h["penalty"], h["C"],
+                   feature_names)._fitted(**info)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return sigmoid(self.intercept + values @ self.weights)

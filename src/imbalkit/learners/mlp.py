@@ -113,12 +113,10 @@ class MlpModel(TrainedModel):
             raise LearnerError("mlp training diverged to non-finite weights")
         W0, b0 = layers[0]
         layers[0] = (W0 / sd[:, None], b0 - (mu / sd) @ W0)  # fold in the standardization
-        model = cls(layers, h["activation"], feature_names)
         # Adam here has no stopping test: every fit runs all max_iterations epochs
-        model.fit_info = {"iterations": len(epoch_losses), "converged": False,
-                          "loss": epoch_losses[-1] if epoch_losses else None,
-                          "epoch_losses": epoch_losses}
-        return model
+        return cls(layers, h["activation"], feature_names)._fitted(
+            iterations=len(epoch_losses), converged=False,
+            loss=epoch_losses[-1] if epoch_losses else None, epoch_losses=epoch_losses)
 
     def predict_proba_values(self, values: np.ndarray) -> np.ndarray:
         return _forward(self.layers, self.activation, values)[-1][:, 0]

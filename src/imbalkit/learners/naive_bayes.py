@@ -33,9 +33,7 @@ class NaiveBayesModel(TrainedModel):
             priors.append(Xc.shape[0] / X.shape[0])
             means.append(Xc.mean(axis=0))
             variances.append(Xc.var(axis=0) + max(smoothing, eps))
-        model = cls(priors, means, variances, feature_names)
-        model.fit_info = {"training_rows": X.shape[0]}
-        return model
+        return cls(priors, means, variances, feature_names)._fitted(training_rows=X.shape[0])
 
     def _log_joint(self, values: np.ndarray) -> np.ndarray:
         out = np.empty((values.shape[0], 2))

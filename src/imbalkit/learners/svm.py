@@ -142,10 +142,8 @@ class SvmModel(TrainedModel):
         n_pos = int(np.sum(t > 0))  # Platt scaling on Lin, Lin & Weng's (2007) targets
         soft = np.where(t > 0, (n_pos + 1) / (n_pos + 2), 1 / (n - n_pos + 2))
         (a_cal, b_cal), info["platt"] = newton_logistic(np.c_[decision, np.ones(n)], soft)
-        model = cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
-                    slack=slack, objective_history=history)
-        model.fit_info = info
-        return model
+        return cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
+                   slack=slack, objective_history=history)._fitted(**info)
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:
         K = _kernel_matrix(values, self.support_vectors, self.gamma)

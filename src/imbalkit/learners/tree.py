@@ -200,8 +200,7 @@ class TreeModel(TrainedModel):
     def _fitted(self, **info) -> "TreeModel":
         """self, its fit_info the compiled node count and deepest leaf, plus info."""
         (feature, *_), _, depth = self._flat
-        self.fit_info = {"nodes": feature.size, "depth": depth, **info}
-        return self
+        return super()._fitted(nodes=feature.size, depth=depth, **info)
 
     def _transform(self, values: np.ndarray) -> np.ndarray:
         return values

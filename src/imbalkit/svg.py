@@ -46,6 +46,8 @@ def _document(width, height, parts: list[str]) -> str:
 def bar_chart_svg(labels, values, title: str = "", width: int = 640) -> str:
     values = np.asarray(values, dtype=float)
     n = len(labels)
+    if values.shape != (n,):
+        raise ValueError(f"bar chart needs one value per label: {n} labels, values {values.shape}")
     row_h, left = 22, 220
     vmax = float(np.max(np.abs(values))) if n else 1.0
     vmax = vmax if vmax > 0 else 1.0
@@ -64,15 +66,14 @@ def bar_chart_svg(labels, values, title: str = "", width: int = 640) -> str:
 def _heat_color(v: float) -> str:
     """0 -> white, 1 -> deep blue."""
     v = min(max(v, 0.0), 1.0)
-    r = int(round(255 - 183 * v))
-    g = int(round(255 - 135 * v))
-    b = int(round(255 - 87 * v))
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return "#" + "".join(f"{round(255 - k * v):02x}" for k in (183, 135, 87))  # r, g, b
 
 
 def heatmap_svg(matrix, labels, title: str = "") -> str:
     M = np.asarray(matrix, dtype=float)
-    n = M.shape[0]
+    n = len(labels)
+    if M.shape != (n, n) and (n or M.size):  # no labels and an empty matrix: no cell
+        raise ValueError(f"heatmap needs a {n}x{n} matrix for {n} labels, not shape {M.shape}")
     cell, left, top = 26, 180, 170
     parts = [_text(10, 22, 14, title)]
     for i, label in enumerate(labels):

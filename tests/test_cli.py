@@ -477,6 +477,34 @@ class TestExplain:
         for tag in ("split_count", "gain", "loss_reduction"):
             assert (out / "importances" / f"boost_{tag}.csv").exists()
 
+    def test_explains_the_tuned_model_benchmark_scores(self, tmp_path, monkeypatch):
+        """A model with a tuning space is explained as benchmark scores it:
+        explain fits the tuned spec on the same rows and writes the same
+        tuning/<name>.csv. Fits run in-process, so a spy sees them."""
+        import imbalkit.cli
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        real = imbalkit.cli.fit_model
+        fits, tables = {}, {}
+
+        def spy(spec, data):
+            fits.setdefault(command[0], []).append((spec, data.row_ids.copy()))
+            return real(spec, data)
+        monkeypatch.setattr(imbalkit.cli, "fit_model", spy)
+        tuning = {"spaces": {"tree": {"max_depth": [1, 2, 3]}}, "n_iter": 3, "folds": 3}
+        for command in (["benchmark"], ["explain", "--model", "tree"]):
+            (tmp_path / command[0]).mkdir()
+            cfg, out = write_config(tmp_path / command[0], tuning=tuning)
+            result = run_cli(*command, "--config", cfg)
+            assert result.exit_code == 0, result.output
+            tables[command[0]] = (out / "tuning" / "tree.csv").read_bytes()
+        (spec, rows), = fits["explain"]
+        _, (scored, scored_rows), _ = fits["benchmark"]  # nb, tree, stack: roster order
+        assert spec == scored and np.array_equal(rows, scored_rows)
+        assert spec.hyperparameters["max_depth"] in (1, 2, 3)  # the entry's own is 6
+        assert tables["explain"] == tables["benchmark"]
+
 
 # a stack whose base is another stack: a config fault in either order
 STACK_OF_STACK = [{"name": "nb", "algorithm": "naive-bayes"},
@@ -502,7 +530,8 @@ class TestResamplingLeakage:
         (("benchmark",), {"stack_fit", "cross_validate_many"}, 1),
         (("explain", "--model", "stack"), {"stack_fit"}, 1),
         (("compare",), {"stack_fit"}, 4),
-    ], ids=["benchmark", "explain", "compare"])
+        (("explain", "--model", "tree"), {"cross_validate_many"}, 0),
+    ], ids=["benchmark", "explain", "compare", "explain-tuned"])
     def test_no_synthetic_row_reaches_in_fold_resamplers(self, tmp_path, monkeypatch,
                                                          command, spied, stack_fits):
         """A stack and the tuning CV SMOTE inside their own folds; a SMOTE row
@@ -533,7 +562,7 @@ class TestResamplingLeakage:
         result = run_cli(*command, "--config", cfg)
         assert result.exit_code == 0, result.output
         assert set(seen) == spied
-        assert len(seen["stack_fit"]) == stack_fits
+        assert len(seen.get("stack_fit", [])) == stack_fits
         for name, calls in seen.items():
             for ids in calls:
                 assert ids.size == 180 and np.all(ids >= 0), f"SMOTE rows reached {name}"
@@ -556,7 +585,9 @@ _SMALL_ROSTER = [{"name": "nb", "algorithm": "naive-bayes"},
 # (command, config overrides, or None for the survey CSV, exit code, sha256 of
 # the sorted-key JSON of the run manifest's artifacts map) for CLI paths that
 # the benchmark workloads do not reach; recorded before RunConfig kept its run
-# settings in one table. No mlp or svm fit: their digests could differ by interpreter
+# settings in one table, except explain-tuned, recorded when explain began to
+# tune (the same at kernel levels X86_V4 and X86_V3). No mlp or svm fit: their
+# digests could differ by interpreter
 PINNED_RUNS = {
     "benchmark-tuned-resample-test": (
         ["benchmark"], {"models": _SMALL_ROSTER, "resample_test": True,
@@ -570,6 +601,13 @@ PINNED_RUNS = {
     "explain-random-forest": (
         ["explain", "--model", "forest", "--instances", "0,2"], {"models": _SMALL_ROSTER},
         0, "b697297ff35a9bbef5700ed0174898142cdd8861addf353850128830a4190b30"),
+    "explain-tuned": (
+        ["explain", "--model", "tree", "--instances", "0,3"],
+        {"models": _SMALL_ROSTER,
+         "tuning": {"spaces": {"tree": {"max_depth": [2, 4, 6],
+                                        "min_samples_split": ["randint", 2, 30]}},
+                    "n_iter": 3, "folds": 3}},
+        0, "c0cc1f8cba23410ced43d08a7c0e7b63660cf8e29791996ec554bece190d8409"),
     "explain-stack": (
         ["explain", "--model", "stack", "--instances", "1"], {},
         0, "908379360c61ab270fa8656996bf236488ce03c85b3c42c8f7f288e557bfbbf1"),
@@ -850,11 +888,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, overrides", [
         (["benchmark"], {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
+        (["explain", "--model", "nb"],
+         {"tuning": {"folds": 50, "spaces": {"nb": {"var_smoothing": [1e-9]}}}}),
         (["compare"], {"cv_folds": 50}),
         (["benchmark"], with_stack(oof_folds=50)),
         (["explain", "--model", "stack"], with_stack(oof_folds=50)),
         (["compare"], with_stack(oof_folds=50)),
-    ], ids=["tuning-folds-above-minority", "cv-folds-above-minority",
+    ], ids=["tuning-folds-above-minority", "explain-tuning-folds-above-minority",
+            "cv-folds-above-minority",
             "oof-folds-above-minority", "explain-oof-folds-above-minority",
             "compare-oof-folds-above-minority"])
     def test_fold_count_above_minority_exits_3_without_traceback(self, tmp_path, command,
@@ -913,13 +954,15 @@ class TestErrorPaths:
             tuning={"spaces": {"gbt": {"categorical_handling": ["ordered-target-stats"],
                                        "categorical_features": [[99]]}},
                     "n_iter": 1, "folds": 3})
-        result = run_cli("benchmark", "--config", cfg)
-        assert result.exit_code == 4, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "model gbt failed" in result.output
-        assert "Traceback" not in result.output
-        status = read_manifest(out)["model_status"]
-        assert status["nb"] == "ok" and status["gbt"].startswith("failed")
+        for command, others in ((["benchmark"], {"nb": "ok"}),
+                                (["explain", "--model", "gbt"], {})):
+            result = run_cli(*command, "--config", cfg)
+            assert result.exit_code == 4, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert "model gbt failed" in result.output
+            assert "Traceback" not in result.output
+            status = read_manifest(out)["model_status"]
+            assert status.pop("gbt").startswith("failed") and status == others
 
     @pytest.mark.parametrize("instances", ["abc", "1..x", "3..1", "", ","])
     def test_malformed_instances_exit_2_without_traceback(self, tmp_path, instances):

@@ -476,6 +476,11 @@ class TestLime:
                 lime_explain(lambda Z: calls.append(Z) or Z[:, 0], x, config)
         assert calls == []
 
+    def test_column_information_of_two_widths_rejected(self):
+        with pytest.raises(ExplainError, match="column_stds has 3 columns and column_kinds 4"):
+            LimeConfig(sigma=1.0, n_samples=20, column_stds=np.ones(3),
+                       column_kinds=("continuous",) * 4)
+
     def test_instance_of_any_width_without_column_information(self):
         config = LimeConfig(sigma=1.0, n_samples=20)
         for d in (1, 5):

@@ -81,6 +81,12 @@ def test_benchmark_loads_only_its_roster_learners(config):
     assert modules & UNUSED == set()
 
 
+def test_explain_loads_only_the_learner_it_explains(config):
+    modules = _modules_after(_CLI_RUN, "explain", "--model", "nb", "--config", config)
+    assert _learners(modules) == {"base", "naive_bayes"}
+    assert modules & UNUSED == {"imbalkit.explain"}
+
+
 @pytest.mark.parametrize("package", [imbalkit, imbalkit.learners], ids=lambda p: p.__name__)
 def test_every_export_resolves_and_is_listed(package):
     assert len(set(package.__all__)) == len(package.__all__)

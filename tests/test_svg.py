@@ -104,6 +104,19 @@ class TestEmpty:
         assert [e.text for e in elements(text, "text")] == ["false positive rate", "true positive rate"]
 
 
+class TestShapes:
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,)], ids=["tall", "wide", "1-d"])
+    def test_heatmap_needs_a_square_matrix_with_one_label_per_row(self, shape):
+        with pytest.raises(ValueError, match="heatmap needs a"):
+            heatmap_svg(np.zeros(shape), ["a", "b", "c"][:shape[0]])
+
+    @pytest.mark.parametrize("values", [[0.5], [0.5, 0.1, 0.2, 0.3], [[0.5, 0.1, 0.2]]],
+                             ids=["short", "long", "2-d"])
+    def test_bar_chart_needs_one_value_per_label(self, values):
+        with pytest.raises(ValueError, match="one value per label"):
+            bar_chart_svg(["a", "b", "c"], values)
+
+
 def test_curve_colours_cycle_past_ten():
     curves = {f"m{k:02d}": ([0.0, 1.0], [0.0, 1.0], 0.5) for k in range(12)}
     strokes = [e.get("stroke") for e in elements(roc_svg(curves), "polyline")]
