@@ -276,7 +276,11 @@ def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
         raise LearnerError("training data must contain both classes")
     if isinstance(spec, ModelSpec):
         cls = _model_class(spec.algorithm)
-        return cls.fit(values, y, spec, tuple(train.column_names))
+        try:
+            return cls.fit(values, y, spec, tuple(train.column_names))
+        except RecursionError as exc:  # the tree learners grow one call deeper per level
+            raise LearnerError(f"{spec.algorithm} max_depth {spec.hyperparameters['max_depth']}: "
+                               "a tree grew too deep for Python's recursion limit") from exc
     from ..stacking import StackingSpec, stack_fit
 
     if isinstance(spec, StackingSpec):

@@ -28,7 +28,8 @@ from imbalkit.learners.base import (
     save_model,
     serialize_model,
 )
-from imbalkit.learners.gbt import GbtModel, ordered_target_statistics
+from imbalkit.learners import gbt as gbt_module
+from imbalkit.learners.gbt import GbtModel, _Grower, ordered_target_statistics
 from imbalkit.learners.knn import KnnModel
 from imbalkit.learners.linear import LogisticModel, newton_logistic, sigmoid
 from imbalkit.learners.mlp import MlpModel, init_layers, mlp_loss_and_grads
@@ -127,6 +128,17 @@ class TestFitDispatch:
         model = fit_model(ModelSpec(algorithm), two_class_matrix(15, 12))
         assert model.fit_info == {"training_rows": 27}
         assert deserialize_model(serialize_model(model)).fit_info == {}
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("gbt", {"n_estimators": 1, "max_depth": 100000, "learning_rate": 1.0}),
+        ModelSpec("decision-tree", {"max_depth": 100000}),
+    ], ids=lambda spec: spec.algorithm)
+    def test_a_tree_too_deep_to_grow_raises_learner_error(self, spec):
+        n = 3000  # alternating labels: a chain of splits far past the recursion limit
+        m = EncodedMatrix(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ("x",),
+                          np.arange(n))
+        with pytest.raises(LearnerError, match=f"{spec.algorithm} max_depth 100000: a tree"):
+            fit_model(spec, m)
 
     def test_dimension_mismatch_on_predict(self):
         m = two_class_matrix(15, 15)
@@ -559,6 +571,7 @@ class TestTreeDocuments:
         if spec.algorithm == "gbt":  # one split record per inner node
             info["splits"] = sum(map(_count_nodes, roots)) - sum(map(_count_leaves, roots))
             assert info["splits"] == len(model.split_records) > 0
+            info["losses"] = model.fit_info["losses"]  # TestGbt checks them
         assert model.fit_info == info and info["depth"] > 1
         assert deserialize_model(serialize_model(model)).fit_info == {}
 
@@ -609,8 +622,9 @@ def _reference_tree(X, g, h, candidates, lam, max_depth, records, t, depth=0):
                                      max_depth, records, t, depth + 1)}
 
 
-def _reference_gbt(X, y, n_estimators, max_depth, bins, lr=0.01, lam=1.0):
-    """(trees, split records, raw scores on X) of a brute-force boosted fit."""
+def _reference_candidates(X, bins):
+    """Each column's split candidates: the midpoints of its distinct values,
+    at most `bins` evenly spaced ones of them when bins > 0."""
     candidates = []
     for col in X.T:
         uniq = np.unique(col)
@@ -618,6 +632,12 @@ def _reference_gbt(X, y, n_estimators, max_depth, bins, lr=0.01, lam=1.0):
         if bins and mids.size > bins:
             mids = mids[np.unique(np.linspace(0, mids.size - 1, bins).round().astype(int))]
         candidates.append(mids)
+    return candidates
+
+
+def _reference_gbt(X, y, n_estimators, max_depth, bins, lr=0.01, lam=1.0):
+    """(trees, split records, raw scores on X) of a brute-force boosted fit."""
+    candidates = _reference_candidates(X, bins)
     prevalence = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     raw = np.full(y.size, float(np.log(prevalence / (1.0 - prevalence))))
     trees, records = [], []
@@ -692,25 +712,72 @@ def _encoder_problems(draw):
 
 
 @st.composite
-def _tied_problems(draw):
+def _drawn_column(draw, n):
+    """n cells of one kind: few tied integers; continuous values; runs of
+    adjacent floats, whose midpoints round onto a neighbour; or signed zeros
+    among a few integers."""
+    kind = draw(st.sampled_from(["tied", "continuous", "adjacent", "zeros"]))
+    if kind == "tied":
+        return np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)), dtype=float)
+    if kind == "continuous":
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    if kind == "zeros":
+        return np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+                                      min_size=n, max_size=n)))
+    steps = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    ladder = [draw(st.floats(-1e6, 1e6))]
+    for _ in range(4):
+        ladder.append(np.nextafter(ladder[-1], np.inf))
+    return np.array(ladder).take(steps)
+
+
+@st.composite
+def _split_problems(draw):
     n, d = draw(st.integers(4, 40)), draw(st.integers(1, 4))
-    cells = draw(st.lists(st.integers(0, 7), min_size=n * d, max_size=n * d))
+    X = np.column_stack([draw(_drawn_column(n)) for _ in range(d)])
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return np.array(cells, dtype=float).reshape(n, d), np.array(labels, dtype=float)
+    return X, np.array(labels, dtype=float)
 
 
 class TestGbt:
-    @given(_tied_problems(), st.sampled_from([0, 3, 64]), st.integers(1, 3), st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_split_search_matches_brute_force(self, problem, bins, max_depth, n_estimators):
+    @given(_split_problems(), st.sampled_from([0, 2, 3, 64]), st.integers(1, 3),
+           st.integers(1, 4), st.sampled_from([gbt_module._BLOCK_CELLS, 1, 9, 40]))
+    @settings(max_examples=120, deadline=None)
+    def test_split_search_matches_brute_force(self, problem, bins, max_depth, n_estimators,
+                                              block_cells):
         X, y = problem
         spec = ModelSpec("gbt", {"n_estimators": n_estimators, "max_depth": max_depth,
                                  "bins": bins})
-        model = GbtModel.fit(X, y, spec, tuple(f"f{j}" for j in range(X.shape[1])))
+        with pytest.MonkeyPatch.context() as mp:  # small budgets: one column or a few per block
+            mp.setattr(gbt_module, "_BLOCK_CELLS", block_cells)
+            model = GbtModel.fit(X, y, spec, tuple(f"f{j}" for j in range(X.shape[1])))
         trees, records, raw = _reference_gbt(X, y, n_estimators, max_depth, bins)
-        assert model.trees == trees
-        assert [[r.tree, r.feature, r.gain] for r in model.split_records] == records
-        assert np.array_equal(model.raw_score(X), raw)
+        assert repr(model.trees) == repr(trees)  # repr tells -0.0 from 0.0
+        assert repr([[r.tree, r.feature, r.gain] for r in model.split_records]) == repr(records)
+        assert model.raw_score(X).tobytes() == raw.tobytes()
+
+    @given(_split_problems(), st.sampled_from([0, 1, 2, 3, 64]))
+    @settings(max_examples=120, deadline=None)
+    def test_ranks_match_unique_and_searchsorted(self, problem, bins):
+        X, _ = problem
+        grower = _Grower(X, bins, 1.0, 3, 2)
+        for j, mids in enumerate(_reference_candidates(X, bins)):
+            assert grower.mids[j].tobytes() == mids.tobytes()
+            assert np.array_equal(grower.rank[j], np.searchsorted(mids, X[:, j]))
+            assert np.array_equal(grower.order[j], np.argsort(X[:, j], kind="stable"))
+
+    def test_fit_info_reports_the_training_loss_after_each_tree(self):
+        m = two_class_matrix(50, 30, seed=16)
+        model = fit_model(ModelSpec("gbt", {"n_estimators": 7, "learning_rate": 0.3}), m)
+        raw = np.full(m.n_rows, model.base_log_odds)
+        expected = []
+        for tree in model.trees:  # the raw scores after each tree, staged
+            raw = raw + model.learning_rate * _walk(tree, m.values)
+            p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
+            expected.append(float(-np.mean(m.target * np.log(p) + (1 - m.target) * np.log(1 - p))))
+        assert model.fit_info["losses"] == expected
+        assert len(expected) == 7 and expected[-1] < expected[0]
+        assert fit_model(ModelSpec("gbt", {"n_estimators": 0}), m).fit_info["losses"] == []
 
     def test_categorical_index_outside_the_matrix_rejected(self):
         spec = fast_spec("gbt", categorical_handling="ordered-target-stats",

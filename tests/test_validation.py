@@ -198,6 +198,28 @@ class TestCrossValidateMany:
             assert [r.to_dict() for r in run.reports] == [r.to_dict() for r in alone.reports]
             assert np.array_equal(run.fold_assignment, alone.fold_assignment)
 
+    def test_units_reach_the_pool_costliest_first_and_return_in_spec_order(self, monkeypatch):
+        import imbalkit.validation
+
+        pooled = []
+
+        def serial(fn, items):
+            pooled.extend(spec for spec, _, _ in items)
+            return [fn(item) for item in items]
+        monkeypatch.setattr(imbalkit.validation, "map_ordered", serial)
+        nb, other = ModelSpec("naive-bayes"), object()
+        small = StackingSpec(base_specs=(nb,), oof_folds=2)
+        large = StackingSpec(base_specs=(nb, ModelSpec("logistic")), oof_folds=3, seed=1)
+        assert (small.base_fits, large.base_fits) == (3, 8)
+        specs = (nb, small, other, large)
+        m = two_class_matrix(12, 36, seed=28)
+        runs = cross_validate_many(specs, m, folds=3, seed=5)
+        assert pooled == [large] * 3 + [small] * 3 + [nb] * 3 + [other] * 3
+        assert isinstance(runs[2], TypeError)
+        for spec, run in zip(specs[:2] + specs[3:], runs[:2] + runs[3:]):
+            alone = cross_validate(spec, m, folds=3, seed=5)
+            assert [r.to_dict() for r in run.reports] == [r.to_dict() for r in alone.reports]
+
     def test_a_failing_spec_leaves_the_others_running(self, workers):
         m = two_class_matrix(12, 36, seed=26)
         bad = ModelSpec("gbt", {"categorical_handling": "ordered-target-stats",
