@@ -17,7 +17,7 @@ from .data import (
     label_encode,
     stratified_split,
 )
-from .learners.base import fit_model, predict_proba
+from .learners.base import fit_cost, fit_model, map_ordered, predict_proba
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -58,7 +58,7 @@ def main():
     """Imbalanced tabular classification toolkit."""
 
 
-def _failed(writer: ArtifactWriter, name: str, exc: Exception):
+def _failed(writer: ArtifactWriter, name: str, exc: Exception | str):
     """Record that model name failed: its manifest status and one line on stderr."""
     writer.model_status[name] = f"failed: {exc}"
     click.echo(f"model {name} failed: {exc}", err=True)
@@ -135,7 +135,7 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
 
 def _splits(config: RunConfig, matrix, names):
     """(raw training split, training split after SMOTE, test split), once every fold
-    count that _fit splits the raw split into for the named models is checked."""
+    count that _tune and _fit split the raw split into for the named models is checked."""
     from .validation import check_fold_counts
 
     raw_train, test = stratified_split(matrix, config.settings["test_fraction"], config.seed)
@@ -150,12 +150,10 @@ def _splits(config: RunConfig, matrix, names):
     return raw_train, train, test
 
 
-def _fit(config: RunConfig, name: str, raw_train, train, writer: ArtifactWriter):
-    """Roster model name, fitted as benchmark scores it. With a tuning space, the fit
-    uses the best spec of a random search from the configured entry over the raw
-    split (its CV resamples inside each fold); each candidate goes to tuning/<name>.csv."""
-    from .validation import training_rows
-
+def _tune(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
+    """The spec of roster model name that benchmark fits. With a tuning space, the
+    best spec of a random search from the configured entry over the raw split
+    (its CV resamples inside each fold); each candidate goes to tuning/<name>.csv."""
     spec = config.models[name]
     if name in config.tuning_spaces:
         from .learners.search import tune_random_search
@@ -167,7 +165,26 @@ def _fit(config: RunConfig, name: str, raw_train, train, writer: ArtifactWriter)
             f"tuning/{name}.csv", ["candidate", "mean_accuracy", "hyperparameters"],
             [[i, f"{c.mean_accuracy:.6f}", repr(sorted(c.spec.hyperparameters.items()))]
              for i, c in enumerate(scores)])
+    return spec
+
+
+def _fit(spec, raw_train, train):
+    """spec fitted on the rows training_rows picks: a stack the raw split, any
+    other spec the split after SMOTE."""
+    from .validation import training_rows
+
     return fit_model(spec, training_rows(spec, raw_train, train))
+
+
+def _test_scores(unit):
+    """The test-set class-1 probabilities of one (spec, raw split, split after
+    SMOTE, test split) unit, or the message of what stopped its fit or scores:
+    the unit may run in a worker, and not every exception survives pickling."""
+    spec, raw_train, train, test = unit
+    try:
+        return predict_proba(_fit(spec, raw_train, train), test)
+    except Exception as exc:
+        return str(exc)
 
 
 @main.command()
@@ -182,17 +199,33 @@ def benchmark(config_path, seed, resample_test, out_dir):
     writer = ArtifactWriter(config.output_dir, config)
     raw_train, train, test = _splits(config, matrix, config.models)
 
-    metrics = {}
-    curves = {}
+    # each model's spec, tuned here (the search runs its own pool), or the
+    # message of its failure; then every fit and its test scores run as one
+    # unit in the pool, and the results are written in roster order
+    outcome = {}
     for name in config.models:
         try:
-            probs = predict_proba(_fit(config, name, raw_train, train, writer), test)
+            outcome[name] = _tune(config, name, raw_train, writer)
+        except Exception as exc:  # per-model failure must not abort the run
+            outcome[name] = str(exc)
+    ready = [name for name, spec in outcome.items() if not isinstance(spec, str)]
+    units = [(outcome[name], raw_train, train, test) for name in ready]
+    outcome.update(zip(ready, map_ordered(_test_scores, units,
+                                          [fit_cost(spec) for spec, *_ in units])))
+
+    metrics = {}
+    curves = {}
+    for name, probs in outcome.items():
+        if isinstance(probs, str):
+            _failed(writer, name, probs)
+            continue
+        try:
             report = evaluate(probs, test.target)
             metrics[name] = report.to_dict()
             rc = roc_curve(probs, test.target)
             curves[name] = (rc.fpr, rc.tpr, report.auc)
             writer.model_status[name] = "ok"
-        except Exception as exc:  # per-model failure must not abort the run
+        except Exception as exc:
             _failed(writer, name, exc)
 
     writer.write_json("metrics.json", metrics)
@@ -305,7 +338,7 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     lime_cfg = xai.LimeConfig.from_training(train.values, n_samples=max(lime_samples, d + 1))
 
     try:  # a failure of the tuning, the fit or its scores is reported as in benchmark: exit 4
-        model = _fit(config, model_name, raw_train, train, writer)
+        model = _fit(_tune(config, model_name, raw_train, writer), raw_train, train)
         predict = lambda X: predict_proba(model, X)
         # global: mean |phi| via sampled Shapley over test rows
         phis = np.zeros((global_rows, d))

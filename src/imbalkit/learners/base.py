@@ -16,11 +16,14 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "LearnerError",
+    "TreeDepthError",
     "ALGORITHMS",
     "HYPERPARAMETERS",
     "fit_model",
     "predict_proba",
     "child_rng",
+    "FIT_SECONDS",
+    "fit_cost",
     "map_ordered",
     "serialize_model",
     "deserialize_model",
@@ -34,6 +37,10 @@ MODEL_VERSION = 1
 
 class LearnerError(ValueError):
     pass
+
+
+class TreeDepthError(LearnerError):
+    """A tree deeper than a model document may hold (tree.MAX_TREE_DEPTH levels)."""
 
 
 @dataclass(frozen=True)
@@ -148,16 +155,28 @@ class ModelSpec:
 
 def plain(value):
     """value as JSON gives it back: arrays and tuples as lists, dict keys as
-    str, a TreeNode or a TrainedModel as its document."""
-    if isinstance(value, TrainedModel):
-        return serialize_model(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    return value.to_dict() if hasattr(value, "to_dict") else value
+    str, a TreeNode or a TrainedModel as its document. Nested lists and dicts
+    are walked with a list of open slots, not recursion, so a tree document
+    converts at any depth."""
+    root = [value]
+    slots = [(root, 0)]  # (container, key) of each value still to convert
+    while slots:
+        container, key = slots.pop()
+        value = container[key]
+        if isinstance(value, TrainedModel):
+            value = serialize_model(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+            slots.extend((value, i) for i in range(len(value)))
+        elif isinstance(value, dict):
+            value = {str(k): v for k, v in value.items()}
+            slots.extend((value, k) for k in value)
+        elif hasattr(value, "to_dict"):
+            value = value.to_dict()
+        container[key] = value
+    return root[0]
 
 
 class TrainedModel:
@@ -220,28 +239,69 @@ def _run(i: int):
     return fn(items[i])
 
 
-def map_ordered(fn, items) -> list:
+# seconds to fit each algorithm at its defaults and score the test set, on the
+# criterion-11 split (2,666 SMOTEd training rows, 400 test rows; BENCH_29.json,
+# 2-core Xeon VM): map_ordered's estimate of what a unit costs
+FIT_SECONDS = {"mlp": 171.0, "random-forest": 26.0, "gbt": 1.79, "svm": 0.32,
+               "decision-tree": 0.089, "knn": 0.02, "logistic": 0.0135, "naive-bayes": 0.0027}
+# seconds that starting a pool adds to a run: importing multiprocessing and
+# concurrent.futures, forking the workers and joining them. Pooling the naive
+# Bayes + logistic roster of perfbench's survey-scale benchmark added 31-46 ms
+# on a 2-core Xeon VM
+POOL_START_S = 0.046
+
+
+def fit_cost(spec) -> float:
+    """Estimated seconds to fit spec and score a test set: a ModelSpec's
+    FIT_SECONDS, a stack's (oof_folds + 1) times the sum of its bases' (it fits
+    each base once per out-of-fold fold, then once on every row); 0 for
+    anything else. Read by attribute, so base never imports stacking."""
+    if isinstance(spec, ModelSpec):
+        return FIT_SECONDS[spec.algorithm]
+    bases = getattr(spec, "base_specs", ())
+    return (getattr(spec, "oof_folds", 0) + 1) * sum(map(fit_cost, bases))
+
+
+def map_ordered(fn, items, costs=None) -> list:
     """[fn(item) for item in items], spread over forked worker processes, one
     per CPU this process may use and at most one per item.
 
-    Workers inherit fn and items through fork; only item indices go to them
-    and only results come back pickled, so fn may be a closure and its inputs
-    are never pickled. Results come back in item order, so with child_rng
-    seeds the output is the serial loop's, bit for bit. The serial loop runs
-    instead for one worker or one item, where the platform has no fork, and
-    inside a worker, so pools never nest. An exception from fn is raised for
-    the earliest failing item, as the loop would raise it; a worker that dies
-    raises BrokenProcessPool. The pool is joined before this returns."""
+    costs, one estimated cost in seconds per item (fit_cost), orders the
+    dispatch: the costliest item goes to a worker first, so that no worker
+    is left alone with a long item at the end (Graham's LPT rule); without
+    costs, items go in item order. Workers inherit fn and items through fork;
+    only item indices go to them and only results come back pickled, so fn
+    may be a closure and its inputs are never pickled. Results come back in
+    item order, so with child_rng seeds the output is the serial loop's, bit
+    for bit. The serial loop runs instead for one worker or one item, inside a
+    worker (so pools never nest), when the items other than the costliest
+    together cost less than starting a pool (POOL_START_S), and where the
+    platform has no fork. An exception from fn is raised for the earliest
+    failing item in item order, as the loop would raise it; a worker that
+    dies raises BrokenProcessPool. The pool is joined before this returns."""
+    items = list(items)
+    workers = min(_available_cpus(), len(items))
+    if costs is not None and len(costs) != len(items):
+        raise ValueError(f"{len(costs)} costs for {len(items)} items")
+    cheap = costs is not None and sum(costs) - max(costs, default=0) < POOL_START_S
+    if workers <= 1 or _job is not None or cheap:
+        return [fn(item) for item in items]
     import multiprocessing  # here, not at import time: most commands never fork
     from concurrent.futures import ProcessPoolExecutor
 
-    items = list(items)
-    workers = min(_available_cpus(), len(items))
-    if workers <= 1 or _job is not None or "fork" not in multiprocessing.get_all_start_methods():
+    if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
+    order = range(len(items))
+    if costs is not None:  # a stable sort: equal costs keep item order
+        order = sorted(order, key=lambda i: -costs[i])
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(fn, items)) as pool:
-        return list(pool.map(_run, range(len(items))))
+        futures = {i: pool.submit(_run, i) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        finally:
+            for future in futures.values():
+                future.cancel()
 
 
 # algorithm -> (module under imbalkit, class): a fit or a model document
@@ -281,6 +341,9 @@ def fit_model(spec, train: EncodedMatrix) -> TrainedModel:
         except RecursionError as exc:  # the tree learners grow one call deeper per level
             raise LearnerError(f"{spec.algorithm} max_depth {spec.hyperparameters['max_depth']}: "
                                "a tree grew too deep for Python's recursion limit") from exc
+        except TreeDepthError as exc:  # it grew, but no model document could hold it
+            raise LearnerError(f"{spec.algorithm} max_depth "
+                               f"{spec.hyperparameters['max_depth']}: {exc}") from exc
     from ..stacking import StackingSpec, stack_fit
 
     if isinstance(spec, StackingSpec):
@@ -311,16 +374,23 @@ def serialize_model(model: TrainedModel) -> dict:
 
 
 def _finite(value) -> bool:
-    """Whether value holds no None, NaN or infinity at any depth; no fitted model does."""
-    if isinstance(value, (list, dict)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
-    return value is not None and (not isinstance(value, float) or np.isfinite(value))
+    """Whether value holds no None, NaN or infinity at any depth; no fitted model
+    does. Walked with a stack, not recursion, as plain walks."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, dict)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+        elif value is None or isinstance(value, float) and not np.isfinite(value):
+            return False
+    return True
 
 
 def deserialize_model(doc: dict) -> TrainedModel:
     """The model serialize_model wrote doc from. A document of another format
     or version, or one with an unknown algorithm, a missing key, a value of
-    the wrong type, shape or range, or trees too deep to walk, raises LearnerError."""
+    the wrong type, shape or range, or a tree deeper than tree.MAX_TREE_DEPTH
+    levels, raises LearnerError."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise LearnerError("not a model document")
     if doc.get("version") != MODEL_VERSION:
@@ -330,8 +400,7 @@ def deserialize_model(doc: dict) -> TrainedModel:
         if not _finite(doc["params"]):
             raise ValueError("null, NaN or infinity in the state")
         return cls.from_params_dict(doc["params"], tuple(doc["feature_names"]))
-    except (LookupError, TypeError, ValueError, AttributeError, OverflowError,
-            RecursionError) as exc:  # the checks walk a tree once per level
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         if str(exc).startswith("malformed model document"):  # a state check's, or a base's
             raise
         raise LearnerError(f"malformed model document: {exc!r}") from exc

@@ -9,7 +9,7 @@ import numbers
 
 import numpy as np
 
-from .base import LearnerError, ModelSpec, Rule, TrainedModel
+from .base import LearnerError, ModelSpec, Rule, TrainedModel, TreeDepthError
 
 __all__ = ["entropy_impurity", "TreeNode", "TreeModel", "DecisionTreeModel", "build_tree"]
 
@@ -126,27 +126,43 @@ def build_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_split: 
     return node
 
 
+# the deepest tree a model may hold. A fit that grows a deeper one fails with a
+# LearnerError naming max_depth (fit_model), and a document of one is
+# malformed, so every fitted model round-trips. json encodes and decodes a
+# document with one call per level: 800 levels leave room for the caller's
+# own frames below Python's default recursion limit of 1000
+MAX_TREE_DEPTH = 800
 _ROWS = Rule(kind=numbers.Integral, low=1, high=np.inf)
 _IMPURITY = Rule(kind=numbers.Real, high=np.inf)
 
 
-def _add_nodes(tree, nodes, depth, column: Rule, counted: bool) -> int:
-    """Append `tree`'s nodes to `nodes` in preorder; returns its leaf depth."""
-    i = len(nodes)
-    n, impurity = (tree["n"], tree["impurity"]) if counted else (0, 0.0)
-    if counted and not (_ROWS.accepts(n) and _IMPURITY.accepts(impurity)):
-        raise ValueError(f"a tree node of n {n!r} and impurity {impurity!r}")
-    if "feature" not in tree:
-        nodes.append((0, 0.0, i, i, tree["value"], n, impurity))
-        return depth
-    if not column.accepts(tree["feature"]):
-        raise ValueError(f"a split on feature {tree['feature']!r}, not {column}")
-    nodes.append(None)
-    left_depth = _add_nodes(tree["left"], nodes, depth + 1, column, counted)
-    right = len(nodes)
-    right_depth = _add_nodes(tree["right"], nodes, depth + 1, column, counted)
-    nodes[i] = (tree["feature"], tree["threshold"], i + 1, right, 0.0, n, impurity)
-    return max(left_depth, right_depth)
+def _add_nodes(tree, nodes, column: Rule, counted: bool) -> int:
+    """Append `tree`'s nodes to `nodes` in preorder, walked with a stack, not
+    recursion; returns its deepest leaf's depth. A tree deeper than
+    MAX_TREE_DEPTH raises TreeDepthError."""
+    deepest = 0
+    stack = [(tree, 0, None)]  # (node, its depth, the split it is the right child of)
+    while stack:
+        tree, depth, parent = stack.pop()
+        if depth > MAX_TREE_DEPTH:
+            raise TreeDepthError(f"a tree deeper than the {MAX_TREE_DEPTH} levels "
+                                 "a model document holds")
+        i = len(nodes)
+        if parent is not None:
+            nodes[parent][3] = i
+        n, impurity = (tree["n"], tree["impurity"]) if counted else (0, 0.0)
+        if counted and not (_ROWS.accepts(n) and _IMPURITY.accepts(impurity)):
+            raise ValueError(f"a tree node of n {n!r} and impurity {impurity!r}")
+        if "feature" not in tree:
+            nodes.append([0, 0.0, i, i, tree["value"], n, impurity])
+            deepest = max(deepest, depth)
+            continue
+        if not column.accepts(tree["feature"]):
+            raise ValueError(f"a split on feature {tree['feature']!r}, not {column}")
+        left, right = tree["left"], tree["right"]
+        nodes.append([tree["feature"], tree["threshold"], i + 1, None, 0.0, n, impurity])
+        stack += [(right, depth + 1, i), (left, depth + 1, None)]
+    return deepest
 
 
 def flatten_trees(trees, width: int, counted: bool = False):
@@ -155,16 +171,17 @@ def flatten_trees(trees, width: int, counted: bool = False):
     leaf. children interleaves each node's right and left child, so node i
     steps to children[2*i + go_left]. A leaf points to itself, so walking that
     many levels from the roots ends on every row's leaf in every tree. A split
-    on anything but an integer in range(width) raises ValueError. With counted
-    (entropy trees), every node's row count n must be an integer >= 1 and its
-    impurity a number >= 0, or ValueError; without, both arrays are 0."""
+    on anything but an integer in range(width) raises ValueError, and a tree
+    deeper than MAX_TREE_DEPTH TreeDepthError. With counted (entropy trees),
+    every node's row count n must be an integer >= 1 and its impurity a
+    number >= 0, or ValueError; without, both arrays are 0."""
     column = Rule(kind=numbers.Integral, high=width - 1)
     nodes: list = []
     roots = []
     depth = 0
     for tree in trees:
         roots.append(len(nodes))
-        depth = max(depth, _add_nodes(tree, nodes, 0, column, counted))
+        depth = max(depth, _add_nodes(tree, nodes, column, counted))
     table = np.array(nodes, dtype=float).reshape(-1, 7)
     children = table[:, [3, 2]].astype(np.intp).ravel()
     return ((table[:, 0].astype(np.intp), table[:, 1], children, table[:, 4], table[:, 5],

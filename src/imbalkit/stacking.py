@@ -41,11 +41,6 @@ class StackingSpec:
         if self.oof_folds < 2:
             raise LearnerError("oof_folds must be >= 2")
 
-    @property
-    def base_fits(self) -> int:
-        """The base-learner fits stack_fit makes: every base once per OOF fold, then once."""
-        return (self.oof_folds + 1) * len(self.base_specs)
-
 
 class StackedModel(TrainedModel):
     """Meta-learner over the class-1 probabilities of the base models; its

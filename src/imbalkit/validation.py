@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, EncodedMatrix, SmoteSettings, smote_classes
-from .learners.base import ModelSpec, child_rng, fit_model, map_ordered, predict_proba
+from .learners.base import ModelSpec, child_rng, fit_cost, fit_model, map_ordered, predict_proba
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "check_fold_counts", "training_rows", "stratified_folds",
@@ -106,19 +106,14 @@ def cross_validate_many(specs, data: EncodedMatrix, folds: int = 10,
     same stratified folds, so every validation row is original; each fold's
     training partition is SMOTEd once (when enabled) and shared, and a spec
     trains on the partition training_rows picks. All (spec, fold) units fit,
-    predict and evaluate through map_ordered, the costliest first."""
+    predict and evaluate through map_ordered, costliest first by fit_cost."""
     try:
         assignment = stratified_folds(data.target, folds, seed)
         parts = list(fold_partitions(data, assignment, resampler, seed, 11))
     except Exception as exc:  # no fold exists, so every spec stops here
         return [exc] * len(specs)
     units = [(spec, data, part) for spec in specs for part in parts]
-    # costliest first, in base fits (a StackingSpec's base_fits, else 1), so
-    # that no worker is left alone with a stack's units at the end of the pool
-    first = sorted(range(len(units)), key=lambda i: -getattr(units[i][0], "base_fits", 1))
-    results = [None] * len(units)
-    for i, result in zip(first, map_ordered(_fold_report, [units[i] for i in first])):
-        results[i] = result
+    results = map_ordered(_fold_report, units, [fit_cost(spec) for spec, _, _ in units])
     val_ids = tuple(val_part.row_ids.copy() for _, _, val_part in parts)
     runs = []
     for start in range(0, len(results), len(parts)):

@@ -311,6 +311,85 @@ class TestBenchmark:
             assert "('n_estimators', 3)" in row[2], row
 
 
+    def test_artifacts_identical_at_every_worker_count(self, tmp_path, monkeypatch):
+        """benchmark tunes in this process and fits its roster in worker
+        processes (at most 3 here, so no test starts a large pool); a tuned
+        model, a failing model and a stack write the serial loop's bytes and
+        stderr lines."""
+        from imbalkit.learners import base
+
+        models = base_config("out")["models"] + [
+            {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT},
+            {"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 3}}]
+        runs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(base, "_available_cpus", lambda: n)
+            (tmp_path / str(n)).mkdir()
+            cfg, out = write_config(tmp_path / str(n), models=models, reference_model="nb",
+                                    tuning={"spaces": {"tree": {"max_depth": [2, 4, 6]}},
+                                            "n_iter": 2, "folds": 3})
+            result = run_cli("benchmark", "--config", cfg)
+            assert result.exit_code == 4, result.output
+            manifest = read_manifest(out)
+            runs.append((manifest["artifacts"], manifest["model_status"], result.output))
+        assert "tuning/tree.csv" in runs[0][0]
+        assert sorted(runs[0][1]) == ["bad", "gbt", "nb", "stack", "tree"]
+        assert runs[0][1]["bad"].startswith("failed: ") and runs[0][1]["stack"] == "ok"
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unpicklable_failures_reach_stderr_in_roster_order(self, tmp_path, monkeypatch,
+                                                              workers):
+        """A unit sends back its failure's message, never the exception, so one
+        that cannot be pickled is reported from a worker as in this process."""
+        import imbalkit.cli
+        from imbalkit.learners import base
+
+        class Unpicklable(Exception):
+            def __reduce__(self):
+                raise TypeError("this exception cannot be pickled")
+
+        def fit(spec, data):
+            if spec.algorithm in ("gbt", "decision-tree"):
+                raise Unpicklable(f"no {spec.algorithm} today")
+            return real(spec, data)
+        real = imbalkit.cli.fit_model
+        monkeypatch.setattr(imbalkit.cli, "fit_model", fit)
+        monkeypatch.setattr(base, "_available_cpus", lambda: workers)
+        cfg, out = write_config(tmp_path, reference_model="nb", models=[
+            {"name": "tree", "algorithm": "decision-tree"},
+            {"name": "nb", "algorithm": "naive-bayes"},
+            {"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 3}}])
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines() == ["model tree failed: no decision-tree today",
+                                              "model gbt failed: no gbt today"]
+        assert read_manifest(out)["model_status"] == {
+            "tree": "failed: no decision-tree today", "nb": "ok", "gbt": "failed: no gbt today"}
+
+    def test_a_cheap_roster_fits_in_this_process(self, tmp_path, monkeypatch):
+        """naive Bayes and logistic regression together cost less than starting
+        a pool, so they fit in this process, where a spy sees every fit."""
+        import imbalkit.cli
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 2)
+        real = imbalkit.cli.fit_model
+        fits = []
+
+        def spy(spec, data):
+            fits.append(spec.algorithm)
+            return real(spec, data)
+        monkeypatch.setattr(imbalkit.cli, "fit_model", spy)
+        cfg, _ = write_config(tmp_path, reference_model="nb", models=[
+            {"name": "nb", "algorithm": "naive-bayes"},
+            {"name": "logistic", "algorithm": "logistic"}])
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        assert fits == ["naive-bayes", "logistic"]
+
     def test_knn_weights_space_is_a_list_of_choices(self, tmp_path):
         # a list that starts with a distribution's name is a distribution only
         # for a numeric hyperparameter
@@ -630,6 +709,27 @@ def test_artifacts_are_pinned(tmp_path, case):
     assert result.exit_code == code, result.output
     artifacts = read_manifest(out)["artifacts"]
     assert _digest(artifacts) == digest, artifacts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(c for c in PINNED_RUNS if c.startswith("benchmark")))
+def test_benchmark_pins_hold_at_one_and_two_workers(tmp_path, monkeypatch, case, workers):
+    """_SMALL_ROSTER has a forest, a GBT and a stack, so at 2 workers the
+    roster's pool starts."""
+    import concurrent.futures
+
+    from imbalkit.learners import base
+
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args[0])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(base, "_available_cpus", lambda: workers)
+    test_artifacts_are_pinned(tmp_path, case)
+    assert bool(started) == (workers > 1)
 
 
 _JSON = st.recursive(

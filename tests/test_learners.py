@@ -140,6 +140,48 @@ class TestFitDispatch:
         with pytest.raises(LearnerError, match=f"{spec.algorithm} max_depth 100000: a tree"):
             fit_model(spec, m)
 
+    @staticmethod
+    def _chain(n=3000):
+        """x = 0..n-1 with alternating labels: every split peels off about one
+        row, so a tree grows as deep as max_depth lets it."""
+        return EncodedMatrix(np.arange(n, dtype=float)[:, None], np.arange(n) % 2, ("x",),
+                             np.arange(n))
+
+    @staticmethod
+    def _deep_spec(algorithm, depth):
+        if algorithm == "gbt":
+            return ModelSpec("gbt", {"n_estimators": 1, "max_depth": depth, "learning_rate": 1.0})
+        return ModelSpec("decision-tree", {"max_depth": depth, "min_samples_split": 2})
+
+    @pytest.mark.parametrize("depth", [450, 600, 700])
+    @pytest.mark.parametrize("algorithm", ["gbt", "decision-tree"])
+    def test_a_deep_tree_round_trips(self, algorithm, depth):
+        """plain, deserialize_model and the tree compiler walk a document with a
+        stack, so a tree as deep as fitting allows keeps its document and scores
+        through JSON."""
+        m = self._chain()
+        model = fit_model(self._deep_spec(algorithm, depth), m)
+        assert model.fit_info["depth"] == depth
+        text = json.dumps(serialize_model(model), sort_keys=True)
+        restored = deserialize_model(json.loads(text))
+        assert json.dumps(serialize_model(restored), sort_keys=True) == text
+        np.testing.assert_array_equal(predict_proba(restored, m), predict_proba(model, m))
+
+    @pytest.mark.parametrize("algorithm", ["gbt", "decision-tree"])
+    def test_a_tree_deeper_than_a_document_holds_fails_its_fit(self, algorithm, monkeypatch):
+        """Past tree.MAX_TREE_DEPTH, lowered here to 500 so the tree grows well
+        within the recursion limit, the fit fails naming max_depth, and a
+        document of such a tree is malformed."""
+        m = self._chain()
+        deep = serialize_model(fit_model(self._deep_spec(algorithm, 600), m))
+        monkeypatch.setattr(tree_module, "MAX_TREE_DEPTH", 500)
+        with pytest.raises(LearnerError, match=f"{algorithm} max_depth 600: a tree deeper than "
+                                               "the 500 levels a model document holds"):
+            fit_model(self._deep_spec(algorithm, 600), m)
+        with pytest.raises(LearnerError, match="malformed model document: TreeDepthError"):
+            deserialize_model(deep)
+        assert fit_model(self._deep_spec(algorithm, 500), m).fit_info["depth"] == 500
+
     def test_dimension_mismatch_on_predict(self):
         m = two_class_matrix(15, 15)
         model = fit_model(ModelSpec("naive-bayes"), m)

@@ -12,7 +12,7 @@ import pytest
 
 from imbalkit.data import DataError, EncodedMatrix
 from imbalkit.learners import base
-from imbalkit.learners.base import LearnerError, ModelSpec, map_ordered
+from imbalkit.learners.base import LearnerError, ModelSpec, fit_cost, map_ordered
 from imbalkit.learners.search import tune_random_search
 from imbalkit.stacking import StackingSpec, stack_fit
 from imbalkit.validation import (CvRun, SmoteSettings, cross_validate, cross_validate_many,
@@ -203,14 +203,17 @@ class TestCrossValidateMany:
 
         pooled = []
 
-        def serial(fn, items):
-            pooled.extend(spec for spec, _, _ in items)
+        def serial(fn, items, costs):
+            # the order map_ordered dispatches in: by cost, highest first, stable
+            pooled.extend(items[i][0] for i in sorted(range(len(items)), key=lambda i: -costs[i]))
             return [fn(item) for item in items]
         monkeypatch.setattr(imbalkit.validation, "map_ordered", serial)
         nb, other = ModelSpec("naive-bayes"), object()
         small = StackingSpec(base_specs=(nb,), oof_folds=2)
         large = StackingSpec(base_specs=(nb, ModelSpec("logistic")), oof_folds=3, seed=1)
-        assert (small.base_fits, large.base_fits) == (3, 8)
+        cost = base.FIT_SECONDS
+        assert (fit_cost(small), fit_cost(large)) == (
+            3 * cost["naive-bayes"], 4 * (cost["naive-bayes"] + cost["logistic"]))
         specs = (nb, small, other, large)
         m = two_class_matrix(12, 36, seed=28)
         runs = cross_validate_many(specs, m, folds=3, seed=5)
@@ -286,6 +289,46 @@ class TestMapOrdered:
             assert pids == {os.getpid()}
         else:
             assert os.getpid() not in pids and 1 <= len(pids) <= workers
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_costs_dispatch_the_costliest_first_and_results_return_in_item_order(
+            self, monkeypatch, tmp_path, n):
+        """The pool's queue is first in, first out, so each worker starts its
+        items in dispatch order: costliest first, whichever worker takes them."""
+        monkeypatch.setattr(base, "_available_cpus", lambda: n)
+        costs = [1.0, 5.0, 3.0, 6.0, 2.0, 4.0]
+        log = tmp_path / "started"
+
+        def fn(i):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {i}\n")
+            time.sleep(0.01)
+            return i * i, os.getpid()
+        results = map_ordered(fn, range(6), costs)
+        assert [r for r, _ in results] == [i * i for i in range(6)]
+        started = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, i = map(int, line.split())
+            started.setdefault(pid, []).append(i)
+        assert os.getpid() not in started and 1 <= len(started) <= n
+        assert sorted(i for items in started.values() for i in items) == list(range(6))
+        for items in started.values():
+            assert [costs[i] for i in items] == sorted((costs[i] for i in items), reverse=True)
+        assert {pid for _, pid in results} == set(started)
+        assert multiprocessing.active_children() == []
+
+    def test_items_cheaper_than_a_pool_run_in_this_process(self, monkeypatch):
+        """The serial loop runs when the items other than the costliest cost
+        less than starting a pool: the costliest alone cannot be shortened."""
+        monkeypatch.setattr(base, "_available_cpus", lambda: 3)
+        start = base.POOL_START_S
+        assert map_ordered(lambda _: os.getpid(), "xyz", [100.0, start / 3, start / 3]) == [
+            os.getpid()] * 3
+        pids = map_ordered(lambda _: os.getpid(), "xyz", [start, start, start])
+        assert os.getpid() not in pids
+        with pytest.raises(ValueError, match="2 costs for 3 items"):
+            map_ordered(lambda _: os.getpid(), "xyz", [1.0, 1.0])
         assert multiprocessing.active_children() == []
 
     def test_one_item_runs_in_this_process(self, monkeypatch):
