@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import atexit
+import gc
 import sys
 from typing import NoReturn
 
@@ -75,7 +77,7 @@ def _finish(writer: ArtifactWriter) -> NoReturn:
 @_config_options
 def eda(config_path, seed, resample_test, out_dir):
     """Frequency tables, Cramer's V matrix + heatmap, chi-square associations."""
-    from .stats import chi_square, contingency_table, cramers_v
+    from .stats import chi_square, cramers_v_matrix, cross_tabulate, factorize
     from .svg import heatmap_svg
 
     config = load_config(config_path, seed, out_dir, resample_test)
@@ -85,19 +87,20 @@ def eda(config_path, seed, resample_test, out_dir):
     tcol = dataset.column(dataset.target)
     target_labels = sorted(tcol.categories)
     # the tables order the target by label, so they take its codes, not matrix.target
-    target = dataset.parsed[:, dataset.schema.index(tcol)].astype(np.int64)
+    target = factorize(dataset.parsed[:, dataset.schema.index(tcol)].astype(np.int64))
 
     # a frequency table and a chi-square association per feature over its
     # observed values; a continuous column is tabulated by its equal-width
-    # bin, whose single digit makes numeric and label order agree
+    # bin, whose single digit makes numeric and label order agree. Each
+    # column is factorized once, for its table and its Cramer's V pairs
     assoc_rows, categorical = [], {}
     for name, column in zip(matrix.column_names, matrix.values.T):
         if name not in encoder.mappings:  # a continuous column
-            table = contingency_table(_equal_width_bins(column), target)
+            table = cross_tabulate(factorize(_equal_width_bins(column)), target)
             labels = [f"bin_{b}" for b in table.row_labels]
         else:
-            categorical[name] = column
-            table = contingency_table(column, target)
+            categorical[name] = factorize(column)
+            table = cross_tabulate(categorical[name], target)
             labels = [encoder.decode(name, int(code)) for code in table.row_labels]
         writer.write_csv(f"frequencies/{name}.csv", ["feature", "value", "target", "count"],
                          [[name, v, target_labels[t], int(n)]
@@ -111,10 +114,7 @@ def eda(config_path, seed, resample_test, out_dir):
 
     labels = list(categorical)
     k = len(labels)
-    V = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            V[i, j] = V[j, i] = cramers_v(categorical[labels[i]], categorical[labels[j]])
+    V = cramers_v_matrix(list(categorical.values()))
     writer.write_csv("cramers_v.csv", ["feature"] + labels,
                      [[labels[i]] + [f"{V[i, j]:.6f}" for j in range(k)] for i in range(k)])
     writer.write_text("heatmap.svg", heatmap_svg(V, labels, "Cramer's V association"))
@@ -405,5 +405,16 @@ def _native_importances(model, model_name, names, writer):
             _write_scores(writer, f"{model_name}_{tag}", tag, names, rep.scores)
 
 
-if __name__ == "__main__":
+def run():
+    """The console entry point: main, in a process that exits without the
+    interpreter's shutdown collections. gc.freeze, registered before main and
+    so run after every atexit handler main registers, moves every object to
+    the permanent generation, which those collections skip: they would only
+    free reference cycles that the OS reclaims anyway. In-process callers of
+    main never freeze."""
+    atexit.register(gc.freeze)
     main()
+
+
+if __name__ == "__main__":
+    run()

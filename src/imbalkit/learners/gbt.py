@@ -6,15 +6,15 @@ statistics for integer-coded categorical columns.
 
 Splits come from a pre-sorted exact greedy search (Chen & Guestrin, KDD 2016):
 each column is sorted once per fit, its distinct values and each row's
-candidate rank are read off that sort, and every node hands its children
-their rows in each column's sorted order, so no node sorts. A node scores its
-columns in blocks of about `_BLOCK_CELLS` (column, row) cells, a few numpy
-calls per block. A column's split candidates are the midpoints between its
-consecutive distinct training values; `bins > 0` subsamples them to at most
-`bins` evenly spaced ones, and the same search runs over that subset. Fitted
-trees are kept as nested dicts, their serialized form, and are scored through
-`tree.TreeModel`'s node arrays, walked one level at a time for every row and
-tree at once.
+candidate rank are read off that sort, and every node hands each child that
+may still split its rows in each column's sorted order, so no node sorts. A
+node scores its columns in blocks of about `_BLOCK_CELLS` (column, row)
+cells, a few numpy calls per block. A column's split candidates are the
+midpoints between its consecutive distinct training values; `bins > 0`
+subsamples them to at most `bins` evenly spaced ones, and the same search
+runs over that subset. Fitted trees are kept as nested dicts, their
+serialized form, and are scored through `tree.TreeModel`'s node arrays,
+walked one level at a time for every row and tree at once.
 """
 
 from __future__ import annotations
@@ -128,31 +128,43 @@ class _Grower:
         rows = np.arange(g.size, dtype=np.int32)
         return self._grow(rows, self.order, 0), self.leaf
 
+    def _splits(self, n_rows, depth) -> bool:
+        """Whether a node of n_rows rows at this depth may split."""
+        return depth < self.max_depth and n_rows >= self.min_split
+
     def _grow(self, rows, order, depth):
         """`rows` ascending; `order[j]` the same rows in column j's sorted order,
         a subsequence of the whole column's stable sort, so its prefix sums of
-        g and h equal those of sorting this node alone."""
+        g and h equal those of sorting this node alone. `order` is None for a
+        node that may not split, which needs no orders."""
         G, H = self.g.take(rows).sum(), self.h.take(rows).sum()
-        split = None
-        if depth < self.max_depth and rows.size >= self.min_split:
-            split = self._best_split(order, G, H)
+        split = self._best_split(order, G, H) if self._splits(rows.size, depth) else None
         if split is None:
             value = float(-G / (H + self.lam))
             self.leaf[rows] = value
             return {"value": value}
         j, c, gain = split
         self.records.append(SplitRecord(tree=self.tree_idx, feature=j, gain=gain))
-        # the buffer is shared with the children's splits: read it before them
         mask = self.rank[j].take(rows) <= c
-        self.goes_left[rows] = mask
-        flat = order.ravel()
-        left = np.empty(flat.size, dtype=bool)
-        for s in range(0, flat.size, _BLOCK_CELLS):  # take copies its int32 indices to intp
-            self.goes_left.take(flat[s:s + _BLOCK_CELLS], out=left[s:s + _BLOCK_CELLS])
+        n_left = int(np.count_nonzero(mask))
+        split_left = self._splits(n_left, depth + 1)
+        split_right = self._splits(rows.size - n_left, depth + 1)
+        flat = left = None
+        if split_left or split_right:
+            # the buffer is shared with the children's splits: read it before them
+            self.goes_left[rows] = mask
+            flat = order.ravel()
+            left = np.empty(flat.size, dtype=bool)
+            for s in range(0, flat.size, _BLOCK_CELLS):  # take copies its int32 indices to intp
+                self.goes_left.take(flat[s:s + _BLOCK_CELLS], out=left[s:s + _BLOCK_CELLS])
+        # the right child's orders are selected after the left subtree is grown,
+        # so only one child's orders are held during a subtree's growth
         d = order.shape[0]
         return {"feature": j, "threshold": float(self.mids[j][c]),
-                "left": self._grow(rows.compress(mask), _select(flat, left, d), depth + 1),
-                "right": self._grow(rows.compress(~mask), _select(flat, ~left, d), depth + 1)}
+                "left": self._grow(rows.compress(mask),
+                                   _select(flat, left, d) if split_left else None, depth + 1),
+                "right": self._grow(rows.compress(~mask),
+                                    _select(flat, ~left, d) if split_right else None, depth + 1)}
 
     def _best_split(self, order, G, H):
         """(feature, candidate, gain) of the best split, or None.

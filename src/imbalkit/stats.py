@@ -15,10 +15,13 @@ __all__ = [
     "AssociationResult",
     "PairedTestResult",
     "StatsError",
+    "factorize",
+    "cross_tabulate",
     "contingency_table",
     "chi_square",
     "chi_square_association",
     "cramers_v",
+    "cramers_v_matrix",
     "paired_t_test",
     "bonferroni_adjust",
 ]
@@ -59,6 +62,24 @@ class PairedTestResult:
     mean_difference: float
 
 
+def factorize(column) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct labels, each entry's index among them): the codes in
+    the narrowest unsigned dtype that holds them, so a table's columns can be
+    kept factorized at little memory."""
+    labels, codes = np.unique(column, return_inverse=True)
+    return labels, codes.astype(np.min_scalar_type(max(labels.size - 1, 0)))
+
+
+def cross_tabulate(rows, cols) -> ContingencyTable:
+    """The contingency table of two equal-length columns, each given factorized
+    as a (sorted labels, codes) pair."""
+    (row_labels, ri), (col_labels, ci) = rows, cols
+    shape = (row_labels.size, col_labels.size)
+    cells = np.bincount(np.ravel_multi_index((ri, ci), shape), minlength=shape[0] * shape[1])
+    return ContingencyTable(cells.reshape(shape),
+                            tuple(row_labels.tolist()), tuple(col_labels.tolist()))
+
+
 def contingency_table(a, b) -> ContingencyTable:
     """Cross-tabulate two equal-length categorical columns.
 
@@ -70,11 +91,7 @@ def contingency_table(a, b) -> ContingencyTable:
         raise StatsError("columns must be nonempty and of equal length")
     if any(col.dtype.kind in "fc" and np.isnan(col).any() for col in (a, b)):
         raise StatsError("NaN is not a category label")
-    rows, ri = np.unique(a.ravel(), return_inverse=True)
-    cols, ci = np.unique(b.ravel(), return_inverse=True)
-    cells = np.bincount(ri * cols.size + ci, minlength=rows.size * cols.size)
-    return ContingencyTable(cells.reshape(rows.size, cols.size),
-                            tuple(rows.tolist()), tuple(cols.tolist()))
+    return cross_tabulate(factorize(a.ravel()), factorize(b.ravel()))
 
 
 def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, int, float]:
@@ -108,6 +125,17 @@ def chi_square_association(feature, target, alpha: float = 0.10,
 def cramers_v(a, b) -> float:
     """Cramer's V association strength in [0, 1] between two categorical columns."""
     return _cramers_v(contingency_table(a, b))
+
+
+def cramers_v_matrix(columns) -> np.ndarray:
+    """Cramer's V between every two of the factorized columns, (sorted labels,
+    codes) pairs: a symmetric matrix with a unit diagonal."""
+    k = len(columns)
+    V = np.eye(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            V[i, j] = V[j, i] = _cramers_v(cross_tabulate(columns[i], columns[j]))
+    return V
 
 
 def _cramers_v(table: ContingencyTable) -> float:

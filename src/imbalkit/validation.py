@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError, EncodedMatrix, SmoteSettings, smote_classes
-from .learners.base import ModelSpec, child_rng, fit_cost, fit_model, map_ordered, predict_proba
+from .learners.base import (
+    LearnerError,
+    ModelSpec,
+    child_rng,
+    fit_cost,
+    fit_model,
+    map_ordered,
+    predict_proba,
+)
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "check_fold_counts", "training_rows", "stratified_folds",
@@ -90,12 +99,18 @@ def fold_partitions(data: EncodedMatrix, assignment, resampler, seed: int, strea
 
 def _fold_report(unit):
     """The report of one (spec, fold) unit, or the exception its fit, predict
-    or evaluation raised: one spec's failure must not stop the others' units."""
+    or evaluation raised: one spec's failure must not stop the others' units.
+    The unit may run in a worker, so an exception that does not survive
+    pickling comes back as a LearnerError with its message, in every process."""
     spec, data, (held_out, train_part, val_part) = unit
     try:
         train_part = training_rows(spec, data.take(np.flatnonzero(~held_out)), train_part)
         return evaluate(predict_proba(fit_model(spec, train_part), val_part), val_part.target)
     except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            return LearnerError(str(exc))
         return exc
 
 

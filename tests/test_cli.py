@@ -1,8 +1,13 @@
 import csv
 import hashlib
 import json
+import gc
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +61,14 @@ def write_config(tmp_path, name="config.json", **overrides):
 # valid hyperparameters that every fit rejects: a categorical column index
 # outside the 22-column synthetic matrix
 UNFITTABLE_GBT = {"categorical_handling": "ordered-target-stats", "categorical_features": [99]}
+
+
+class LockHolding(Exception):
+    """A failure that cannot cross a process boundary: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
 
 
 def run_cli(*args):
@@ -474,6 +487,37 @@ class TestCompare:
             assert run_cli("compare", "--config", cfg).exit_code == 0
             hashes.append(read_manifest(out)["artifacts"])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("command", ["compare", "benchmark"])
+    def test_unpicklable_fold_failure_reads_alike_at_one_and_two_workers(
+            self, tmp_path, monkeypatch, command):
+        """A fold unit that raises an exception pickling cannot carry sends back
+        its message: compare's folds and a tuned benchmark's search report it
+        as the serial loop does, with the same exit code, stderr and artifacts."""
+        import imbalkit.validation
+        from imbalkit.learners import base
+
+        def fit(spec, data):
+            if spec.algorithm == "gbt":
+                raise LockHolding("gbt blew up")
+            return real(spec, data)
+        real = imbalkit.validation.fit_model
+        monkeypatch.setattr(imbalkit.validation, "fit_model", fit)
+        runs = []
+        for n in (1, 2):
+            monkeypatch.setattr(base, "_available_cpus", lambda: n)
+            (tmp_path / str(n)).mkdir()
+            cfg, out = write_config(
+                tmp_path / str(n), reference_model="nb", models=[
+                    {"name": "nb", "algorithm": "naive-bayes"},
+                    {"name": "gbt", "algorithm": "gbt", "hyperparameters": {"n_estimators": 3}}],
+                tuning={"spaces": {"gbt": {"max_depth": [2, 3]}}, "n_iter": 2, "folds": 3})
+            result = run_cli(command, "--config", cfg)
+            manifest = read_manifest(out)
+            runs.append((result.exit_code, result.output, manifest["artifacts"],
+                         manifest["model_status"]))
+        assert runs[0][:2] == (4, "model gbt failed: gbt blew up\n"), runs[0]
+        assert runs[1] == runs[0]
 
 
 class TestExplain:
@@ -1114,6 +1158,58 @@ class TestErrorPaths:
                               schema=str(schema), target="outcome")
         result = run_cli("benchmark", "--config", cfg)
         assert result.exit_code == 3
+
+
+def run_process(*args, code=None):
+    """One fresh interpreter on this package: `python -m imbalkit.cli args`, or
+    `python -c code args`."""
+    src = str(Path(imbalkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    head = ["-m", "imbalkit.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("command, expected", [("eda", 0), ("compare", 2), ("explain", 3),
+                                                   ("benchmark", 4)])
+    def test_module_exits_with_main_s_code_stderr_and_artifacts(self, tmp_path, command,
+                                                                expected):
+        """`python -m imbalkit.cli` runs the console entry point, which ends the
+        process without the shutdown collections: its exit code, stderr and
+        artifacts are those of main run in this process."""
+        overrides = {"compare": {"reference_model": None},
+                     "explain": {},
+                     "benchmark": with_entry("gbt", **UNFITTABLE_GBT)}.get(command, {})
+        cfg, _ = write_config(tmp_path, **overrides)
+        args = [command, "--config", cfg] + (["--model", "nb", "--instances", "9999"]
+                                             if command == "explain" else [])
+        result = CliRunner().invoke(main, [*map(str, args), "--out", str(tmp_path / "here")])
+        proc = run_process(*args, "--out", tmp_path / "there")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (
+            result.exit_code, result.stderr, result.stdout) and proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        if expected in (0, 4):
+            assert (read_manifest(tmp_path / "there")["artifacts"]
+                    == read_manifest(tmp_path / "here")["artifacts"])
+        else:
+            assert not (tmp_path / "there" / "run-manifest.json").exists()
+
+    def test_only_the_entry_point_freezes_the_heap_at_exit(self, tmp_path):
+        """run() registers gc.freeze with atexit, so a handler registered before
+        it, which runs after it, sees the frozen heap; main alone never freezes."""
+        cfg, out = write_config(tmp_path)
+        probe = ("import atexit, gc\n"
+                 "from imbalkit import cli\n"
+                 "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+                 "cli.run()\n")
+        proc = run_process("eda", "--config", cfg, code=probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "frozen: True\n", "")
+        assert (out / "run-manifest.json").exists()
+        frozen = gc.get_freeze_count()
+        assert run_cli("eda", "--config", cfg).exit_code == 0
+        assert gc.get_freeze_count() == frozen
 
 
 class TestInputFiles:

@@ -798,6 +798,18 @@ class TestGbt:
         assert repr([[r.tree, r.feature, r.gain] for r in model.split_records]) == repr(records)
         assert model.raw_score(X).tobytes() == raw.tobytes()
 
+    @pytest.mark.parametrize("max_depth, most_per_tree", [(1, 0), (2, 2)])
+    def test_children_that_cannot_split_get_no_sorted_orders(self, monkeypatch, max_depth,
+                                                              most_per_tree):
+        """A child at max_depth never splits, so the grower selects no column
+        orders for it: none at depth 1, and only the root's two children's at 2."""
+        calls = []
+        real = gbt_module._select
+        monkeypatch.setattr(gbt_module, "_select", lambda *a: calls.append(1) or real(*a))
+        model = fit_model(ModelSpec("gbt", {"n_estimators": 4, "max_depth": max_depth}),
+                          two_class_matrix(50, 30, seed=16))
+        assert model.split_records and len(calls) <= most_per_tree * 4
+
     @given(_split_problems(), st.sampled_from([0, 1, 2, 3, 64]))
     @settings(max_examples=120, deadline=None)
     def test_ranks_match_unique_and_searchsorted(self, problem, bins):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imbalkit.stats import (
@@ -13,6 +13,9 @@ from imbalkit.stats import (
     chi_square_association,
     contingency_table,
     cramers_v,
+    cramers_v_matrix,
+    cross_tabulate,
+    factorize,
     paired_t_test,
 )
 
@@ -52,6 +55,38 @@ class TestContingency:
         rows, cols, counts = _reference_table(a, b)
         assert (t.row_labels, t.col_labels) == (rows, cols)
         assert np.array_equal(t.counts, counts) and t.counts.dtype == np.float64
+
+    @given(st.sampled_from([1, 2, 255, 256, 70_000]), st.sampled_from([1, 2, 3, 255, 256]),
+           st.integers(0, 50), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_on_narrow_codes_matches_one_flat_index_per_row(self, k_rows, k_cols,
+                                                                  extra, seed):
+        """The engine on factorize's codes (uint8 up to 256 labels, uint32 at
+        70,000) gives the table of the flat intp index ri * n_cols + ci."""
+        assume(k_rows * k_cols <= 300_000)
+        rng = np.random.default_rng(seed)
+        n = max(k_rows, k_cols) + extra
+        a = rng.permutation(np.resize(np.arange(k_rows) * 0.5 - 3.0, n))
+        b = rng.permutation(np.resize(np.arange(k_cols) - k_cols // 2, n))
+        rows, cols = factorize(a), factorize(b)
+        for (labels, codes), k, column in ((rows, k_rows, a), (cols, k_cols, b)):
+            assert codes.dtype == (np.uint8 if k <= 256 else np.uint32)
+            assert labels.size == k and np.array_equal(labels[codes], column)
+        r, ri = np.unique(a, return_inverse=True)
+        c, ci = np.unique(b, return_inverse=True)
+        cells = np.bincount(ri * c.size + ci, minlength=r.size * c.size).reshape(r.size, c.size)
+        for t in (cross_tabulate(rows, cols), contingency_table(a, b)):
+            assert (t.row_labels, t.col_labels) == (tuple(r.tolist()), tuple(c.tolist()))
+            assert np.array_equal(t.counts, cells) and t.counts.dtype == np.float64
+
+    def test_cramers_v_matrix_matches_each_pair(self):
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(0, k, 80) for k in (2, 3, 5, 4)]
+        V = cramers_v_matrix([factorize(c) for c in columns])
+        assert np.array_equal(V, V.T) and np.array_equal(np.diag(V), np.ones(4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert V[i, j] == cramers_v(columns[i], columns[j])
 
 
 def _reference_table(a, b):
