@@ -19,7 +19,7 @@ from .data import (
     label_encode,
     stratified_split,
 )
-from .learners.base import fit_cost, fit_model, map_ordered, predict_proba
+from .learners.base import fit_model, predict_proba
 from .report import ArtifactWriter, ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -134,8 +134,9 @@ def _equal_width_bins(x: np.ndarray, bins: int = 5):
 
 
 def _splits(config: RunConfig, matrix, names):
-    """(raw training split, training split after SMOTE, test split), once every fold
-    count that _tune and _fit split the raw split into for the named models is checked."""
+    """(raw training split, part), once every fold count that _tune and the fits split
+    the raw split into for the named models is checked; part is validation's (test-row
+    mask over matrix, training split after SMOTE, test split)."""
     from .validation import check_fold_counts
 
     raw_train, test = stratified_split(matrix, config.settings["test_fraction"], config.seed)
@@ -147,7 +148,7 @@ def _splits(config: RunConfig, matrix, names):
     check_fold_counts([config.models[name] for name in names], raw_train, None, config.seed)
     check_fold_counts([config.models[name] for name in names if name in config.tuning_spaces],
                       raw_train, config.settings["tuning.folds"], config.seed, config.resampler)
-    return raw_train, train, test
+    return raw_train, (~np.isin(matrix.row_ids, raw_train.row_ids), train, test)
 
 
 def _tune(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
@@ -168,65 +169,43 @@ def _tune(config: RunConfig, name: str, raw_train, writer: ArtifactWriter):
     return spec
 
 
-def _fit(spec, raw_train, train):
-    """spec fitted on the rows training_rows picks: a stack the raw split, any
-    other spec the split after SMOTE."""
-    from .validation import training_rows
-
-    return fit_model(spec, training_rows(spec, raw_train, train))
-
-
-def _test_scores(unit):
-    """The test-set class-1 probabilities of one (spec, raw split, split after
-    SMOTE, test split) unit, or the message of what stopped its fit or scores:
-    the unit may run in a worker, and not every exception survives pickling."""
-    spec, raw_train, train, test = unit
-    try:
-        return predict_proba(_fit(spec, raw_train, train), test)
-    except Exception as exc:
-        return str(exc)
-
-
 @main.command()
 @_config_options
 def benchmark(config_path, seed, resample_test, out_dir):
     """Train and evaluate every roster model on the held-out test set."""
-    from .metrics import evaluate, roc_curve
+    from .metrics import roc_curve
     from .svg import roc_svg
+    from .validation import score_many
 
     config = load_config(config_path, seed, out_dir, resample_test)
     matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
-    raw_train, train, test = _splits(config, matrix, config.models)
+    raw_train, part = _splits(config, matrix, config.models)
+    test = part[2]
 
     # each model's spec, tuned here (the search runs its own pool), or the
-    # message of its failure; then every fit and its test scores run as one
-    # unit in the pool, and the results are written in roster order
+    # exception that stopped it; then score_many fits, scores and evaluates
+    # every spec on the test part, and the results are written in roster order
     outcome = {}
     for name in config.models:
         try:
             outcome[name] = _tune(config, name, raw_train, writer)
         except Exception as exc:  # per-model failure must not abort the run
-            outcome[name] = str(exc)
-    ready = [name for name, spec in outcome.items() if not isinstance(spec, str)]
-    units = [(outcome[name], raw_train, train, test) for name in ready]
-    outcome.update(zip(ready, map_ordered(_test_scores, units,
-                                          [fit_cost(spec) for spec, *_ in units])))
+            outcome[name] = exc
+    ready = [name for name, spec in outcome.items() if not isinstance(spec, Exception)]
+    outcome.update(zip(ready, score_many([outcome[name] for name in ready], matrix, [part])))
 
     metrics = {}
     curves = {}
-    for name, probs in outcome.items():
-        if isinstance(probs, str):
-            _failed(writer, name, probs)
+    for name, result in outcome.items():
+        if isinstance(result, Exception):
+            _failed(writer, name, result)
             continue
-        try:
-            report = evaluate(probs, test.target)
-            metrics[name] = report.to_dict()
-            rc = roc_curve(probs, test.target)
-            curves[name] = (rc.fpr, rc.tpr, report.auc)
-            writer.model_status[name] = "ok"
-        except Exception as exc:
-            _failed(writer, name, exc)
+        (probs, report), = result
+        metrics[name] = report.to_dict()
+        rc = roc_curve(probs, test.target)  # evaluate has checked what roc_curve checks
+        curves[name] = (rc.fpr, rc.tpr, report.auc)
+        writer.model_status[name] = "ok"
 
     writer.write_json("metrics.json", metrics)
     header = ["model", "accuracy", "macro_precision", "macro_recall", "macro_f1",
@@ -314,13 +293,15 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     """Global and local attributions for one roster model."""
     from . import explain as xai
     from .svg import bar_chart_svg
+    from .validation import training_rows
 
     config = load_config(config_path, seed, out_dir, resample_test)
     if model_name not in config.models:
         raise ConfigError(f"unknown model {model_name!r}")
     matrix, _ = label_encode(config.load())
     writer = ArtifactWriter(config.output_dir, config)
-    raw_train, train, test = _splits(config, matrix, [model_name])
+    raw_train, part = _splits(config, matrix, [model_name])
+    _, train, test = part
     if any(i < 0 or i >= test.n_rows for i in instance_ids):
         raise DataError(f"instance index out of range (test has {test.n_rows} rows)")
 
@@ -338,7 +319,8 @@ def explain_cmd(config_path, seed, resample_test, out_dir, model_name, instance_
     lime_cfg = xai.LimeConfig.from_training(train.values, n_samples=max(lime_samples, d + 1))
 
     try:  # a failure of the tuning, the fit or its scores is reported as in benchmark: exit 4
-        model = _fit(_tune(config, model_name, raw_train, writer), raw_train, train)
+        spec = _tune(config, model_name, raw_train, writer)
+        model = fit_model(spec, training_rows(spec, matrix, part))
         predict = lambda X: predict_proba(model, X)
         # global: mean |phi| via sampled Shapley over test rows
         phis = np.zeros((global_rows, d))

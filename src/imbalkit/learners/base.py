@@ -262,14 +262,14 @@ def fit_cost(spec) -> float:
     return (getattr(spec, "oof_folds", 0) + 1) * sum(map(fit_cost, bases))
 
 
-def map_ordered(fn, items, costs=None) -> list:
+def map_ordered(fn, items, costs) -> list:
     """[fn(item) for item in items], spread over forked worker processes, one
     per CPU this process may use and at most one per item.
 
     costs, one estimated cost in seconds per item (fit_cost), orders the
     dispatch: the costliest item goes to a worker first, so that no worker
-    is left alone with a long item at the end (Graham's LPT rule); without
-    costs, items go in item order. Workers inherit fn and items through fork;
+    is left alone with a long item at the end (Graham's LPT rule); items of
+    equal cost go in item order. Workers inherit fn and items through fork;
     only item indices go to them and only results come back pickled, so fn
     may be a closure and its inputs are never pickled. Results come back in
     item order, so with child_rng seeds the output is the serial loop's, bit
@@ -281,9 +281,9 @@ def map_ordered(fn, items, costs=None) -> list:
     dies raises BrokenProcessPool. The pool is joined before this returns."""
     items = list(items)
     workers = min(_available_cpus(), len(items))
-    if costs is not None and len(costs) != len(items):
+    if len(costs) != len(items):
         raise ValueError(f"{len(costs)} costs for {len(items)} items")
-    cheap = costs is not None and sum(costs) - max(costs, default=0) < POOL_START_S
+    cheap = sum(costs) - max(costs, default=0) < POOL_START_S
     if workers <= 1 or _job is not None or cheap:
         return [fn(item) for item in items]
     import multiprocessing  # here, not at import time: most commands never fork
@@ -291,9 +291,7 @@ def map_ordered(fn, items, costs=None) -> list:
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    order = range(len(items))
-    if costs is not None:  # a stable sort: equal costs keep item order
-        order = sorted(order, key=lambda i: -costs[i])
+    order = sorted(range(len(items)), key=lambda i: -costs[i])  # stable: ties keep item order
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(fn, items)) as pool:
         futures = {i: pool.submit(_run, i) for i in order}

@@ -95,6 +95,8 @@ def stack_fit(spec: StackingSpec, train: EncodedMatrix,
                                                           spec.seed, 30):
         for b in bases:
             oof[held_out, b] = predict_proba(fit_base(b, fold_train), fold_val)
+        # released before the next partition, or the full-data refit, is SMOTEd
+        del fold_train, fold_val
 
     meta_train = EncodedMatrix(
         oof, train.target,

@@ -20,7 +20,7 @@ from .learners.base import (
 from .metrics import EvaluationReport, evaluate
 
 __all__ = ["SmoteSettings", "CvRun", "check_fold_counts", "training_rows", "stratified_folds",
-           "fold_partitions", "cross_validate", "cross_validate_many"]
+           "fold_partitions", "score_many", "cross_validate", "cross_validate_many"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,13 @@ def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
             training_partitions(target, spec.oof_folds, spec.seed, spec.resampler)
 
 
-def training_rows(spec, raw: EncodedMatrix, resampled: EncodedMatrix) -> EncodedMatrix:
-    """A stack SMOTEs inside its own out-of-fold partitions, so it trains on
-    the raw rows; every other spec trains on the resampled rows."""
-    return resampled if isinstance(spec, ModelSpec) else raw
+def training_rows(spec, data: EncodedMatrix, part) -> EncodedMatrix:
+    """The rows spec trains on in part, a fold_partitions triple over data: a
+    stack SMOTEs inside its own out-of-fold partitions, so it trains on the
+    raw rows outside the held-out mask, copied here for it alone; every other
+    spec trains on the part's resampled rows."""
+    held_out, resampled, _ = part
+    return resampled if isinstance(spec, ModelSpec) else data.take(np.flatnonzero(~held_out))
 
 
 def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -97,15 +100,18 @@ def fold_partitions(data: EncodedMatrix, assignment, resampler, seed: int, strea
         yield held_out, train_part, data.take(np.flatnonzero(held_out))
 
 
-def _fold_report(unit):
-    """The report of one (spec, fold) unit, or the exception its fit, predict
-    or evaluation raised: one spec's failure must not stop the others' units.
-    The unit may run in a worker, so an exception that does not survive
-    pickling comes back as a LearnerError with its message, in every process."""
-    spec, data, (held_out, train_part, val_part) = unit
+def _score(unit):
+    """(class-1 probabilities, report) of one (spec, data, part) unit: spec
+    fitted on the rows training_rows picks, then scored and evaluated on the
+    part's scored rows; or the exception its fit, scores or evaluation raised,
+    since one spec's failure must not stop the others' units. The unit may run
+    in a worker, so an exception that does not survive pickling comes back as
+    a LearnerError with its message, in every process."""
+    spec, data, part = unit
+    scored = part[2]
     try:
-        train_part = training_rows(spec, data.take(np.flatnonzero(~held_out)), train_part)
-        return evaluate(predict_proba(fit_model(spec, train_part), val_part), val_part.target)
+        probs = predict_proba(fit_model(spec, training_rows(spec, data, part)), scored)
+        return probs, evaluate(probs, scored.target)
     except Exception as exc:
         try:
             pickle.loads(pickle.dumps(exc))
@@ -114,29 +120,35 @@ def _fold_report(unit):
         return exc
 
 
+def score_many(specs, data: EncodedMatrix, parts) -> list:
+    """Per spec, in spec order, the (probabilities, report) of each part in
+    part order, or the exception of its first failing part. A part is a
+    fold_partitions triple over data: held-out mask, resampled training rows,
+    scored rows. Every (spec, part) unit fits, scores and evaluates in _score
+    through map_ordered, costliest first by fit_cost."""
+    units = [(spec, data, part) for spec in specs for part in parts]
+    results = map_ordered(_score, units, [fit_cost(spec) for spec, _, _ in units])
+    per_spec = (results[start:start + len(parts)] for start in range(0, len(results), len(parts)))
+    return [next((r for r in rs if isinstance(r, Exception)), tuple(rs)) for rs in per_spec]
+
+
 def cross_validate_many(specs, data: EncodedMatrix, folds: int = 10,
                         resampler: SmoteSettings | None = None, seed: int = 0) -> list:
     """One CvRun per spec (a ModelSpec or StackingSpec), or the exception that
     stopped it: its first failing fold's, in fold order. Every spec sees the
     same stratified folds, so every validation row is original; each fold's
-    training partition is SMOTEd once (when enabled) and shared, and a spec
-    trains on the partition training_rows picks. All (spec, fold) units fit,
-    predict and evaluate through map_ordered, costliest first by fit_cost."""
+    training partition is SMOTEd once (when enabled) and shared, and
+    score_many runs every (spec, fold) unit."""
     try:
         assignment = stratified_folds(data.target, folds, seed)
         parts = list(fold_partitions(data, assignment, resampler, seed, 11))
     except Exception as exc:  # no fold exists, so every spec stops here
         return [exc] * len(specs)
-    units = [(spec, data, part) for spec in specs for part in parts]
-    results = map_ordered(_fold_report, units, [fit_cost(spec) for spec, _, _ in units])
     val_ids = tuple(val_part.row_ids.copy() for _, _, val_part in parts)
-    runs = []
-    for start in range(0, len(results), len(parts)):
-        reports = tuple(results[start:start + len(parts)])
-        failure = next((r for r in reports if isinstance(r, Exception)), None)
-        runs.append(failure if failure is not None else
-                    CvRun(reports, assignment, val_ids, resampled=resampler is not None))
-    return runs
+    return [result if isinstance(result, Exception) else
+            CvRun(tuple(report for _, report in result), assignment, val_ids,
+                  resampled=resampler is not None)
+            for result in score_many(specs, data, parts)]
 
 
 def cross_validate(spec, data: EncodedMatrix, folds: int = 10,

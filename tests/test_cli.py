@@ -353,9 +353,9 @@ class TestBenchmark:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unpicklable_failures_reach_stderr_in_roster_order(self, tmp_path, monkeypatch,
                                                               workers):
-        """A unit sends back its failure's message, never the exception, so one
-        that cannot be pickled is reported from a worker as in this process."""
-        import imbalkit.cli
+        """A unit's exception that cannot be pickled comes back as a LearnerError
+        with its message, so it is reported from a worker as in this process."""
+        import imbalkit.validation
         from imbalkit.learners import base
 
         class Unpicklable(Exception):
@@ -366,8 +366,8 @@ class TestBenchmark:
             if spec.algorithm in ("gbt", "decision-tree"):
                 raise Unpicklable(f"no {spec.algorithm} today")
             return real(spec, data)
-        real = imbalkit.cli.fit_model
-        monkeypatch.setattr(imbalkit.cli, "fit_model", fit)
+        real = imbalkit.validation.fit_model
+        monkeypatch.setattr(imbalkit.validation, "fit_model", fit)
         monkeypatch.setattr(base, "_available_cpus", lambda: workers)
         cfg, out = write_config(tmp_path, reference_model="nb", models=[
             {"name": "tree", "algorithm": "decision-tree"},
@@ -385,23 +385,53 @@ class TestBenchmark:
     def test_a_cheap_roster_fits_in_this_process(self, tmp_path, monkeypatch):
         """naive Bayes and logistic regression together cost less than starting
         a pool, so they fit in this process, where a spy sees every fit."""
-        import imbalkit.cli
+        import imbalkit.validation
         from imbalkit.learners import base
 
         monkeypatch.setattr(base, "_available_cpus", lambda: 2)
-        real = imbalkit.cli.fit_model
+        real = imbalkit.validation.fit_model
         fits = []
 
         def spy(spec, data):
             fits.append(spec.algorithm)
             return real(spec, data)
-        monkeypatch.setattr(imbalkit.cli, "fit_model", spy)
+        monkeypatch.setattr(imbalkit.validation, "fit_model", spy)
         cfg, _ = write_config(tmp_path, reference_model="nb", models=[
             {"name": "nb", "algorithm": "naive-bayes"},
             {"name": "logistic", "algorithm": "logistic"}])
         result = run_cli("benchmark", "--config", cfg)
         assert result.exit_code == 0, result.output
         assert fits == ["naive-bayes", "logistic"]
+
+    def test_the_stack_trains_on_the_raw_training_split(self, tmp_path, monkeypatch):
+        """The stack's unit copies the rows outside the part's test mask: they
+        are stratified_split's training split, the same ids in the same order.
+        Fits run in-process, so a spy sees them."""
+        import imbalkit.cli
+        import imbalkit.stacking
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        real_split, real_fit = imbalkit.cli.stratified_split, imbalkit.stacking.stack_fit
+        splits, stacks = [], []
+
+        def split(*args):
+            splits.append(real_split(*args))
+            return splits[-1]
+
+        def fit(spec, data, *args):
+            stacks.append(data)
+            return real_fit(spec, data, *args)
+        monkeypatch.setattr(imbalkit.cli, "stratified_split", split)
+        monkeypatch.setattr(imbalkit.stacking, "stack_fit", fit)
+        cfg, _ = write_config(tmp_path)
+        result = run_cli("benchmark", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        (raw_train, _), = splits
+        stack, = stacks
+        assert np.array_equal(stack.row_ids, raw_train.row_ids)
+        assert np.array_equal(stack.values, raw_train.values)
+        assert np.array_equal(stack.target, raw_train.target)
 
     def test_knn_weights_space_is_a_list_of_choices(self, tmp_path):
         # a list that starts with a distribution's name is a distribution only
@@ -603,8 +633,11 @@ class TestExplain:
     def test_explains_the_tuned_model_benchmark_scores(self, tmp_path, monkeypatch):
         """A model with a tuning space is explained as benchmark scores it:
         explain fits the tuned spec on the same rows and writes the same
-        tuning/<name>.csv. Fits run in-process, so a spy sees them."""
+        tuning/<name>.csv. Fits run in-process, so a spy sees them: explain's
+        own fit, and those of benchmark's roster and of both tuning CVs, which
+        go through validation and come first."""
         import imbalkit.cli
+        import imbalkit.validation
         from imbalkit.learners import base
 
         monkeypatch.setattr(base, "_available_cpus", lambda: 1)
@@ -615,6 +648,7 @@ class TestExplain:
             fits.setdefault(command[0], []).append((spec, data.row_ids.copy()))
             return real(spec, data)
         monkeypatch.setattr(imbalkit.cli, "fit_model", spy)
+        monkeypatch.setattr(imbalkit.validation, "fit_model", spy)
         tuning = {"spaces": {"tree": {"max_depth": [1, 2, 3]}}, "n_iter": 3, "folds": 3}
         for command in (["benchmark"], ["explain", "--model", "tree"]):
             (tmp_path / command[0]).mkdir()
@@ -622,8 +656,12 @@ class TestExplain:
             result = run_cli(*command, "--config", cfg)
             assert result.exit_code == 0, result.output
             tables[command[0]] = (out / "tuning" / "tree.csv").read_bytes()
-        (spec, rows), = fits["explain"]
-        _, (scored, scored_rows), _ = fits["benchmark"]  # nb, tree, stack: roster order
+        (spec, rows), = fits["explain"][9:]  # after the tuning CV: 3 candidates x 3 folds
+        _, (scored, scored_rows), (_, raw_rows) = fits["benchmark"][9:]  # nb, tree, stack
+        assert set(rows[rows >= 0]) == set(raw_rows)  # the stack's rows: the raw split
+        for tuning_fits in (fits["benchmark"][:9], fits["explain"][:9]):
+            for tuned, ids in tuning_fits:  # a fold of the raw split, never all of it
+                assert tuned.algorithm == "decision-tree" and set(ids[ids >= 0]) < set(raw_rows)
         assert spec == scored and np.array_equal(rows, scored_rows)
         assert spec.hyperparameters["max_depth"] in (1, 2, 3)  # the entry's own is 6
         assert tables["explain"] == tables["benchmark"]

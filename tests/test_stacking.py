@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,24 @@ class TestStackFit:
                   base_fit=spy)
         # 3 fold fits plus 1 full refit, each on balanced data
         assert len(seen_sizes) == 4
+
+    def test_each_smoted_partition_is_released_before_the_next_smote(self, monkeypatch):
+        """A fold's partition is dropped before the next fold's, or the
+        full-data refit's, is built and SMOTEd: as each SMOTE starts, no
+        earlier SMOTE output is alive."""
+        import imbalkit.data
+
+        real, outputs, alive = imbalkit.data.smote, [], []
+
+        def smote(train, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in outputs))
+            out = real(train, *args, **kwargs)
+            outputs.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(imbalkit.data, "smote", smote)
+        stack_fit(simple_spec("naive-bayes", folds=4, resampler=SmoteSettings()),
+                  two_class_matrix(20, 60, seed=3))
+        assert alive == [0] * 5  # 4 folds, then the full-data refit
 
     def test_base_failure_names_the_base(self):
         m = two_class_matrix(20, 40, seed=3)

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbalkit.data import DataError, EncodedMatrix
+from imbalkit.data import DataError, EncodedMatrix, stratified_split
 from imbalkit.learners import base
 from imbalkit.learners.base import LearnerError, ModelSpec, fit_cost, map_ordered
 from imbalkit.learners.search import tune_random_search
 from imbalkit.stacking import StackingSpec, stack_fit
 from imbalkit.validation import (CvRun, SmoteSettings, cross_validate, cross_validate_many,
-                                 stratified_folds)
+                                 fold_partitions, score_many, stratified_folds)
 
 from conftest import pinned, two_class_matrix
 
@@ -275,6 +275,78 @@ class TestCrossValidateMany:
         assert multiprocessing.active_children() == []
 
 
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def _one_part(m):
+    """benchmark's part: the test rows' mask, the SMOTEd training split, the test split."""
+    raw_train, test = stratified_split(m, 0.25, 3)
+    return [(~np.isin(m.row_ids, raw_train.row_ids), SmoteSettings().apply(raw_train, 3), test)]
+
+
+def _k_folds(m):
+    return list(fold_partitions(m, stratified_folds(m.target, 3, 4), SmoteSettings(), 4, 11))
+
+
+def _score_doc(parts_of, monkeypatch):
+    """score_many's results for a roster whose units cost more than starting a
+    pool; naive Bayes raises an exception that cannot be pickled."""
+    import imbalkit.validation
+
+    def fit(spec, data):
+        if getattr(spec, "algorithm", None) == "naive-bayes":
+            raise Unpicklable("no naive-bayes today")
+        return real(spec, data)
+    real = base.fit_model
+    monkeypatch.setattr(imbalkit.validation, "fit_model", fit)
+    m = two_class_matrix(21, 63, seed=29)
+    specs = (ModelSpec("decision-tree", {"max_depth": 3}, seed=4),
+             ModelSpec("gbt", {"n_estimators": 3}),
+             ModelSpec("gbt", {"categorical_handling": "ordered-target-stats",
+                               "categorical_features": [99]}),
+             StackingSpec(base_specs=(ModelSpec("logistic"), ModelSpec("decision-tree")),
+                          oof_folds=3, seed=1, resampler=SmoteSettings(k_neighbors=3)),
+             ModelSpec("naive-bayes"), object())
+    return [(type(result).__name__, str(result)) if isinstance(result, Exception) else
+            [(probs.tolist(), report.to_dict()) for probs, report in result]
+            for result in score_many(specs, m, parts_of(m))]
+
+
+class TestScoreMany:
+    @pytest.mark.parametrize("parts_of", [_one_part, _k_folds], ids=["one-part", "k-fold"])
+    def test_results_and_failures_equal_at_every_worker_count(self, workers, monkeypatch,
+                                                               parts_of):
+        doc = _score_doc(parts_of, monkeypatch)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        assert doc == _score_doc(parts_of, monkeypatch)
+        n_parts = len(parts_of(two_class_matrix(21, 63, seed=29)))
+        assert [len(doc[i]) for i in (0, 1, 3)] == [n_parts] * 3
+        assert doc[2] == ("LearnerError", "categorical feature index 99 is outside the 3 columns")
+        assert doc[4:] == [("LearnerError", "no naive-bayes today"),
+                           ("TypeError", "unsupported spec type object")]
+
+    def test_a_stack_alone_copies_the_raw_training_rows(self, monkeypatch):
+        """A stack trains on a copy of the raw rows outside the part's mask; every
+        other spec on the part's resampled rows themselves, never copied."""
+        import imbalkit.validation
+
+        m = two_class_matrix(21, 63, seed=29)
+        part, = _one_part(m)
+        seen = []
+
+        def fit(spec, data):
+            seen.append(data)
+            return base.fit_model(spec, data)
+        monkeypatch.setattr(imbalkit.validation, "fit_model", fit)
+        stack = StackingSpec(base_specs=(ModelSpec("naive-bayes"),), oof_folds=3)
+        score_many((ModelSpec("naive-bayes"), stack), m, [part])
+        assert seen[0] is part[1]
+        assert np.array_equal(seen[1].row_ids, m.row_ids[~part[0]])
+
+
 class TestMapOrdered:
     def test_results_in_item_order_from_worker_processes(self, workers):
         items = list(range(7))
@@ -282,7 +354,7 @@ class TestMapOrdered:
         def fn(i):
             time.sleep(0.01 * (7 - i))  # later items finish first
             return i * i, os.getpid()
-        results = map_ordered(fn, items)
+        results = map_ordered(fn, items, [1.0] * len(items))
         assert [r for r, _ in results] == [i * i for i in items]
         pids = {pid for _, pid in results}
         if workers == 1:
@@ -333,12 +405,13 @@ class TestMapOrdered:
 
     def test_one_item_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(base, "_available_cpus", lambda: 3)
-        assert map_ordered(lambda _: os.getpid(), ["x"]) == [os.getpid()]
+        assert map_ordered(lambda _: os.getpid(), ["x"], [1.0]) == [os.getpid()]
 
     def test_a_nested_map_runs_serially_in_its_worker(self, monkeypatch):
         monkeypatch.setattr(base, "_available_cpus", lambda: 2)
-        outer = map_ordered(lambda _: (os.getpid(), map_ordered(lambda _: os.getpid(), "abc")),
-                            "xy")
+        outer = map_ordered(
+            lambda _: (os.getpid(), map_ordered(lambda _: os.getpid(), "abc", [1.0] * 3)),
+            "xy", [1.0] * 2)
         for pid, inner in outer:
             assert pid != os.getpid() and inner == [pid] * 3
         assert multiprocessing.active_children() == []
@@ -351,14 +424,15 @@ class TestMapOrdered:
                 raise ValueError(f"item {i}")
             return i
         with pytest.raises(ValueError, match="^item 2$"):
-            map_ordered(fn, range(5))
+            map_ordered(fn, range(5), [1.0] * 5)
         assert multiprocessing.active_children() == []
 
     def test_a_dying_worker_raises_and_does_not_hang(self):
         script = ("import os\n"
                   "from imbalkit.learners import base\n"
                   "base._available_cpus = lambda: 2\n"
-                  "base.map_ordered(lambda i: os._exit(3) if i == 1 else i, range(3))\n")
+                  "base.map_ordered(lambda i: os._exit(3) if i == 1 else i, range(3),\n"
+                  "                 [1.0] * 3)\n")
         src = str(Path(base.__file__).resolve().parents[2])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
