@@ -410,13 +410,13 @@ def smote(train: EncodedMatrix, k_neighbors: int = 5, seed: int = 0) -> EncodedM
     rows may carry fractional codes. A non-finite feature value raises
     DataError.
     """
+    from .learners.base import count  # here: learners.base imports this module
+    count(1).check(k_neighbors, "k_neighbors", DataError)
     if not np.isfinite(train.values).all():
         raise DataError("SMOTE needs finite feature values")
     minority, n_min, n_maj = smote_classes(train.target)
     if n_min == n_maj:
         return train
-    if k_neighbors < 1:
-        raise DataError("k_neighbors must be >= 1")
     k = min(k_neighbors, n_min - 1)
     if k < k_neighbors:
         warnings.warn(f"k_neighbors clamped from {k_neighbors} to {k} (minority size {n_min})",

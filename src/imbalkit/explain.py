@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learners.base import TrainedModel, child_rng, predict_proba
+from .learners.base import TrainedModel, child_rng, count, predict_proba
 from .metrics import roc_auc
 
 __all__ = [
@@ -143,8 +143,7 @@ def shapley_sampled(predict, x, background, n_permutations: int, seed: int = 0
     values; otherwise the remainder is sampled uniformly. The distinct
     coalitions along all permutations are evaluated in one batched pass.
     """
-    if n_permutations < 1:
-        raise ExplainError("n_permutations must be >= 1")
+    count(1).check(n_permutations, "n_permutations", ExplainError)
     x, bg = _shapley_inputs(x, background)
     d = x.size
     rng = child_rng(seed, 40)

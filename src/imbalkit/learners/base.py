@@ -79,11 +79,10 @@ class Rule:
         each = "a list of distinct values, each " if self.distinct else "a list, each "
         return (each if self.each else "") + " or ".join(words)
 
-
-def check_value(rule: Rule, value, what: str) -> None:
-    """LearnerError unless rule accepts value; the value is never converted."""
-    if not rule.accepts(value):
-        raise LearnerError(f"{what} must be {rule}, got {value!r}")
+    def check(self, value, what: str, error: type = LearnerError) -> None:
+        """error (naming what) unless this rule accepts value; the value is never converted."""
+        if not self.accepts(value):
+            raise error(f"{what} must be {self}, got {value!r}")
 
 
 def count(low: int, **more) -> Rule:
@@ -142,7 +141,7 @@ class ModelSpec:
 
     def __post_init__(self):
         for key, rule in hyperparameter_rules(self.algorithm, self.hyperparameters).items():
-            check_value(rule, self.hyperparameters[key], f"{self.algorithm} {key}")
+            rule.check(self.hyperparameters[key], f"{self.algorithm} {key}")
         merged = {key: default for key, (default, _) in HYPERPARAMETERS[self.algorithm].items()}
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)
@@ -214,8 +213,8 @@ class TrainedModel:
         rules = HYPERPARAMETERS.get(cls.algorithm, {})
         for key in (k for k in cls.state if k in rules or not isinstance(d[k], (list, dict))):
             rule = rules[key][1] if key in rules else REAL
-            check_value(replace(rule, choices=(), high=np.inf) if rule.kind else rule, d[key],
-                        f"malformed model document: {cls.algorithm} {key}")
+            (replace(rule, choices=(), high=np.inf) if rule.kind else rule).check(
+                d[key], f"malformed model document: {cls.algorithm} {key}")
         return cls(*(d[key] for key in cls.state), feature_names)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..data import EncodedMatrix
 from ..validation import cross_validate_many
-from .base import LearnerError, ModelSpec, check_value, child_rng, hyperparameter_rules
+from .base import LearnerError, ModelSpec, child_rng, count, hyperparameter_rules
 
 __all__ = ["SearchSpace", "CandidateScore", "check_space", "sample_spec", "tune_random_search"]
 
@@ -45,7 +45,7 @@ def check_space(algorithm: str, space: SearchSpace) -> None:
         dist = space[key]
         if not _is_distribution(dist, rule):
             for choice in dist if isinstance(dist, (list, tuple)) and dist else [dist]:
-                check_value(rule, choice, f"{algorithm} {key}")
+                rule.check(choice, f"{algorithm} {key}")
             continue
         kind, *ends = dist
         number = replace(rule, choices=())
@@ -86,6 +86,7 @@ def tune_random_search(spec: ModelSpec | str, space: SearchSpace, train: Encoded
     fold-training partitions; all candidates share the folds and are scored in
     one cross_validate_many call), return the argmax; ties go to the earliest.
     The first failing candidate's exception is raised."""
+    count(1).check(n_iter, "n_iter")
     if not space:
         raise LearnerError("empty search space")
     if isinstance(spec, str):

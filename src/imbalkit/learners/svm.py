@@ -103,7 +103,7 @@ class SvmModel(TrainedModel):
     state = ("support_vectors", "coef", "intercept", "gamma", "platt_a", "platt_b")
 
     def __init__(self, support_vectors, coef, intercept, gamma, platt_a, platt_b,
-                 feature_names, slack=None, objective_history=None):
+                 feature_names):
         super().__init__(feature_names)
         self.support_vectors = np.asarray(support_vectors, dtype=float).reshape(
             -1, len(self.feature_names))
@@ -112,8 +112,9 @@ class SvmModel(TrainedModel):
         self.gamma = gamma
         self.platt_a = float(platt_a)
         self.platt_b = float(platt_b)
-        self.slack = slack if slack is not None else np.empty(0)
-        self.objective_history = objective_history or []
+
+    # a view of fit_info kept for callers that read it as an attribute
+    objective_history = property(lambda self: self.fit_info.get("objective_history", []))
 
     @classmethod
     def fit(cls, X, y, spec: ModelSpec, feature_names) -> "SvmModel":
@@ -137,13 +138,12 @@ class SvmModel(TrainedModel):
         alpha, b, history, info = _smo(K, t, C, float(h["tol"]),
                                        100 * int(h["max_passes"]) * n)
         decision = (alpha * t) @ K + b
-        slack = np.maximum(0.0, 1.0 - t * decision)
         sv = alpha > 1e-10
         n_pos = int(np.sum(t > 0))  # Platt scaling on Lin, Lin & Weng's (2007) targets
         soft = np.where(t > 0, (n_pos + 1) / (n_pos + 2), 1 / (n - n_pos + 2))
         (a_cal, b_cal), info["platt"] = newton_logistic(np.c_[decision, np.ones(n)], soft)
-        return cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names,
-                   slack=slack, objective_history=history)._fitted(**info)
+        return cls(X[sv], (alpha * t)[sv], b, gamma, a_cal, b_cal, feature_names)._fitted(
+            **info, objective_history=history)
 
     def decision_values(self, values: np.ndarray) -> np.ndarray:
         K = _kernel_matrix(values, self.support_vectors, self.gamma)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__, synth
 from .data import SmoteSettings, load_dataset, load_schema
-from .learners.base import POSITIVE, LearnerError, ModelSpec, Rule, check_value, count
+from .learners.base import POSITIVE, LearnerError, ModelSpec, Rule, count
 
 __all__ = ["ConfigError", "RunConfig", "ArtifactWriter", "load_config"]
 
@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    settings: dict                   # dotted run setting -> its checked value (not oof_folds)
+    settings: dict                   # dotted run setting -> its checked value
     resampler: SmoteSettings | None  # None when SMOTE is disabled
     models: dict                     # name -> ModelSpec | StackingSpec, in config order
     tuning_spaces: dict
@@ -60,7 +60,6 @@ _SETTINGS = {
     "smote.enabled": (True, Rule((True, False))),
     "resample_test": (False, Rule((True, False))),
     "cv_folds": (10, count(2)),
-    "oof_folds": (5, count(2)),
     "tuning.n_iter": (10, count(1)),
     "tuning.folds": (5, count(2)),
     "synthetic.n": (2000, count(1)),
@@ -74,8 +73,7 @@ _SETTINGS = {
 
 
 # the keys of each part of a config ("" is the top level) that are not the run
-# settings _SETTINGS puts there; model entries hold no section of _SETTINGS,
-# and its `oof_folds` row is a key of stacking entries, not of the top level
+# settings _SETTINGS puts there; model entries hold no section of _SETTINGS
 _KEYS = {
     "": {"dataset", "schema", "target", "output_dir", "models", "reference_model", "smote",
          "tuning", "synthetic", "explain"},
@@ -88,8 +86,7 @@ _KEYS = {
 
 def _check_keys(raw: dict, part: str, where: str):
     """A key of raw that this part of a config does not hold is a ConfigError."""
-    settings = {key.rpartition(".")[2] for key in _SETTINGS
-                if key.rpartition(".")[0] == part and key != "oof_folds"}
+    settings = {key.rpartition(".")[2] for key in _SETTINGS if key.rpartition(".")[0] == part}
     unknown = sorted(set(raw) - _KEYS.get(part, set()) - settings)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
@@ -103,7 +100,7 @@ def _setting(raw: dict, key: str, default=None):
         raw = _section(raw, section)
     table_default, rule = _SETTINGS[key]
     value = raw.get(name, table_default if default is None else default)
-    check_value(rule, value, key)
+    rule.check(value, key)
     return value
 
 
@@ -148,7 +145,7 @@ def _stacking_spec(name: str, entry: dict, bases: dict, seed: int,
     meta = ModelSpec("logistic", dict(_section(meta_entry, "hyperparameters")),
                      _setting(meta_entry, "seed", seed))
     return StackingSpec(base_specs=tuple(bases[b] for b in base_names), meta_spec=meta,
-                        oof_folds=_setting(entry, "oof_folds"),
+                        oof_folds=entry.get("oof_folds", StackingSpec.oof_folds),
                         seed=_setting(entry, "seed", seed), resampler=resampler)
 
 
@@ -178,7 +175,7 @@ def load_config(path, seed_override: int | None = None,
     try:
         # every setting is checked, the SMOTE ones even when SMOTE is disabled
         settings = {key: _setting(raw if overrides.get(key) is None else overrides, key)
-                    for key in _SETTINGS if key != "oof_folds"}
+                    for key in _SETTINGS}
         resampler = (SmoteSettings(k_neighbors=settings["smote.k_neighbors"])
                      if settings["smote.enabled"] else None)
         models = _parse_models(raw.get("models", []), settings["seed"], resampler)

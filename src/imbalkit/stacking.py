@@ -13,6 +13,7 @@ from .learners.base import (
     ModelSpec,
     TrainedModel,
     child_rng,
+    count,
     deserialize_model,
     fit_model,
     predict_proba,
@@ -29,6 +30,7 @@ class StackingSpec:
     oof_folds: int = 5
     seed: int = 0
     resampler: SmoteSettings | None = None
+    OOF_FOLDS = count(2)  # the rule oof_folds must pass; unannotated, so not a field
 
     def __post_init__(self):
         object.__setattr__(self, "base_specs", tuple(self.base_specs))
@@ -38,8 +40,7 @@ class StackingSpec:
             raise LearnerError("every base must be a ModelSpec; a stack is not a base")
         if self.meta_spec.algorithm != "logistic":
             raise LearnerError("the meta-learner must be logistic")
-        if self.oof_folds < 2:
-            raise LearnerError("oof_folds must be >= 2")
+        self.OOF_FOLDS.check(self.oof_folds, "oof_folds")
 
 
 class StackedModel(TrainedModel):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import pickle
 from dataclasses import dataclass
 
@@ -11,7 +12,9 @@ from .data import DataError, EncodedMatrix, SmoteSettings, smote_classes
 from .learners.base import (
     LearnerError,
     ModelSpec,
+    Rule,
     child_rng,
+    count,
     fit_cost,
     fit_model,
     map_ordered,
@@ -41,11 +44,13 @@ class CvRun:
 def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
                       resampler: SmoteSettings | None = None) -> None:
     """Raise DataError, before any fit, for a fold count above the minority
-    class count of the raw rows it splits, or a training partition SMOTE will
-    resample but cannot. It checks folds, a cross-validation of specs over
-    data with this seed whose training partitions resampler resamples (folds
-    None: each spec fits all of data), and each stack's oof_folds over every
-    training set the stack will be fit on, resampled by its own resampler."""
+    class count of the raw rows it splits, a training partition SMOTE will
+    resample but cannot, or an ordered-target-stats categorical feature index
+    of a spec or stack base past data's columns. It checks folds, a
+    cross-validation of specs over data with this seed whose training
+    partitions resampler resamples (folds None: each spec fits all of data),
+    and each stack's oof_folds over every training set the stack will be fit
+    on, resampled by its own resampler."""
 
     def training_partitions(target, folds, seed, resampler):
         assignment = stratified_folds(target, folds, seed)
@@ -57,7 +62,12 @@ def check_fold_counts(specs, data: EncodedMatrix, folds: int | None, seed: int,
     training = [data.target]
     if folds is not None and specs:
         training = training_partitions(data.target, folds, seed, resampler)
+    column = Rule(kind=numbers.Integral, high=len(data.column_names) - 1, each=True)
     for spec in specs:
+        for model in (spec,) if isinstance(spec, ModelSpec) else spec.base_specs:
+            if model.hyperparameters.get("categorical_handling") == "ordered-target-stats":
+                column.check(model.hyperparameters["categorical_features"],
+                             f"{model.algorithm} categorical_features", DataError)
         for target in () if isinstance(spec, ModelSpec) else training:
             training_partitions(target, spec.oof_folds, spec.seed, spec.resampler)
 
@@ -74,9 +84,8 @@ def training_rows(spec, data: EncodedMatrix, part) -> EncodedMatrix:
 def stratified_folds(target: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold assignment (round-robin within each
     class); every fold needs a row of each class."""
+    count(2).check(folds, "folds", DataError)
     counts = np.bincount(target, minlength=2)
-    if folds < 2:
-        raise DataError("need at least 2 folds")
     if folds > counts.min():
         raise DataError(f"fold count {folds} exceeds the minority class count {counts.min()}")
     rng = child_rng(seed, 10)

@@ -58,9 +58,26 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path, out_dir
 
 
-# valid hyperparameters that every fit rejects: a categorical column index
-# outside the 22-column synthetic matrix
-UNFITTABLE_GBT = {"categorical_handling": "ordered-target-stats", "categorical_features": [99]}
+# gbt hyperparameters that the unfittable_gbt fixture makes every fit reject; no
+# valid hyperparameters are rejected by every fit on their own, since
+# check_fold_counts finds a categorical index past the columns before any fit
+UNFITTABLE_GBT = {"min_samples_split": 999_983}
+
+
+@pytest.fixture
+def unfittable_gbt(monkeypatch):
+    """A gbt fit with UNFITTABLE_GBT raises LearnerError, in this process and
+    in the pool workers it forks, which inherit the patch."""
+    from imbalkit.learners.base import LearnerError
+    from imbalkit.learners.gbt import GbtModel
+
+    real = GbtModel.fit.__func__
+
+    def fit(cls, X, y, spec, feature_names):
+        if spec.hyperparameters["min_samples_split"] == UNFITTABLE_GBT["min_samples_split"]:
+            raise LearnerError("unfittable gbt")
+        return real(cls, X, y, spec, feature_names)
+    monkeypatch.setattr(GbtModel, "fit", classmethod(fit))
 
 
 class LockHolding(Exception):
@@ -289,7 +306,7 @@ class TestBenchmark:
         run_cli("benchmark", "--config", cfg)
         assert not list(out.rglob("*.tmp"))
 
-    def test_partial_failure_exit_code(self, tmp_path):
+    def test_partial_failure_exit_code(self, tmp_path, unfittable_gbt):
         broken = {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}
         cfg, out = write_config(tmp_path, reference_model="nb", models=[
             {"name": "nb", "algorithm": "naive-bayes"}, broken])
@@ -324,7 +341,8 @@ class TestBenchmark:
             assert "('n_estimators', 3)" in row[2], row
 
 
-    def test_artifacts_identical_at_every_worker_count(self, tmp_path, monkeypatch):
+    def test_artifacts_identical_at_every_worker_count(self, tmp_path, monkeypatch,
+                                                       unfittable_gbt):
         """benchmark tunes in this process and fits its roster in worker
         processes (at most 3 here, so no test starts a large pool); a tuned
         model, a failing model and a stack write the serial loop's bytes and
@@ -477,7 +495,7 @@ class TestCompare:
         result = run_cli("compare", "--config", cfg)
         assert result.exit_code == 2
 
-    def test_failed_model_exits_4_and_leaves_no_rows(self, tmp_path):
+    def test_failed_model_exits_4_and_leaves_no_rows(self, tmp_path, unfittable_gbt):
         cfg, out = write_config(tmp_path, **with_entry("gbt", **UNFITTABLE_GBT))
         result = run_cli("compare", "--config", cfg)
         assert result.exit_code == 4, result.output
@@ -492,7 +510,7 @@ class TestCompare:
         meta = json.loads((out / "comparison_meta.json").read_text())
         assert meta["comparisons"] == 2
 
-    def test_failed_reference_exits_4(self, tmp_path):
+    def test_failed_reference_exits_4(self, tmp_path, unfittable_gbt):
         cfg, out = write_config(tmp_path, reference_model="bad", models=[
             {"name": "nb", "algorithm": "naive-bayes"},
             {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}])
@@ -583,7 +601,7 @@ class TestExplain:
                          "--instances", "100000")
         assert result.exit_code == 3
 
-    def test_failed_fit_exits_4_without_traceback(self, tmp_path):
+    def test_failed_fit_exits_4_without_traceback(self, tmp_path, unfittable_gbt):
         cfg, out = write_config(tmp_path, reference_model="bad", models=[
             {"name": "bad", "algorithm": "gbt", "hyperparameters": UNFITTABLE_GBT}])
         result = run_cli("explain", "--config", cfg, "--model", "bad")
@@ -781,6 +799,7 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+@pytest.mark.usefixtures("unfittable_gbt")
 def test_artifacts_are_pinned(tmp_path, case):
     command, overrides, code, digest = PINNED_RUNS[case]
     if overrides is None:
@@ -1090,6 +1109,61 @@ class TestErrorPaths:
         assert "failed" not in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("oof_folds, stderr", [
+        (1, "config error: oof_folds must be an integer from 2 to 1000000, got 1\n"),
+        (2.5, "config error: oof_folds must be an integer from 2 to 1000000, got 2.5\n"),
+        ("x", "config error: oof_folds must be an integer from 2 to 1000000, got 'x'\n"),
+        (None, "config error: oof_folds must be an integer from 2 to 1000000, got None\n"),
+        (True, "config error: oof_folds must be an integer from 2 to 1000000, got True\n"),
+        (0, "config error: oof_folds must be an integer from 2 to 1000000, got 0\n"),
+        (1000001, "config error: oof_folds must be an integer from 2 to 1000000, "
+                  "got 1000001\n"),
+    ])
+    def test_stack_oof_folds_fault_keeps_its_stderr_line(self, tmp_path, oof_folds, stderr):
+        """StackingSpec checks oof_folds, not the run-settings table; a config
+        names the fault in the same line as when the table checked it."""
+        cfg, out = write_config(tmp_path, **with_stack(oof_folds=oof_folds))
+        for command in (["benchmark"], ["compare"], ["explain", "--model", "stack"]):
+            result = run_cli(*command, "--config", cfg)
+            assert (result.exit_code, result.stderr) == (2, stderr), command
+            assert not out.exists()
+
+    @pytest.mark.parametrize("explained", ["gbt", "stack"], ids=["roster-gbt", "stack-base"])
+    @pytest.mark.parametrize("handling", ["ordered-target-stats", "plain-codes"])
+    def test_categorical_index_past_the_columns_exits_3_before_any_fit(
+            self, tmp_path, monkeypatch, explained, handling):
+        """A GBT, in the roster and as a stack's base, that encodes column 40 of
+        the 22 by ordered target statistics is a data error found before any fit;
+        plain-codes ignores the list, and the same config runs."""
+        import imbalkit.cli
+        import imbalkit.validation
+        from imbalkit.learners import base
+
+        monkeypatch.setattr(base, "_available_cpus", lambda: 1)
+        fits = []
+        for module in (imbalkit.cli, imbalkit.validation):
+            real = module.fit_model
+            monkeypatch.setattr(module, "fit_model",
+                                lambda *args, real=real: fits.append(args) or real(*args))
+        gbt = {"name": "gbt", "algorithm": "gbt",
+               "hyperparameters": {"n_estimators": 3, "categorical_handling": handling,
+                                   "categorical_features": [0, 40]}}
+        stack = {"name": "stack", "algorithm": "stacking", "bases": ["nb", "gbt"],
+                 "oof_folds": 3}
+        cfg, out = write_config(tmp_path, n=300, models=[
+            {"name": "nb", "algorithm": "naive-bayes"}, gbt, stack])
+        for command in (["benchmark"], ["compare"], ["explain", "--model", explained]):
+            fits.clear()
+            result = run_cli(*command, "--config", cfg)
+            if handling == "plain-codes":
+                assert (result.exit_code, result.stderr) == (0, ""), (command, result.output)
+                assert fits and (out / "run-manifest.json").exists()
+                continue
+            assert (result.exit_code, result.stderr) == (
+                3, "data error: gbt categorical_features must be a list, each an integer "
+                   "from 0 to 21, got [0, 40]\n"), command
+            assert fits == [] and not (out / "run-manifest.json").exists()
+
     def test_oof_folds_above_an_outer_partition_minority_exits_3(self, tmp_path):
         """35 out-of-fold folds fit the whole minority of 40 rows, but compare
         fits the stack on 4-fold outer training partitions of 30."""
@@ -1219,7 +1293,10 @@ class TestEntryPoint:
         artifacts are those of main run in this process."""
         overrides = {"compare": {"reference_model": None},
                      "explain": {},
-                     "benchmark": with_entry("gbt", **UNFITTABLE_GBT)}.get(command, {})
+                     # a tuning candidate that names a column past the 22 of the data
+                     "benchmark": {**with_entry("gbt", categorical_handling="ordered-target-stats"),
+                                   "tuning": {"spaces": {"extra": {"categorical_features": [[99]]}},
+                                              "n_iter": 1, "folds": 3}}}.get(command, {})
         cfg, _ = write_config(tmp_path, **overrides)
         args = [command, "--config", cfg] + (["--model", "nb", "--instances", "9999"]
                                              if command == "explain" else [])

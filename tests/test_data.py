@@ -331,6 +331,8 @@ class TestSmote:
         m = imbalanced_matrix(n_min=20, n_maj=20)
         out = smote(m, seed=0)
         assert out is m
+        with pytest.raises(DataError, match="k_neighbors must be an integer from 1"):
+            smote(m, k_neighbors=0, seed=0)  # the count is checked even with nothing to do
 
     def test_single_minority_row_rejected(self):
         m = imbalanced_matrix(n_min=1, n_maj=10)

@@ -1019,11 +1019,6 @@ class TestSvm:
         expected = 1.0 / (m.n_features * m.values.var())
         assert model.gamma == pytest.approx(expected, rel=1e-12)
 
-    def test_slack_nonnegative(self):
-        m = two_class_matrix(30, 30, seed=19)
-        model = fit_model(fast_spec("svm"), m)
-        assert np.all(model.slack >= 0)
-
     def test_non_rbf_rejected(self):
         m = two_class_matrix(10, 10)
         with pytest.raises(LearnerError):
@@ -1080,7 +1075,8 @@ class TestSvm:
         m = two_class_matrix(20, 20, seed=24)
         model = fit_model(ModelSpec("svm"), m)
         assert set(model.fit_info) == {"iterations", "converged", "kkt_gap", "dual_objective",
-                                       "platt"}
+                                       "objective_history", "platt"}
+        assert model.objective_history is model.fit_info["objective_history"]
         doc = serialize_model(model)
         restored = deserialize_model(doc)
         assert restored.fit_info == {}

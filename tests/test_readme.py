@@ -8,6 +8,7 @@ import pytest
 
 from imbalkit.learners import HYPERPARAMETERS
 from imbalkit.report import _SETTINGS
+from imbalkit.stacking import StackingSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,8 +27,9 @@ def test_library_tour_runs(tmp_path, monkeypatch):
 
 def test_config_tables_name_every_key_with_its_default_and_rule():
     text = README.read_text(encoding="utf-8")
+    settings = {**_SETTINGS, "oof_folds": (StackingSpec.oof_folds, StackingSpec.OOF_FOLDS)}
     rows = [f"| `{key}` | `{json.dumps(default)}` | {rule} |"
-            for key, (default, rule) in _SETTINGS.items()]
+            for key, (default, rule) in settings.items()]
     rows += [f"| `{algorithm}` | `{key}` | `{json.dumps(default)}` | {rule} |"
              for algorithm, table in HYPERPARAMETERS.items()
              for key, (default, rule) in table.items()]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbalkit.data import DataError, EncodedMatrix, stratified_split
+from imbalkit.data import DataError, EncodedMatrix, smote, stratified_split
+from imbalkit.explain import ExplainError, shapley_sampled
 from imbalkit.learners import base
 from imbalkit.learners.base import LearnerError, ModelSpec, fit_cost, map_ordered
 from imbalkit.learners.search import tune_random_search
@@ -58,6 +60,58 @@ class TestStratifiedFolds:
     def test_too_few_folds(self):
         with pytest.raises(DataError):
             stratified_folds(np.array([0, 1, 0, 1]), 1, seed=0)
+
+
+# each library entry point that takes a count: (a call with the count that
+# returns what the count decides, the count's name, the entry point's error
+# type, the low bound of the config's rule count(low)); 60 rows of 3 features
+_M = two_class_matrix(40, 20, seed=3)
+_NB_SPACE = {"var_smoothing": [1e-9, 1e-6]}
+COUNT_ENTRY_POINTS = {
+    "stratified_folds": (lambda v: stratified_folds(_M.target, v, seed=0).tolist(),
+                         "folds", DataError, 2),
+    "cross_validate": (
+        lambda v: cross_validate(ModelSpec("naive-bayes"), _M, folds=v).accuracies.tolist(),
+        "folds", DataError, 2),
+    "StackingSpec": (lambda v: StackingSpec((ModelSpec("naive-bayes"),), oof_folds=v),
+                     "oof_folds", LearnerError, 2),
+    "smote": (lambda v: smote(_M, k_neighbors=v, seed=0).values.tolist(),
+              "k_neighbors", DataError, 1),
+    "tune_random_search-n_iter": (
+        lambda v: tune_random_search("naive-bayes", _NB_SPACE, _M, n_iter=v, folds=3),
+        "n_iter", LearnerError, 1),
+    "tune_random_search-folds": (
+        lambda v: tune_random_search("naive-bayes", _NB_SPACE, _M, n_iter=2, folds=v),
+        "folds", DataError, 2),
+    "shapley_sampled": (
+        lambda v: shapley_sampled(lambda X: 1 / (1 + np.exp(-X.sum(axis=1))), _M.values[0],
+                                  _M.values[:5], n_permutations=v, seed=0).values.tolist(),
+        "n_permutations", ExplainError, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [2.5, True, "3", None, 10**6 + 1, "low - 1"])
+def test_library_counts_follow_the_config_rule(entry, value):
+    """A count that the config's rule count(low) rejects raises the entry
+    point's own error type, naming the count, before any work: a fold count of
+    2.5 no longer runs three unequal folds, and no count dies with a bare
+    TypeError."""
+    call, name, error, low = COUNT_ENTRY_POINTS[entry]
+    value = low - 1 if value == "low - 1" else value
+    message = f"{name} must be an integer from {low} to 1000000, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        call(value)
+    assert caught.type is error
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_library_counts_take_the_low_bound_and_numpy_integers(entry):
+    """The rule admits the low bound and numpy integers, as the config's does;
+    a numpy count gives the plain int's result."""
+    call, _, _, low = COUNT_ENTRY_POINTS[entry]
+    call(low)
+    assert call(np.int64(3)) == call(3)
 
 
 class TestCrossValidate:
